@@ -67,6 +67,27 @@ func BenchmarkBuildMatrix(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildLineRefs measures T-OPT's merged-transpose build (the
+// core.linerefs layer) on the default-scale DBP input at the 4 B
+// (16 vertices per line) and 1-bit (512 per line) geometries, over the
+// out-adjacency (pull kernels) and the in-adjacency (push kernels).
+func BenchmarkBuildLineRefs(b *testing.B) {
+	g := graph.PowerLaw(1<<17, 7, 2.0, 42)
+	for _, dir := range []struct {
+		name string
+		ref  *graph.Adj
+	}{{"out", &g.Out}, {"in", &g.In}} {
+		for _, epl := range []int{16, 512} {
+			b.Run(fmt.Sprintf("%s/epl=%d", dir.name, epl), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					core.BuildLineRefs(dir.ref, epl)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkNextRef measures the Algorithm 2 lookup (the per-way work of
 // the next-ref engine).
 func BenchmarkNextRef(b *testing.B) {

@@ -41,14 +41,17 @@ type POPT struct {
 }
 
 // NewPOPT builds a P-OPT policy over the given streams. All streams must
-// share the same epoch geometry (they do by construction, since epoch
-// count depends only on quantization width and vertex count).
+// share the same epoch and sub-epoch geometry (they do by construction,
+// since both depend only on encoding, quantization width and vertex
+// count), so a victim search decodes the current vertex once for all of
+// them.
 func NewPOPT(streams ...Stream) *POPT {
 	if len(streams) == 0 {
 		panic("core: P-OPT needs at least one irregular stream")
 	}
 	for _, s := range streams[1:] {
-		if s.M.NumEpochs != streams[0].M.NumEpochs || s.M.EpochSize != streams[0].M.EpochSize {
+		if s.M.NumEpochs != streams[0].M.NumEpochs || s.M.EpochSize != streams[0].M.EpochSize ||
+			s.M.SubEpochSize != streams[0].M.SubEpochSize {
 			panic("core: P-OPT streams must share epoch geometry")
 		}
 	}
@@ -164,17 +167,21 @@ func (p *POPT) stream(addr uint64) *Stream {
 // Victim implements cache.Policy: the next-ref engine's candidate search
 // (Section V-C). Streaming lines evict first; otherwise every way's
 // quantized next reference comes from the Rereference Matrix (Algorithm 2)
-// and the furthest wins, DRRIP settling ties.
+// and the furthest wins, DRRIP settling ties. The current vertex's epoch
+// and sub-epoch are decoded once, since every stream shares that geometry.
 //
 //popt:hot
 func (p *POPT) Victim(set int, lines []cache.Line, acc mem.Access) int {
+	t := p.streams[0].M.Table
+	e := t.EpochOf(p.cur)
+	sub := t.subEpochOf(p.cur, e)
 	best, bestDist, tied := -1, -1, false
 	for w := p.g.ReservedWays; w < p.g.Ways; w++ {
 		s := p.stream(lines[w].Addr)
 		if s == nil {
 			return w
 		}
-		d := s.M.NextRef(s.Arr.LineID(lines[w].Addr), p.cur)
+		d := s.M.nextRefAt(s.Arr.LineID(lines[w].Addr), e, sub)
 		switch {
 		case d > bestDist:
 			best, bestDist, tied = w, d, false

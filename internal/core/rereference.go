@@ -104,20 +104,15 @@ func (t *Table) initDividers() {
 }
 
 // Matrix is one run's view of a Rereference Matrix: the shared immutable
-// Table plus whatever per-run mutable state a simulation accumulates.
-// Sharing a Matrix between concurrent simulations is a data race; sharing
-// the Table behind any number of NewMatrix views is free and safe, which
-// is what lets a parallel sweep build each table once and hand every cell
-// its own cheap view.
+// Table behind a per-run handle. Sharing the Table behind any number of
+// NewMatrix views is free and safe, which is what lets a parallel sweep
+// build each table once and hand every cell its own cheap view.
 type Matrix struct {
 	*Table
-	// Queries counts NextRef consultations through this view (one per
-	// candidate way per matrix-guided replacement).
-	Queries uint64
 }
 
 // NewMatrix returns a fresh per-run view of the table. Views are cheap:
-// they share the encoded entries and differ only in per-run counters.
+// they share the encoded entries.
 func (t *Table) NewMatrix() *Matrix { return &Matrix{Table: t} }
 
 // distBits returns the width of the distance field for the encoding.
@@ -347,15 +342,30 @@ func (t *Table) EpochOf(v graph.V) int {
 	return e
 }
 
+// subEpochOf maps an outer-loop vertex in epoch e to its sub-epoch, the
+// intra-epoch position Algorithm 2 compares against an entry's final
+// access.
+//
+//popt:hot
+func (t *Table) subEpochOf(v graph.V, e int) int {
+	return int(t.subDiv.Div(uint64(int(v) - e*t.EpochSize)))
+}
+
 // NextRef implements Algorithm 2: given a cache line of the array and the
 // outer-loop vertex currently being processed, return the distance (in
 // epochs) to the line's next reference. 0 means "again within this epoch";
 // MaxDist()+1 saturates "no known future use".
+func (m *Matrix) NextRef(line int, cur graph.V) int {
+	e := m.EpochOf(cur)
+	return m.nextRefAt(line, e, m.subEpochOf(cur, e))
+}
+
+// nextRefAt is Algorithm 2 with the current vertex already decoded into
+// its epoch e and sub-epoch sub, so a victim search decodes it once rather
+// than once per candidate way.
 //
 //popt:hot
-func (m *Matrix) NextRef(line int, cur graph.V) int {
-	m.Queries++
-	e := m.EpochOf(cur)
+func (m *Matrix) nextRefAt(line, e, sub int) int {
 	curr := m.entries[line*m.NumEpochs+e]
 	msbMask := uint16(1) << (m.Bits - 1)
 	lowMask := msbMask - 1
@@ -377,9 +387,7 @@ func (m *Matrix) NextRef(line int, cur graph.V) int {
 	} else {
 		lastSub = int(curr & lowMask)
 	}
-	epochStart := e * m.EpochSize
-	currSub := int(m.subDiv.Div(uint64(int(cur) - epochStart)))
-	if currSub <= lastSub {
+	if sub <= lastSub {
 		return 0
 	}
 	// Past the final access: consult next-epoch information.

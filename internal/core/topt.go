@@ -24,8 +24,8 @@ type OracleStream struct {
 	Ref *graph.Adj
 
 	// LR is the per-cache-line merge of the vertices' sorted reference
-	// lists, so a next-reference query is one binary search instead of a
-	// scan per vertex. NewTOPT builds it when nil; callers that simulate
+	// lists, so a next-reference query searches one sorted list instead of
+	// scanning each vertex. NewTOPT builds it when nil; callers that simulate
 	// the same (transpose, line geometry) many times can build it once
 	// with BuildLineRefs and share it read-only across runs. This is a
 	// simulator-speed optimization only: hardware T-OPT would scan the
@@ -51,6 +51,16 @@ type LineRefs struct {
 // Lines are independent, so the merge is partitioned across GOMAXPROCS
 // workers; the result is identical at every worker count.
 func BuildLineRefs(ref *graph.Adj, elemsPerLine int) *LineRefs {
+	numLines := (ref.N() + elemsPerLine - 1) / elemsPerLine
+	workers := runtime.GOMAXPROCS(0)
+	if max := numLines / minLinesPerWorker; workers > max {
+		workers = max
+	}
+	return buildLineRefs(ref, elemsPerLine, workers)
+}
+
+// buildLineRefs is BuildLineRefs at a fixed worker count.
+func buildLineRefs(ref *graph.Adj, elemsPerLine, workers int) *LineRefs {
 	n := ref.N()
 	numLines := (n + elemsPerLine - 1) / elemsPerLine
 	lr := &LineRefs{oa: make([]uint64, numLines+1)}
@@ -67,10 +77,6 @@ func BuildLineRefs(ref *graph.Adj, elemsPerLine int) *LineRefs {
 	}
 	lr.oa[numLines] = total
 	lr.refs = make([]graph.V, total)
-	workers := runtime.GOMAXPROCS(0)
-	if max := numLines / minLinesPerWorker; workers > max {
-		workers = max
-	}
 	if workers <= 1 {
 		lr.mergeLines(ref, elemsPerLine, 0, numLines)
 		return lr
@@ -92,26 +98,145 @@ func BuildLineRefs(ref *graph.Adj, elemsPerLine int) *LineRefs {
 	return lr
 }
 
-// mergeLines fills and sorts the reference segments of lines [lineLo,
-// lineHi); each worker of the parallel build owns a disjoint range. The
-// per-line sort is graph.SortV rather than sort.Slice: one closure
-// allocation and reflect swapper per cache line adds up over a
-// million-line table, and the manual sort keeps this loop escape-free.
+// mergeLines fills the reference segments of lines [lineLo, lineHi); each
+// worker of the parallel build owns a disjoint range. A segment starts as
+// the concatenation of its vertices' neighbor lists, each already sorted,
+// so it is merged run by run (mergeRuns) rather than sorted from scratch.
+// The merge scratch is sized to the range's longest segment, so only the
+// worker whose range holds a hub's line pays for that line's length.
+func (lr *LineRefs) mergeLines(ref *graph.Adj, elemsPerLine, lineLo, lineHi int) {
+	longest := uint64(0)
+	for l := lineLo; l < lineHi; l++ {
+		if d := lr.oa[l+1] - lr.oa[l]; d > longest {
+			longest = d
+		}
+	}
+	lr.mergeSegments(ref, elemsPerLine, lineLo, lineHi, make([]graph.V, longest), make([]int, elemsPerLine+1))
+}
+
+// mergeSegments is mergeLines' loop. scratch (at least the longest segment)
+// and runs (elemsPerLine+1 entries) are allocated by the caller, which
+// keeps this loop allocation-free.
 //
 //popt:hot
-func (lr *LineRefs) mergeLines(ref *graph.Adj, elemsPerLine, lineLo, lineHi int) {
+func (lr *LineRefs) mergeSegments(ref *graph.Adj, elemsPerLine, lineLo, lineHi int, scratch []graph.V, runs []int) {
 	n := ref.N()
 	for l := lineLo; l < lineHi; l++ {
-		w := lr.oa[l]
+		seg := lr.refs[lr.oa[l]:lr.oa[l+1]]
 		lo, hi := l*elemsPerLine, (l+1)*elemsPerLine
 		if hi > n {
 			hi = n
 		}
+		// runs[:k+1] bounds the k non-empty neighbor lists in seg.
+		k, w := 0, 0
+		runs[0] = 0
 		for v := lo; v < hi; v++ {
-			w += uint64(ref.CopyNeighbors(lr.refs[w:], graph.V(v)))
+			if c := ref.CopyNeighbors(seg[w:], graph.V(v)); c > 0 {
+				w += c
+				k++
+				runs[k] = w
+			}
 		}
-		graph.SortV(lr.refs[lr.oa[l]:w])
+		mergeRuns(seg, scratch[:len(seg)], runs[:k+1])
 	}
+}
+
+// mergeRuns sorts a, the concatenation of the sorted runs
+// a[runs[i]:runs[i+1]], without sorting from scratch. Neighboring short
+// runs are first folded together by insertion into groups of at most
+// insertMergeMax elements (a line of low-degree vertices is typically one
+// such group); the groups are then merged pairwise, bottom up, ping-ponging
+// between a and tmp (len(tmp) == len(a)), so each pass halves the group
+// count. runs is overwritten.
+//
+//popt:hot
+func mergeRuns(a, tmp []graph.V, runs []int) {
+	g := 0
+	for r := 0; r+1 < len(runs); g++ {
+		lo, e := runs[r], r+1
+		for e+1 < len(runs) && runs[e+1]-lo <= insertMergeMax {
+			e++
+		}
+		insertRuns(a, lo, runs[r:e+1])
+		runs[g] = lo
+		r = e
+	}
+	runs[g] = runs[len(runs)-1]
+	runs = runs[:g+1]
+	src, dst, inTmp := a, tmp, false
+	for r := len(runs) - 1; r > 1; r = len(runs) - 1 {
+		j := 0
+		for i := 0; i < r; i += 2 {
+			lo := runs[i]
+			if i+1 < r {
+				mid, hi := runs[i+1], runs[i+2]
+				mergeTwo(dst[lo:hi], src[lo:mid], src[mid:hi])
+			} else {
+				copy(dst[lo:runs[r]], src[lo:runs[r]]) // odd group out
+			}
+			runs[j] = lo
+			j++
+		}
+		runs[j] = runs[r]
+		runs = runs[:j+1]
+		src, dst, inTmp = dst, src, !inTmp
+	}
+	if inTmp {
+		copy(a, src)
+	}
+}
+
+// insertMergeMax bounds the groups mergeRuns folds by insertion: over a
+// few dozen elements in one- or two-element runs, insertion moves fewer
+// bytes than the merge passes it replaces and has none of their per-pair
+// overhead.
+const insertMergeMax = 32
+
+// insertRuns folds the consecutive sorted runs a[runs[i]:runs[i+1]] into
+// one sorted run starting at runs[0], inserting each run's elements into
+// the sorted prefix before it; nothing moves below lo. A run that starts
+// at or above the prefix's last element is already in place and costs one
+// comparison.
+//
+//popt:hot
+func insertRuns(a []graph.V, lo int, runs []int) {
+	for r := 1; r+1 < len(runs); r++ {
+		start, end := runs[r], runs[r+1]
+		if start == lo || start == end || a[start-1] <= a[start] {
+			continue
+		}
+		for i := start; i < end; i++ {
+			x := a[i]
+			j := i
+			for ; j > lo && a[j-1] > x; j-- {
+				a[j] = a[j-1]
+			}
+			a[j] = x
+		}
+	}
+}
+
+// mergeTwo merges the sorted runs x and y into dst (len(x)+len(y) long).
+// The choice of run is written branch-free (a conditional move and index
+// arithmetic): which run supplies the next element is unpredictable, and
+// a mispredicted branch per element costs more than the move itself.
+//
+//popt:hot
+func mergeTwo(dst, x, y []graph.V) {
+	i, j, k := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		a, b := x[i], y[j]
+		c := 0
+		if b < a {
+			a, c = b, 1
+		}
+		dst[k] = a
+		k++
+		i += 1 - c
+		j += c
+	}
+	k += copy(dst[k:], x[i:])
+	copy(dst[k:], y[j:])
 }
 
 // MemBytes returns the resident size of the merged reference table, for
@@ -136,28 +261,65 @@ func (lr *LineRefs) Checksum() uint64 {
 	return h.Sum64()
 }
 
-// next returns the smallest reference position of line l strictly greater
-// than cur, or ok=false. The binary search is written out by hand rather
-// than through sort.Search: this runs once per candidate way per LLC
-// eviction, and the closure-based form costs an indirect call per probe
-// and defeats bounds-check elimination on the segment.
+// seek returns the first reference of line l at index from or later in
+// the merged table that is strictly greater than cur, with its index; a
+// line with no such reference yields its segment end and noRef. from must
+// lie within the line's segment and every reference before it must be
+// <= cur. The search gallops forward from from (probing 1, 2, 4, ...
+// entries ahead) and then binary-searches the bracket it found, so a
+// query whose answer is near from costs a few probes rather than a search
+// of the whole segment. Both loops are written out by hand rather than
+// through sort.Search: the closure-based form costs an indirect call per
+// probe on what runs once per candidate way per LLC eviction.
 //
 //popt:hot
-func (lr *LineRefs) next(l int, cur graph.V) (graph.V, bool) {
-	seg := lr.refs[lr.oa[l]:lr.oa[l+1]]
-	lo, hi := 0, len(seg)
+func (lr *LineRefs) seek(l int, from uint64, cur graph.V) (uint64, graph.V) {
+	end := lr.oa[l+1]
+	lo, hi := from, from
+	for step := uint64(1); hi < end && lr.refs[hi] <= cur; step <<= 1 {
+		lo = hi + 1
+		hi += step
+	}
+	if hi > end {
+		hi = end
+	}
+	// The answer lies in [lo, hi]: refs[lo-1] <= cur, and hi is either the
+	// segment end or holds a reference > cur.
 	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if seg[mid] > cur {
+		mid := lo + (hi-lo)>>1
+		if lr.refs[mid] > cur {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	if lo == len(seg) {
-		return 0, false
+	if lo == end {
+		return end, noRef
 	}
-	return seg[lo], true
+	return lo, lr.refs[lo]
+}
+
+// noRef is the memoized "no further reference" answer. It compares
+// greater than every outer-loop vertex, so a memo holding it is always a
+// hit: once a line has no reference after cur, it has none after any
+// later cur either.
+const noRef = ^graph.V(0)
+
+// memoEntry is one line's memoized next-reference answer: the answer next
+// (or noRef), its index pos in the merged table (the segment end for
+// noRef), and the generation gen it was computed in. The three fields sit
+// in one 16-byte entry so a lookup touches a single host cache line.
+type memoEntry struct {
+	pos  uint64
+	next graph.V
+	gen  uint32
+}
+
+// oracle is one irregular stream of a TOPT run: the caller's OracleStream
+// plus this run's next-reference memo, one entry per line.
+type oracle struct {
+	OracleStream
+	memo []memoEntry
 }
 
 // TOPT is transpose-based optimal replacement (Section III): at eviction
@@ -165,24 +327,34 @@ func (lr *LineRefs) next(l int, cur graph.V) (graph.V, bool) {
 // candidate line to find exact next references, evicting the line used
 // furthest in the future. It is idealized — the simulator charges nothing
 // for the transpose lookups — so it upper-bounds P-OPT (Fig. 4, 7, 10).
+//
+// A run memoizes each line's last next-reference answer (see nextRef).
+// The memo is per-run state, so it lives here rather than on the shared,
+// frozen LineRefs.
 type TOPT struct {
 	g       cache.Geometry
-	streams []OracleStream
+	streams []oracle
 	cur     graph.V
-	tie     *cache.DRRIP
+	// gen is the memo generation: it advances whenever cur moves
+	// backwards, so within one generation cur never decreases. Memo
+	// entries stamped with an older generation are stale.
+	gen uint32
+	tie *cache.DRRIP
 	// Ties counts victim selections where multiple lines shared the
 	// maximal next reference and the tie-breaker decided.
 	Ties uint64
 }
 
 // NewTOPT builds a T-OPT policy over the given irregular streams,
-// building any merged-transpose tables the caller did not supply.
+// building any merged-transpose tables the caller did not supply. The
+// streams are copied, so the caller's slice is never written.
 func NewTOPT(streams ...OracleStream) *TOPT {
-	p := &TOPT{streams: streams, tie: cache.NewDRRIP(1)}
-	for i := range p.streams {
-		if p.streams[i].LR == nil {
-			p.streams[i].LR = BuildLineRefs(p.streams[i].Ref, p.streams[i].Arr.ElemsPerLine())
+	p := &TOPT{streams: make([]oracle, len(streams)), gen: 1, tie: cache.NewDRRIP(1)}
+	for i, s := range streams {
+		if s.LR == nil {
+			s.LR = BuildLineRefs(s.Ref, s.Arr.ElemsPerLine())
 		}
+		p.streams[i] = oracle{OracleStream: s, memo: make([]memoEntry, len(s.LR.oa)-1)}
 	}
 	return p
 }
@@ -197,8 +369,31 @@ func (p *TOPT) Bind(g cache.Geometry) {
 }
 
 // UpdateIndex models the paper's update_index instruction: the kernel
-// reports the outer-loop vertex it is currently processing.
-func (p *TOPT) UpdateIndex(v graph.V) { p.cur = v }
+// reports the outer-loop vertex it is currently processing. A backward
+// move (an iteration restart, a tile switch, or interleaved multicore
+// vertices) starts a new memo generation.
+func (p *TOPT) UpdateIndex(v graph.V) {
+	if v < p.cur {
+		p.newGeneration()
+	}
+	p.cur = v
+}
+
+// newGeneration invalidates every memo entry in O(1) by advancing gen;
+// only when the counter wraps are the stamps cleared for real.
+func (p *TOPT) newGeneration() {
+	p.gen++
+	if p.gen != 0 {
+		return
+	}
+	for i := range p.streams {
+		memo := p.streams[i].memo
+		for l := range memo {
+			memo[l].gen = 0
+		}
+	}
+	p.gen = 1
+}
 
 // OnHit implements cache.Policy (tie-breaker state piggybacks on DRRIP).
 func (p *TOPT) OnHit(set, way int, acc mem.Access) { p.tie.OnHit(set, way, acc) }
@@ -211,7 +406,7 @@ func (p *TOPT) OnEvict(set, way int) { p.tie.OnEvict(set, way) }
 
 // stream returns the irregular stream containing addr, or nil (streaming
 // data), i.e. the irreg_base/irreg_bound register comparison.
-func (p *TOPT) stream(addr uint64) *OracleStream {
+func (p *TOPT) stream(addr uint64) *oracle {
 	for i := range p.streams {
 		if p.streams[i].Arr.Contains(addr) {
 			return &p.streams[i]
@@ -223,12 +418,29 @@ func (p *TOPT) stream(addr uint64) *OracleStream {
 // nextRef returns the exact distance (in outer-loop vertices) to the next
 // reference of the line at addr within s, or infDist.
 //
+// The line's memo answers it with one load when the entry is from the
+// current generation and still lies ahead of cur. That is exact: the
+// entry was the first reference after some earlier cur' <= cur of the
+// same generation, so no reference lies in (cur', next], and next > cur
+// makes it the first after cur too. A current-generation entry that cur
+// has passed is resumed: every reference up to its index is <= cur, so
+// the search gallops on from the next index. An older entry restarts at
+// the segment head.
+//
 //popt:hot
-func (p *TOPT) nextRef(s *OracleStream, addr uint64) int64 {
-	if next, ok := s.LR.next(s.Arr.LineID(addr), p.cur); ok {
-		return int64(next) - int64(p.cur)
+func (p *TOPT) nextRef(s *oracle, addr uint64) int64 {
+	l := s.Arr.LineID(addr)
+	m := &s.memo[l]
+	if m.gen != p.gen {
+		m.pos, m.next = s.LR.seek(l, s.LR.oa[l], p.cur)
+		m.gen = p.gen
+	} else if m.next <= p.cur {
+		m.pos, m.next = s.LR.seek(l, m.pos+1, p.cur)
 	}
-	return infDist
+	if m.next == noRef {
+		return infDist
+	}
+	return int64(m.next) - int64(p.cur)
 }
 
 // Victim implements cache.Policy following Section V-C's candidate search:

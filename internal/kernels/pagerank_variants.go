@@ -73,7 +73,7 @@ func NewPageRankOrdered(g *graph.Graph, order []graph.V) *Workload {
 	w.check = func() error {
 		golden := goldenPageRank(g, prIters)
 		for v := 0; v < n; v++ {
-			if math.Abs(golden[v]-rank[v]) > 1e-12 {
+			if !rankMatches(rank[v], golden[v]) {
 				return fmt.Errorf("PR-BDFS: rank[%d] = %g, golden %g", v, rank[v], golden[v])
 			}
 		}
