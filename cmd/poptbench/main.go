@@ -30,7 +30,6 @@ func main() {
 	format := flag.String("format", "table", "output format: table or csv")
 	workers := flag.Int("j", 0, "sweep worker count: 0 = GOMAXPROCS, 1 = serial (output is identical at any count)")
 	progress := flag.Bool("progress", false, "report per-cell completion and timing on stderr")
-	noreplay := flag.Bool("noreplay", false, "disable reference-stream record/replay sharing (every cell re-executes its kernel; output is identical either way)")
 	corpusDir := flag.String("corpus", "", "persist recorded reference streams as container files in this directory and replay from it; a warm corpus skips every record phase (output is identical either way)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit (go tool pprof)")
@@ -74,7 +73,6 @@ func main() {
 	cfg := bench.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Workers = *workers
-	cfg.NoReplay = *noreplay
 	if *corpusDir != "" {
 		store, err := corpus.Open(*corpusDir)
 		if err != nil {

@@ -20,7 +20,6 @@ import (
 	"popt/internal/core"
 	"popt/internal/graph"
 	"popt/internal/kernels"
-	"popt/internal/trace"
 )
 
 func main() {
@@ -31,7 +30,6 @@ func main() {
 	scale := flag.String("scale", "default", "input scale: tiny, default, large")
 	seed := flag.Int64("seed", 42, "generator seed")
 	check := flag.Bool("check", false, "wrap the LLC policy in a runtime contract checker (panics on Policy-contract violations)")
-	dumptrace := flag.Bool("dumptrace", false, "record the run's reference stream and print event counts and encoded size")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit (go tool pprof)")
 	flag.Parse()
@@ -81,13 +79,7 @@ func main() {
 
 	w := builder.New(g)
 	fmt.Printf("app=%s graph=%s policy=%s\n", w.Name, g, setup.Name)
-	var res bench.Result
-	var tr *trace.Trace
-	if *dumptrace {
-		res, tr = bench.RecordWorkload(cfg, w, setup)
-	} else {
-		res = bench.RunWorkload(cfg, w, setup)
-	}
+	res := bench.RunWorkload(cfg, w, setup)
 	if err := w.Check(); err != nil {
 		fail("result verification failed: %v", err)
 	}
@@ -100,21 +92,7 @@ func main() {
 		fmt.Printf("Rereference Matrix streamed: %d bytes, tie rate %.1f%%\n", res.Streamed, 100*res.TieRate)
 	}
 	fmt.Printf("modeled %v\n", res.Breakdown())
-	if tr != nil {
-		dumpTrace(tr)
-	}
 	fmt.Println("results verified against golden implementation: OK")
-}
-
-// dumpTrace prints the recorded stream's composition and encoding density.
-func dumpTrace(tr *trace.Trace) {
-	st := tr.Stats()
-	fmt.Printf("trace: %d events in %d bytes (%.2f bytes/event)\n",
-		st.Events(), tr.Size(), tr.BytesPerEvent())
-	fmt.Printf("  accesses=%d (writes=%d)  vertexUpdates=%d  iterations=%d\n",
-		st.Accesses, st.Writes, st.VertexUpdates, st.Iterations)
-	fmt.Printf("  tileSwitches=%d  mutedRegions=%d  tickEvents=%d (instrs=%d)\n",
-		st.TileSwitches, st.MutedRegions, st.TickEvents, st.TickedInstrs)
 }
 
 func pickGraph(cfg bench.Config, name, file string) *graph.Graph {

@@ -154,16 +154,6 @@ func cmdRecord(args []string) error {
 	return nil
 }
 
-func kindName(k byte) string {
-	switch k {
-	case trace.KindTrace:
-		return "trace"
-	case trace.KindLLC:
-		return "llc"
-	}
-	return fmt.Sprintf("0x%02x", k)
-}
-
 func cmdLs(args []string) error {
 	fs := flag.NewFlagSet("ls", flag.ExitOnError)
 	dir := fs.String("corpus", "", "corpus directory (required)")
@@ -180,16 +170,16 @@ func cmdLs(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-5s %12s %10s %7s  %s\n", "kind", "events", "size", "chunks", "key")
+	fmt.Printf("%12s %10s %7s  %s\n", "events", "size", "chunks", "key")
 	bad := 0
 	for _, it := range items {
 		if it.Err != nil {
 			bad++
-			fmt.Printf("%-5s %12s %10s %7s  %s: %v\n", "??", "-", "-", "-", it.File, it.Err)
+			fmt.Printf("%12s %10s %7s  %s: %v\n", "-", "-", "-", it.File, it.Err)
 			continue
 		}
-		fmt.Printf("%-5s %12d %10d %7d  %s/%s/%s/%d\n",
-			kindName(it.Kind), it.Events, it.Size, it.Chunks,
+		fmt.Printf("%12d %10d %7d  %s/%s/%s/%d\n",
+			it.Events, it.Size, it.Chunks,
 			it.Key.Workload, it.Key.Schedule, it.Key.Scale, it.Key.Seed)
 	}
 	fmt.Printf("%d entries, %d unreadable\n", len(items), bad)
@@ -210,7 +200,6 @@ func cmdInfo(args []string) error {
 		}
 		m := r.Meta()
 		fmt.Printf("%s:\n", path)
-		fmt.Printf("  kind      %s\n", kindName(r.Kind()))
 		fmt.Printf("  key       %s/%s/%s/%d\n", m.Workload, m.Schedule, m.Scale, m.Seed)
 		fmt.Printf("  size      %s (%s payload, %s max chunk)\n",
 			bench.HumanBytes(uint64(r.Size())), bench.HumanBytes(uint64(r.PayloadBytes())),
@@ -219,15 +208,11 @@ func cmdInfo(args []string) error {
 		fmt.Printf("  chunks    %d\n", r.Chunks())
 		fmt.Printf("  events    %d\n", r.Events())
 		fmt.Printf("  crc       %08x\n", r.StreamCRC())
-		if s, ok := r.TraceStats(); ok {
-			fmt.Printf("  accesses  %d (%d writes)\n", s.Accesses, s.Writes)
-		}
-		if instructions, l1, l2, s, ok := r.LLCTotals(); ok {
-			fmt.Printf("  instrs    %d\n", instructions)
-			fmt.Printf("  llc-in    %d accesses, %d writebacks\n", s.Accesses, s.Writebacks)
-			fmt.Printf("  l1        %+v\n", l1)
-			fmt.Printf("  l2        %+v\n", l2)
-		}
+		instructions, l1, l2, s := r.LLCTotals()
+		fmt.Printf("  instrs    %d\n", instructions)
+		fmt.Printf("  llc-in    %d accesses, %d writebacks\n", s.Accesses, s.Writebacks)
+		fmt.Printf("  l1        %+v\n", l1)
+		fmt.Printf("  l2        %+v\n", l2)
 		closer.Close()
 	}
 	return nil

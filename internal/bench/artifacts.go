@@ -258,13 +258,12 @@ func (c Config) replayStream(g *graph.Graph, name string, h streamHandle, s Setu
 // replay, skipping kernel re-execution and L1/L2 simulation entirely.
 // Replay is byte-identical to live execution (golden-tested), so which
 // cell records is irrelevant and sweep reports stay deterministic at
-// every worker count. With no artifact cache (or under NoReplay) every
-// cell runs live, as before the trace pipeline.
+// every worker count. With no artifact cache every cell runs live.
 //
 // build must construct the workload deterministically from g alone: the
 // stream name is trusted to cover kernel identity and schedule.
 func (c Config) runStream(g *graph.Graph, name string, build func(g *graph.Graph) *kernels.Workload, s Setup) Result {
-	if c.arts == nil || c.NoReplay {
+	if c.arts == nil {
 		return RunWorkload(c, build(g), s)
 	}
 	e := c.arts.stream(streamKey{g: g, name: name})
@@ -286,17 +285,10 @@ func (c Config) runStream(g *graph.Graph, name string, build func(g *graph.Graph
 // the rest replay it. Used by drivers whose cells compare policies on a
 // workload that is not shared with other cells (per-cell variants,
 // throwaway graphs); the (g, name) identity exists so such streams still
-// land in the corpus under a stable cross-process key. Under NoReplay
-// every setup runs a fresh build(), preserving the pre-trace behavior.
+// land in the corpus under a stable cross-process key.
 func (c Config) runSetups(g *graph.Graph, name string, build func() *kernels.Workload, setups ...Setup) []Result {
 	out := make([]Result, len(setups))
 	if len(setups) == 0 {
-		return out
-	}
-	if c.NoReplay {
-		for i, s := range setups {
-			out[i] = RunWorkload(c, build(), s)
-		}
 		return out
 	}
 	res, h := c.recordOrOpen(g, name, build, setups[0])

@@ -50,11 +50,6 @@ type Config struct {
 	// observability only; reports never depend on them. Callbacks may
 	// arrive concurrently from sweep workers.
 	PhaseProgress func(PhaseEvent)
-	// NoReplay disables reference-stream record/replay sharing: every
-	// cell re-executes its kernel live, as before the trace pipeline
-	// existed. Replay is byte-identical to live execution (golden-tested),
-	// so this exists only for A/B timing (poptbench -noreplay).
-	NoReplay bool
 	// Corpus, when non-nil, persists recorded LLC streams as chunked
 	// container files keyed by (workload, schedule, scale, seed) and
 	// replays them out of core across processes: a warm corpus skips every
@@ -376,38 +371,16 @@ func RunWorkload(c Config, w *kernels.Workload, s Setup) Result {
 	return b.finish(sim)
 }
 
-// RecordWorkload simulates one (workload, setup) pair live while encoding
-// the emitted reference stream, returning both the result and the trace.
-// The reference stream depends only on the workload (graph + schedule),
-// never on the policy setup — hooks and filters observe the stream without
-// steering kernel control flow — so the returned trace can drive any other
-// setup via ReplayWorkload with results byte-identical to a live run.
-func RecordWorkload(c Config, w *kernels.Workload, s Setup) (Result, *trace.Trace) {
-	b := buildCell(c, w, s)
-	sim := b.sim()
-	enc := trace.NewEncoder()
-	w.Run(kernels.NewSinkRunner(trace.NewTee(sim, enc)))
-	return b.finish(sim), enc.Trace()
-}
-
-// ReplayWorkload feeds a recorded reference stream into setup s. w is only
-// consulted for its immutable build inputs (graph, transpose, irregular
-// array layout — what Setup.Make needs); its kernel state is not run, so
-// one consumed workload can serve any number of replays.
-func ReplayWorkload(c Config, w *kernels.Workload, tr *trace.Trace, s Setup) Result {
-	b := buildCell(c, w, s)
-	sim := b.sim()
-	tr.Replay(sim)
-	return b.finish(sim)
-}
-
 // RecordLLC simulates one (workload, setup) pair live while recording the
 // LLC-visible stream — the paper's own trace form: the demand accesses
 // that miss L2, the writebacks they push down, and the hook events
-// between them. L1/L2 run fixed Bit-PLRU and are never back-invalidated,
-// so this stream (and the instruction and L1/L2 statistic totals riding
-// in the trace) is identical under every LLC policy; ReplayLLC feeds it
-// to any other setup touching only the LLC.
+// between them. The reference stream depends only on the workload (graph
+// + schedule), never on the policy setup — hooks and filters observe the
+// stream without steering kernel control flow — and L1/L2 run fixed
+// Bit-PLRU and are never back-invalidated, so this stream (and the
+// instruction and L1/L2 statistic totals riding in the trace) is
+// identical under every LLC policy; ReplayLLC feeds it to any other setup
+// touching only the LLC.
 func RecordLLC(c Config, w *kernels.Workload, s Setup) (Result, *trace.LLCTrace) {
 	b := buildCell(c, w, s)
 	sim := b.sim()
@@ -421,8 +394,10 @@ func RecordLLC(c Config, w *kernels.Workload, s Setup) (Result, *trace.LLCTrace)
 // ReplayLLC feeds a recorded LLC-visible stream into setup s, simulating
 // only the LLC (the trace's L1/L2 statistics and instruction totals are
 // installed verbatim). Results are byte-identical to a live run — the
-// replay-equivalence golden pins this across the policy zoo. As with
-// ReplayWorkload, w is only consulted for immutable build inputs.
+// replay-equivalence golden pins this across the policy zoo. w is only
+// consulted for its immutable build inputs (graph, transpose, irregular
+// array layout — what Setup.Make needs); its kernel state is not run, so
+// one consumed workload can serve any number of replays.
 func ReplayLLC(c Config, w *kernels.Workload, tr *trace.LLCTrace, s Setup) Result {
 	b := buildCell(c, w, s)
 	sim := b.sim()
@@ -437,7 +412,7 @@ func ReplayLLC(c Config, w *kernels.Workload, tr *trace.LLCTrace, s Setup) Resul
 // recording run's own result is returned alongside the entry.
 func RecordLLCToCorpus(c Config, w *kernels.Workload, s Setup, key corpus.Key) (Result, *corpus.Entry, error) {
 	var res Result
-	ent, err := c.Corpus.Publish(key, trace.KindLLC, func(cw *trace.ContainerWriter) error {
+	ent, err := c.Corpus.Publish(key, func(cw *trace.ContainerWriter) error {
 		b := buildCell(c, w, s)
 		sim := b.sim()
 		enc := trace.NewChunkedLLCEncoder(cw)

@@ -52,17 +52,6 @@ func Fig10(c Config) *Report {
 				Key: "fig10/" + b.Name + "/" + g.Name,
 				Run: func() {
 					out := &results[bi][gi]
-					if c.NoReplay {
-						out.lru = RunWorkload(c, b.New(g), LRUSetup())
-						if out.lru.H.LLC.Stats.Accesses < 1000 {
-							out.skipped = true
-							return
-						}
-						for i, s := range setups {
-							out.res[i] = RunWorkload(c, b.New(g), s)
-						}
-						return
-					}
 					// The stream is private to this cell (no other cell pairs
 					// this kernel with this graph), so record/replay is
 					// cell-local: the LRU baseline records — or, on a warm

@@ -304,23 +304,15 @@ func (u updateRun) finish(coalesce *float64) float64 {
 	return float64(u.h.DRAMReads + u.h.DRAMWrites)
 }
 
-// runUpdatePair simulates one update phase under DRRIP and under P-OPT
-// from a single phase execution: the DRRIP run executes the phase live
-// with an encoder teed on, and the P-OPT run replays the recorded stream.
-// Under NoReplay both runs execute fresh phases live, as before.
+// runUpdatePair simulates one update phase under DRRIP and under P-OPT,
+// each on a fresh live execution of the phase. The phases are short: two
+// live runs cost no more than recording one run and replaying the other.
 func runUpdatePair(c Config, mk func() *sched.UpdatePhase, g *graph.Graph, phiBuf bool, coalesce *float64) (baseTraffic, poptTraffic float64) {
 	phase := mk()
 	base := buildUpdateRun(c, g, phase.DstData, false, phiBuf)
-	if c.NoReplay {
-		phase.Run(kernels.NewSinkRunner(base.sim))
-		p2 := mk()
-		popt := buildUpdateRun(c, g, p2.DstData, true, phiBuf)
-		p2.Run(kernels.NewSinkRunner(popt.sim))
-		return base.finish(nil), popt.finish(coalesce)
-	}
-	enc := trace.NewEncoder()
-	phase.Run(kernels.NewSinkRunner(trace.NewTee(base.sim, enc)))
-	popt := buildUpdateRun(c, g, phase.DstData, true, phiBuf)
-	enc.Trace().Replay(popt.sim)
+	phase.Run(kernels.NewSinkRunner(base.sim))
+	p2 := mk()
+	popt := buildUpdateRun(c, g, p2.DstData, true, phiBuf)
+	p2.Run(kernels.NewSinkRunner(popt.sim))
 	return base.finish(nil), popt.finish(coalesce)
 }

@@ -32,11 +32,9 @@ func fingerprint(res Result) string {
 
 // TestReplayMatchesLiveAcrossZoo is the replay-equivalence golden: for
 // every policy in the zoo (plus the paper's P-OPT/T-OPT variants), a
-// replayed recorded stream must produce counters identical to a fresh live
-// run — on a plain kernel (PR) and on a muting, frontier-driven one
-// (Radii). Both trace forms are pinned: the full typed event stream
-// (ReplayWorkload) and the LLC-visible stream the sweep engine uses
-// (ReplayLLC).
+// replayed recorded LLC-visible stream must produce counters identical to
+// a fresh live run — on a plain kernel (PR) and on a muting,
+// frontier-driven one (Radii).
 func TestReplayMatchesLiveAcrossZoo(t *testing.T) {
 	c := TinyConfig()
 	c.CheckPolicies = true
@@ -52,12 +50,10 @@ func TestReplayMatchesLiveAcrossZoo(t *testing.T) {
 	}
 	g := graph.Uniform(1<<10, 4<<10, c.Seed)
 	for _, b := range builders {
-		// One recording run per trace form and kernel; LRU is arbitrary
-		// (the stream is policy-independent).
+		// One recording run per kernel; LRU is arbitrary (the stream is
+		// policy-independent).
 		recW := b.New(g)
-		_, tr := RecordWorkload(c, recW, LRUSetup())
-		recWL := b.New(g)
-		_, ltr := RecordLLC(c, recWL, LRUSetup())
+		_, tr := RecordLLC(c, recW, LRUSetup())
 		for _, s := range setups {
 			t.Run(b.Name+"/"+s.Name, func(t *testing.T) {
 				liveW := b.New(g)
@@ -65,10 +61,7 @@ func TestReplayMatchesLiveAcrossZoo(t *testing.T) {
 				if err := liveW.Check(); err != nil {
 					t.Fatal(err)
 				}
-				if replayed := fingerprint(ReplayWorkload(c, recW, tr, s)); live != replayed {
-					t.Errorf("full-stream replay diverged from live:\n live:   %s\n replay: %s", live, replayed)
-				}
-				if replayed := fingerprint(ReplayLLC(c, recWL, ltr, s)); live != replayed {
+				if replayed := fingerprint(ReplayLLC(c, recW, tr, s)); live != replayed {
 					t.Errorf("LLC replay diverged from live:\n live:   %s\n replay: %s", live, replayed)
 				}
 			})
@@ -96,46 +89,37 @@ func TestRunStreamPiggybacksRecording(t *testing.T) {
 	}
 }
 
-// BenchmarkLiveVsReplay contrasts a live kernel execution against a trace
-// replay driving the same policy setup (the sweep engine's trade).
+// BenchmarkLiveVsReplay contrasts a live kernel execution against an LLC
+// stream replay driving the same policy setup (the sweep engine's trade).
 func BenchmarkLiveVsReplay(b *testing.B) {
 	c := TinyConfig()
 	g := graph.Uniform(1<<12, 4<<12, c.Seed)
-	recW := kernels.NewPageRank(g)
-	_, tr := RecordWorkload(c, recW, DRRIPSetup())
 	b.Run("live", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			RunWorkload(c, kernels.NewPageRank(g), DRRIPSetup())
 		}
 	})
-	b.Run("replay", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ReplayWorkload(c, recW, tr, DRRIPSetup())
-		}
-	})
-	recWL := kernels.NewPageRank(g)
-	_, ltr := RecordLLC(c, recWL, DRRIPSetup())
+	recW := kernels.NewPageRank(g)
+	_, tr := RecordLLC(c, recW, DRRIPSetup())
 	b.Run("replay-llc", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ReplayLLC(c, recWL, ltr, DRRIPSetup())
+			ReplayLLC(c, recW, tr, DRRIPSetup())
 		}
 	})
 }
 
-// TestNoReplayMatchesReplay pins that -noreplay is purely a performance
-// A/B switch: both modes report the same counters.
-func TestNoReplayMatchesReplay(t *testing.T) {
+// TestRunSetupsMatchesLive pins runSetups, which records with its first
+// setup and replays the rest, against the live reference: every result
+// must equal a fresh RunWorkload of the same setup.
+func TestRunSetupsMatchesLive(t *testing.T) {
 	g := graph.Uniform(1<<10, 4<<10, 42)
 	mk := func() *kernels.Workload { return kernels.NewPageRank(g) }
-	setups := []Setup{DRRIPSetup(), POPTSetup(core.InterIntra, 8, true)}
+	setups := []Setup{DRRIPSetup(), POPTSetup(core.InterIntra, 8, true), TOPTSetup()}
 	c := TinyConfig()
-	nc := c
-	nc.NoReplay = true
-	a := c.runSetups(g, "PR", mk, setups...)
-	b := nc.runSetups(g, "PR", mk, setups...)
-	for i := range a {
-		if fingerprint(a[i]) != fingerprint(b[i]) {
-			t.Errorf("setup %d: replay and noreplay diverge", i)
+	got := c.runSetups(g, "PR", mk, setups...)
+	for i, s := range setups {
+		if want := fingerprint(RunWorkload(c, mk(), s)); fingerprint(got[i]) != want {
+			t.Errorf("%s: runSetups diverged from live:\n got:  %s\n want: %s", s.Name, fingerprint(got[i]), want)
 		}
 	}
 }

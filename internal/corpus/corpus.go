@@ -172,7 +172,7 @@ func (s *Store) Lookup(k Key) *Entry {
 // way) — never a partial file under the published name. Racing publishers
 // of the same key each write their own temp file and rename last-wins;
 // determinism makes the outcomes byte-identical. Returns the opened entry.
-func (s *Store) Publish(k Key, kind byte, record func(cw *trace.ContainerWriter) error) (*Entry, error) {
+func (s *Store) Publish(k Key, record func(cw *trace.ContainerWriter) error) (*Entry, error) {
 	name := k.filename()
 	tmp := filepath.Join(s.dir, fmt.Sprintf(".tmp-%d-%d-%s", os.Getpid(), s.tmpSeq.Add(1), name))
 	f, err := os.Create(tmp)
@@ -185,7 +185,7 @@ func (s *Store) Publish(k Key, kind byte, record func(cw *trace.ContainerWriter)
 		return nil, err
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
-	cw, err := trace.NewContainerWriter(bw, kind, k.Meta())
+	cw, err := trace.NewContainerWriter(bw, k.Meta())
 	if err != nil {
 		return fail(err)
 	}
@@ -225,7 +225,6 @@ type Item struct {
 	Key    Key
 	File   string
 	Size   int64
-	Kind   byte
 	Events uint64
 	Chunks int
 	Err    error
@@ -254,7 +253,6 @@ func (s *Store) Manifest() ([]Item, error) {
 		}
 		it.Key = KeyOf(r.Meta())
 		it.Size = r.Size()
-		it.Kind = r.Kind()
 		it.Events = r.Events()
 		it.Chunks = r.Chunks()
 		closer.Close()

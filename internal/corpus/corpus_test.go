@@ -49,11 +49,11 @@ func TestPublishLookupRoundTrip(t *testing.T) {
 	if e := s.Lookup(k); e != nil {
 		t.Fatalf("Lookup on an empty corpus returned %+v", e)
 	}
-	e, err := s.Publish(k, trace.KindLLC, recordTestStream)
+	e, err := s.Publish(k, recordTestStream)
 	if err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
-	if e.Key != k || e.Reader().Kind() != trace.KindLLC {
+	if e.Key != k {
 		t.Fatalf("published entry %+v does not match the key", e.Key)
 	}
 	if err := e.Reader().Verify(); err != nil {
@@ -96,7 +96,7 @@ func TestConcurrentPublishSameKey(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			entries[i], errs[i] = s.Publish(k, trace.KindLLC, recordTestStream)
+			entries[i], errs[i] = s.Publish(k, recordTestStream)
 		}(i)
 	}
 	wg.Wait()
@@ -115,7 +115,7 @@ func TestConcurrentPublishSameKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	cw, err := trace.NewContainerWriter(&want, trace.KindLLC, k.Meta())
+	cw, err := trace.NewContainerWriter(&want, k.Meta())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestTornTempNeverVisible(t *testing.T) {
 
 	// A failed recording must clean its temp and publish nothing.
 	boom := errors.New("recorder crashed")
-	if _, err := s.Publish(k, trace.KindLLC, func(cw *trace.ContainerWriter) error {
+	if _, err := s.Publish(k, func(cw *trace.ContainerWriter) error {
 		enc := trace.NewChunkedLLCEncoder(cw)
 		enc.LLCAccess(mem.Access{Addr: 4096})
 		return boom
@@ -207,7 +207,7 @@ func TestTornTempNeverVisible(t *testing.T) {
 	if len(items) != 1 || items[0].Err == nil {
 		t.Fatalf("Manifest must flag the damaged file, got %+v", items)
 	}
-	e, err := s.Publish(k, trace.KindLLC, recordTestStream)
+	e, err := s.Publish(k, recordTestStream)
 	if err != nil {
 		t.Fatalf("Publish over a damaged file: %v", err)
 	}
@@ -231,7 +231,7 @@ func TestManifestAndKeyNaming(t *testing.T) {
 	}
 	defer s.Close()
 	for _, k := range []Key{a, b} {
-		if _, err := s.Publish(k, trace.KindLLC, recordTestStream); err != nil {
+		if _, err := s.Publish(k, recordTestStream); err != nil {
 			t.Fatalf("Publish %+v: %v", k, err)
 		}
 	}
@@ -247,7 +247,7 @@ func TestManifestAndKeyNaming(t *testing.T) {
 		if it.Err != nil {
 			t.Fatalf("item %q: %v", it.File, it.Err)
 		}
-		if it.Kind != trace.KindLLC || it.Events == 0 || it.Chunks == 0 {
+		if it.Events == 0 || it.Chunks == 0 {
 			t.Fatalf("item %q summary %+v is empty", it.File, it)
 		}
 		seen[it.Key] = true

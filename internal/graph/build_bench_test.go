@@ -50,7 +50,8 @@ func BenchmarkKron(b *testing.B) {
 
 // BenchmarkSortV measures the manual segment sort against the degree
 // shapes the build sees: short power-law-ish segments re-sorted from a
-// shuffled pool.
+// shuffled pool, plus the hub-line corner (one element before a long
+// sorted run) that the partition depth budget keeps O(n log n).
 func BenchmarkSortV(b *testing.B) {
 	for _, segLen := range []int{8, 64, 1024} {
 		b.Run(fmt.Sprintf("seg=%d", segLen), func(b *testing.B) {
@@ -65,4 +66,13 @@ func BenchmarkSortV(b *testing.B) {
 			}
 		})
 	}
+	b.Run("hub=1+96142", func(b *testing.B) {
+		src := hubLine(96142)
+		seg := make([]V, len(src))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(seg, src)
+			SortV(seg)
+		}
+	})
 }

@@ -268,6 +268,21 @@ func TestSortV(t *testing.T) {
 		}
 		check("organ-pipe", a)
 	}
+	// The hub-line corner: a one-element run before a long sorted run
+	// (a DBP in-adjacency hub line is 1 + 96 142 elements). Median-of-three
+	// Hoare partitioning peels a few elements per pass off this shape; the
+	// depth budget must hand it to the library sort instead.
+	check("hub-line", hubLine(96142))
+}
+
+// hubLine returns one large element followed by a sorted run of n.
+func hubLine(n int) []V {
+	a := make([]V, n+1)
+	a[0] = V(n)
+	for i := 1; i <= n; i++ {
+		a[i] = V(i - 1)
+	}
+	return a
 }
 
 // TestDedupV checks in-place dedup on sorted inputs.

@@ -1,5 +1,10 @@
 package graph
 
+import (
+	"math/bits"
+	"slices"
+)
+
 // Allocation-free sorting for neighbor segments. adjFromEdges sorts one
 // segment per vertex — millions of tiny slices per build — and
 // sort.Slice charges every one of them a closure allocation, an
@@ -18,15 +23,29 @@ const insertionCut = 24
 // insertionCut. It is the build-path replacement for
 // sort.Slice(a, func(i, j int) bool { return a[i] < a[j] }).
 //
+// Median-of-three has quadratic inputs — a hub line of one large
+// element before a long sorted run loses only a few elements per
+// partition — so the partitioning runs on a budget of 2*log2(n) levels
+// and hands whatever is still unsorted to slices.Sort (pattern-defeating
+// quicksort, O(n log n) on every input) when the budget runs out.
+func SortV(a []V) { sortV(a, 2*bits.Len(uint(len(a)))) }
+
+// sortV is SortV with depth partition levels left.
+//
 //popt:hot
-func SortV(a []V) {
+func sortV(a []V, depth int) {
 	for len(a) > insertionCut {
+		if depth == 0 {
+			slices.Sort(a)
+			return
+		}
+		depth--
 		j := hoareV(a)
 		if j+1 < len(a)-(j+1) {
-			SortV(a[:j+1])
+			sortV(a[:j+1], depth)
 			a = a[j+1:]
 		} else {
-			SortV(a[j+1:])
+			sortV(a[j+1:], depth)
 			a = a[:j+1]
 		}
 	}

@@ -67,7 +67,7 @@ const (
 // Runner is the kernel-side emitter of the typed event stream: each
 // Load/Store/SetVertex/... call becomes one trace.Sink event. The sink
 // decides what the stream means — live simulation (trace.Sim), recording
-// (trace.Encoder), capture for locality analysis, or a Tee of several. A
+// (trace.LLCEncoder), capture for locality analysis, or a Tee of several. A
 // zero Runner (nil sink) performs pure computation: golden-model runs and
 // preprocessing timing use it.
 type Runner struct {
@@ -78,8 +78,6 @@ type Runner struct {
 	// direction-switching executes those in push mode, and — like the
 	// paper, which samples only pull iterations in detail — we exclude
 	// them from the simulated reference stream for every policy alike.
-	// Mute/Unmute boundary markers are emitted on each transition so
-	// recorded streams keep the round structure visible.
 	muted bool
 }
 
@@ -112,20 +110,7 @@ func (r *Runner) SetVertex(v graph.V) {
 }
 
 // SetMuted switches emission off (true) or on (false); see muted.
-func (r *Runner) SetMuted(m bool) {
-	if r.muted == m {
-		return
-	}
-	r.muted = m
-	if r.sink == nil {
-		return
-	}
-	if m {
-		r.sink.Mute()
-	} else {
-		r.sink.Unmute()
-	}
-}
+func (r *Runner) SetMuted(m bool) { r.muted = m }
 
 // SetTile reports that a segmented kernel moved to tile t.
 func (r *Runner) SetTile(t int) {

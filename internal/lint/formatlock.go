@@ -31,8 +31,9 @@ const wireBaselineHeader = `# poptlint wirecheck fingerprint baseline.
 
 // NewFormatLock builds the formatlock analyzer against the baseline file
 // at path. With update set, drifted streams whose version was bumped are
-// rewritten in place instead of reported; drift without a version bump is
-// refused either way.
+// rewritten in place instead of reported, and streams the package's
+// FormatVersions registry no longer declares are dropped; drift without a
+// version bump is refused either way.
 func NewFormatLock(path string, update bool) *Analyzer {
 	a := &Analyzer{
 		Name: "formatlock",
@@ -104,6 +105,33 @@ func runFormatLock(pass *Pass, path string, update bool) error {
 				pass.Reportf(pos,
 					"wire-format baseline for stream %q is stale (baseline version %d, package declares %d); regenerate it with `poptlint -wirecheck -update`",
 					name, base.version, entry.version)
+			}
+		}
+	}
+	// The package that declares the registry owns the stream list: a
+	// baseline section for a stream it no longer declares is a retired
+	// format, reported at the registry until -update drops it.
+	if len(versions) > 0 {
+		at := token.NoPos
+		for _, p := range versionPos { //lint:ordered (minimum is order-independent)
+			if at == token.NoPos || p < at {
+				at = p
+			}
+		}
+		var retired []string
+		for name := range baseline { //lint:ordered (sorted below)
+			if _, declared := versions[name]; !declared {
+				retired = append(retired, name)
+			}
+		}
+		sort.Strings(retired)
+		for _, name := range retired {
+			if update {
+				delete(baseline, name)
+				changed = true
+			} else {
+				pass.Reportf(at,
+					"wire-format baseline records stream %q, which FormatVersions no longer declares; drop it with `poptlint -wirecheck -update`", name)
 			}
 		}
 	}

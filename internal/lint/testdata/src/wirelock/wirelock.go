@@ -1,12 +1,13 @@
 // Package wirelock seeds formatlock violations against the checked-in
 // testdata/wirelock.baseline: stream "fresh" matches its baseline entry,
 // "drift" changed layout without a version bump, "stale" bumped its
-// version without regenerating the baseline, and "noentry" is annotated
-// but missing from FormatVersions entirely.
+// version without regenerating the baseline, "noentry" is annotated but
+// missing from FormatVersions entirely, and "retired" is in the baseline
+// but no longer declared (reported at the registry's first entry).
 package wirelock
 
 var FormatVersions = map[string]byte{
-	"fresh": 1,
+	"fresh": 1, // want `wire-format baseline records stream "retired", which FormatVersions no longer declares`
 	"drift": 1, // want `wire fingerprint of stream "drift" changed but FormatVersions\["drift"\] is still 1`
 	"stale": 2, // want `wire-format baseline for stream "stale" is stale \(baseline version 1, package declares 2\)`
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // This file is the write side of the chunked on-disk trace container
-// (DESIGN.md §12) — the persistent form of both event streams. A
-// container is:
+// (DESIGN.md §12) — the persistent form of the LLC-visible event stream.
+// A container is:
 //
 //	header   'p' 'c' version kind innerVersion        (5 bytes)
 //	frames   cfChunk ... cfChunk cfStats cfIndex cfMeta
@@ -59,14 +59,13 @@ type chunkInfo struct {
 	crc     uint32 // IEEE CRC-32 of the payload
 }
 
-// ContainerWriter streams one container to an io.Writer. Encoders created
-// with NewChunkedEncoder / NewChunkedLLCEncoder emit chunk frames through
-// it as they fill; the encoder's Finish sets the stats payload and the
-// owner then calls Finish here to write the footer and trailer. Writers
-// are single-goroutine, like the encoders that feed them.
+// ContainerWriter streams one container to an io.Writer. An encoder
+// created with NewChunkedLLCEncoder emits chunk frames through it as they
+// fill; the encoder's Finish sets the stats payload and the owner then
+// calls Finish here to write the footer and trailer. Writers are
+// single-goroutine, like the encoder that feeds them.
 type ContainerWriter struct {
 	w          io.Writer
-	kind       byte
 	meta       Meta
 	chunkBytes int
 	off        int64 // bytes written so far
@@ -78,21 +77,11 @@ type ContainerWriter struct {
 	finished   bool
 }
 
-// NewContainerWriter writes the container header for the given kind and
-// returns a writer for its frames. meta is recorded verbatim in the
-// footer's cfMeta frame.
-func NewContainerWriter(w io.Writer, kind byte, meta Meta) (*ContainerWriter, error) {
-	var inner byte
-	switch kind {
-	case KindTrace:
-		inner = TraceFormatVersion
-	case KindLLC:
-		inner = LLCFormatVersion
-	default:
-		return nil, fmt.Errorf("trace: container kind %q is not %q or %q", kind, KindTrace, KindLLC)
-	}
-	cw := &ContainerWriter{w: w, kind: kind, meta: meta, chunkBytes: DefaultChunkBytes}
-	cw.writeAll([]byte{magic0, magicContainer1, ContainerFormatVersion, kind, inner})
+// NewContainerWriter writes the container header and returns a writer for
+// its frames. meta is recorded verbatim in the footer's cfMeta frame.
+func NewContainerWriter(w io.Writer, meta Meta) (*ContainerWriter, error) {
+	cw := &ContainerWriter{w: w, meta: meta, chunkBytes: DefaultChunkBytes}
+	cw.writeAll([]byte{magic0, magicContainer1, ContainerFormatVersion, KindLLC, LLCFormatVersion})
 	return cw, cw.err
 }
 
@@ -121,7 +110,7 @@ func (w *ContainerWriter) writeAll(p []byte) {
 }
 
 // writeChunk records one chunk's index entry and emits its frame. Called
-// by the chunked encoders at event boundaries; empty chunks are dropped.
+// by the chunked encoder at event boundaries; empty chunks are dropped.
 func (w *ContainerWriter) writeChunk(events, firstPC uint64, payload []byte) {
 	if w.err != nil || len(payload) == 0 {
 		return
@@ -192,7 +181,7 @@ func (w *ContainerWriter) writeMetaFrame(payload []byte) {
 }
 
 // setStats installs the encoded stream-totals payload; the chunked
-// encoders call it from Finish, before the owner calls ContainerWriter
+// encoder calls it from Finish, before the owner calls ContainerWriter
 // Finish.
 func (w *ContainerWriter) setStats(payload []byte) { w.stats = payload }
 
@@ -216,7 +205,7 @@ func (w *ContainerWriter) Finish() error {
 	var tr [containerTrailerLen]byte
 	binary.LittleEndian.PutUint64(tr[0:8], uint64(footerOff))
 	binary.LittleEndian.PutUint64(tr[8:16], uint64(footerLen))
-	tr[16], tr[17], tr[18], tr[19] = magic0, magicContainer1, ContainerFormatVersion, w.kind
+	tr[16], tr[17], tr[18], tr[19] = magic0, magicContainer1, ContainerFormatVersion, KindLLC
 	w.writeAll(tr[:])
 	return w.err
 }
@@ -260,21 +249,7 @@ func encodeMeta(m Meta) []byte {
 	return buf
 }
 
-// encodeTraceStats renders the cfStats payload of a KindTrace container:
-// the whole-stream CRC then the Stats counters, all uvarints, in struct
-// order.
-func encodeTraceStats(s Stats, streamCRC uint32) []byte {
-	buf := appendUvarint(nil, uint64(streamCRC))
-	for _, x := range [8]uint64{
-		s.Accesses, s.Writes, s.VertexUpdates, s.Iterations,
-		s.TileSwitches, s.MutedRegions, s.TickEvents, s.TickedInstrs,
-	} {
-		buf = appendUvarint(buf, x)
-	}
-	return buf
-}
-
-// encodeLLCStats renders the cfStats payload of a KindLLC container: the
+// encodeLLCStats renders the cfStats payload of a container: the
 // whole-stream CRC, the setup-invariant totals (instructions, L1, L2 —
 // what the in-memory form carries in its fixed header), then the LLCStats
 // counters.
@@ -294,28 +269,12 @@ func encodeLLCStats(s LLCStats, instructions uint64, l1, l2 cache.Stats, streamC
 	return buf
 }
 
-// WriteTraceContainer re-encodes an in-memory full stream as a container
-// on w: replaying the trace into a chunked encoder reproduces the exact
-// event sequence with fresh per-chunk delta state. Used by poptsim-style
-// tools and popttrace rechunk; recording paths stream directly instead.
-func WriteTraceContainer(t *Trace, w io.Writer, meta Meta, chunkBytes int) error {
-	cw, err := NewContainerWriter(w, KindTrace, meta)
-	if err != nil {
-		return err
-	}
-	cw.SetChunkBytes(chunkBytes)
-	enc := NewChunkedEncoder(cw)
-	t.Replay(enc)
-	if err := enc.Finish(); err != nil {
-		return err
-	}
-	return cw.Finish()
-}
-
 // WriteLLCContainer re-encodes an in-memory LLC-visible stream as a
-// container on w; see WriteTraceContainer.
+// container on w: re-encoding the events through a chunked encoder
+// reproduces the exact event sequence with fresh per-chunk delta state.
+// Recording paths stream straight into a container instead.
 func WriteLLCContainer(t *LLCTrace, w io.Writer, meta Meta, chunkBytes int) error {
-	cw, err := NewContainerWriter(w, KindLLC, meta)
+	cw, err := NewContainerWriter(w, meta)
 	if err != nil {
 		return err
 	}

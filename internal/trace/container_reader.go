@@ -111,7 +111,6 @@ type Reader struct {
 	r         io.ReaderAt
 	size      int64
 	footerOff int64
-	kind      byte
 	meta      Meta
 	chunks    []chunkInfo
 	events    uint64
@@ -127,9 +126,7 @@ type Reader struct {
 	data    []byte
 	closeFn func() error
 
-	// Stream totals out of the cfStats frame; tstats for KindTrace,
-	// the rest for KindLLC.
-	tstats       Stats
+	// Stream totals out of the cfStats frame.
 	lstats       LLCStats
 	instructions uint64
 	l1, l2       cache.Stats
@@ -160,25 +157,18 @@ func OpenContainer(r io.ReaderAt, size int64) (*Reader, error) {
 	if hdr[2] != ContainerFormatVersion {
 		return nil, fmt.Errorf("trace: container is format version %d, this reader reads version %d; re-record or migrate the corpus entry", hdr[2], ContainerFormatVersion)
 	}
-	kind := hdr[3]
-	var innerWant byte
-	switch kind {
-	case KindTrace:
-		innerWant = TraceFormatVersion
-	case KindLLC:
-		innerWant = LLCFormatVersion
-	default:
-		return nil, fmt.Errorf("trace: container kind %q is not %q or %q", kind, KindTrace, KindLLC)
+	if hdr[3] != KindLLC {
+		return nil, fmt.Errorf("trace: container kind %q is not %q", hdr[3], KindLLC)
 	}
-	if hdr[4] != innerWant {
-		return nil, fmt.Errorf("trace: container holds inner stream version %d, this reader reads version %d; re-record or migrate the corpus entry", hdr[4], innerWant)
+	if hdr[4] != LLCFormatVersion {
+		return nil, fmt.Errorf("trace: container holds inner stream version %d, this reader reads version %d; re-record or migrate the corpus entry", hdr[4], LLCFormatVersion)
 	}
 	var tr [containerTrailerLen]byte
 	if err := readFull(r, tr[:], size-containerTrailerLen); err != nil {
 		return nil, fmt.Errorf("trace: container trailer: %w", err)
 	}
-	if tr[16] != magic0 || tr[17] != magicContainer1 || tr[18] != ContainerFormatVersion || tr[19] != kind {
-		return nil, fmt.Errorf("trace: container trailer echo % x does not match header %c%c v%d kind %q (torn or truncated write)", tr[16:20], magic0, magicContainer1, ContainerFormatVersion, kind)
+	if tr[16] != magic0 || tr[17] != magicContainer1 || tr[18] != ContainerFormatVersion || tr[19] != KindLLC {
+		return nil, fmt.Errorf("trace: container trailer echo % x does not match header %c%c v%d kind %q (torn or truncated write)", tr[16:20], magic0, magicContainer1, ContainerFormatVersion, KindLLC)
 	}
 	fo := binary.LittleEndian.Uint64(tr[0:8])
 	fl := binary.LittleEndian.Uint64(tr[8:16])
@@ -189,7 +179,7 @@ func OpenContainer(r io.ReaderAt, size int64) (*Reader, error) {
 	if err := readFull(r, footer, int64(fo)); err != nil {
 		return nil, fmt.Errorf("trace: container footer: %w", err)
 	}
-	rd := &Reader{r: r, size: size, footerOff: int64(fo), kind: kind}
+	rd := &Reader{r: r, size: size, footerOff: int64(fo)}
 
 	// The footer is exactly three frames in fixed order.
 	var payloads [3][]byte
@@ -312,8 +302,8 @@ func readFull(r io.ReaderAt, p []byte, off int64) error {
 	return nil
 }
 
-// decodeStats parses the cfStats payload (the encodeTraceStats /
-// encodeLLCStats layouts) and requires it to be exactly consumed.
+// decodeStats parses the cfStats payload (the encodeLLCStats layout) and
+// requires it to be exactly consumed.
 func (r *Reader) decodeStats(p []byte) error {
 	i := 0
 	take := func() uint64 {
@@ -329,25 +319,16 @@ func (r *Reader) decodeStats(p []byte) error {
 		return x
 	}
 	r.streamCRC = uint32(take())
-	switch r.kind {
-	case KindTrace:
-		r.tstats = Stats{
-			Accesses: take(), Writes: take(), VertexUpdates: take(),
-			Iterations: take(), TileSwitches: take(), MutedRegions: take(),
-			TickEvents: take(), TickedInstrs: take(),
+	r.instructions = take()
+	for _, lv := range [2]*cache.Stats{&r.l1, &r.l2} {
+		*lv = cache.Stats{
+			Accesses: take(), Hits: take(), Misses: take(),
+			Evictions: take(), Writebacks: take(),
 		}
-	case KindLLC:
-		r.instructions = take()
-		for _, lv := range [2]*cache.Stats{&r.l1, &r.l2} {
-			*lv = cache.Stats{
-				Accesses: take(), Hits: take(), Misses: take(),
-				Evictions: take(), Writebacks: take(),
-			}
-		}
-		r.lstats = LLCStats{
-			Accesses: take(), Writes: take(), Writebacks: take(),
-			VertexUpdates: take(), Iterations: take(), TileSwitches: take(),
-		}
+	}
+	r.lstats = LLCStats{
+		Accesses: take(), Writes: take(), Writebacks: take(),
+		VertexUpdates: take(), Iterations: take(), TileSwitches: take(),
 	}
 	if i != len(p) {
 		return fmt.Errorf("trace: container stats frame malformed (%d bytes, consumed %d)", len(p), i)
@@ -473,9 +454,6 @@ func decodeMeta(p []byte) (Meta, error) {
 	return m, nil
 }
 
-// Kind returns the inner stream kind (KindTrace or KindLLC).
-func (r *Reader) Kind() byte { return r.kind }
-
 // Meta returns the identifying metadata recorded with the stream.
 func (r *Reader) Meta() Meta { return r.meta }
 
@@ -498,14 +476,11 @@ func (r *Reader) MaxChunkBytes() int64 { return r.maxChunk }
 // StreamCRC returns the whole-stream CRC recorded at write time.
 func (r *Reader) StreamCRC() uint32 { return r.streamCRC }
 
-// TraceStats returns the stream totals of a KindTrace container.
-func (r *Reader) TraceStats() (Stats, bool) { return r.tstats, r.kind == KindTrace }
-
-// LLCTotals returns the stream totals of a KindLLC container: the
-// setup-invariant instruction count and L1/L2 statistics the replay
-// installs, plus the event statistics.
-func (r *Reader) LLCTotals() (instructions uint64, l1, l2 cache.Stats, stats LLCStats, ok bool) {
-	return r.instructions, r.l1, r.l2, r.lstats, r.kind == KindLLC
+// LLCTotals returns the container's stream totals: the setup-invariant
+// instruction count and L1/L2 statistics the replay installs, plus the
+// event statistics.
+func (r *Reader) LLCTotals() (instructions uint64, l1, l2 cache.Stats, stats LLCStats) {
+	return r.instructions, r.l1, r.l2, r.lstats
 }
 
 // MaxResidentBytes returns the high-water mark of simultaneously resident
@@ -586,7 +561,6 @@ func (r *Reader) chunkPayload(c int) ([]byte, error) {
 func (r *Reader) Verify() error {
 	expect := int64(containerHeaderLen)
 	var crc uint32
-	var tsum Stats
 	var lsum LLCStats
 	for c := range r.chunks {
 		ci := r.chunks[c]
@@ -597,34 +571,17 @@ func (r *Reader) Verify() error {
 		if err != nil {
 			return err
 		}
-		switch r.kind {
-		case KindTrace:
-			s, err := scanTraceFrom(p, 0)
-			if err != nil {
-				r.release(int64(len(p)))
-				return fmt.Errorf("trace: container chunk %d: %w", c, err)
-			}
-			tsum.Accesses += s.Accesses
-			tsum.Writes += s.Writes
-			tsum.VertexUpdates += s.VertexUpdates
-			tsum.Iterations += s.Iterations
-			tsum.TileSwitches += s.TileSwitches
-			tsum.MutedRegions += s.MutedRegions
-			tsum.TickEvents += s.TickEvents
-			tsum.TickedInstrs += s.TickedInstrs
-		case KindLLC:
-			s, err := scanLLCFrom(p, 0)
-			if err != nil {
-				r.release(int64(len(p)))
-				return fmt.Errorf("trace: container chunk %d: %w", c, err)
-			}
-			lsum.Accesses += s.Accesses
-			lsum.Writes += s.Writes
-			lsum.Writebacks += s.Writebacks
-			lsum.VertexUpdates += s.VertexUpdates
-			lsum.Iterations += s.Iterations
-			lsum.TileSwitches += s.TileSwitches
+		s, err := scanLLCFrom(p, 0)
+		if err != nil {
+			r.release(int64(len(p)))
+			return fmt.Errorf("trace: container chunk %d: %w", c, err)
 		}
+		lsum.Accesses += s.Accesses
+		lsum.Writes += s.Writes
+		lsum.Writebacks += s.Writebacks
+		lsum.VertexUpdates += s.VertexUpdates
+		lsum.Iterations += s.Iterations
+		lsum.TileSwitches += s.TileSwitches
 		crc = crc32.Update(crc, crc32.IEEETable, p)
 		// The chunk frame's on-disk header length is implied by its values;
 		// recompute the end from the re-parsed header via chunkPayload's
@@ -638,15 +595,8 @@ func (r *Reader) Verify() error {
 	if crc != r.streamCRC {
 		return fmt.Errorf("trace: container stream CRC mismatch: stored %08x, computed %08x", r.streamCRC, crc)
 	}
-	switch r.kind {
-	case KindTrace:
-		if tsum != r.tstats {
-			return fmt.Errorf("trace: container stats frame %+v disagrees with the scanned chunks %+v", r.tstats, tsum)
-		}
-	case KindLLC:
-		if lsum != r.lstats {
-			return fmt.Errorf("trace: container stats frame %+v disagrees with the scanned chunks %+v", r.lstats, lsum)
-		}
+	if lsum != r.lstats {
+		return fmt.Errorf("trace: container stats frame %+v disagrees with the scanned chunks %+v", r.lstats, lsum)
 	}
 	var sum uint64
 	for c := range r.chunks {
@@ -676,8 +626,7 @@ func uvarintLen(x uint64) int {
 
 // ReplayOptions bounds a container replay's parallelism and memory.
 type ReplayOptions struct {
-	// Workers is the number of parallel chunk decoders (KindLLC replays
-	// only; the generic Sink replay is inherently sequential). Zero means
+	// Workers is the number of parallel chunk decoders. Zero means
 	// min(GOMAXPROCS, 8); one forces sequential decode.
 	Workers int
 	// Window is the maximum number of chunks resident at once — the
@@ -732,33 +681,7 @@ type llcChunk struct {
 	err    error
 }
 
-// ReplayTrace decodes a KindTrace container and delivers every event to s
-// in recorded order, one windowed chunk at a time: delivery to a Sink is
-// inherently sequential, so this path spends its memory bound on streaming
-// (resident = one chunk) rather than parallelism. Each payload is
-// structurally validated before the panic-based event decoder touches it.
-func (r *Reader) ReplayTrace(s Sink, opts ReplayOptions) error {
-	if r.kind != KindTrace {
-		return fmt.Errorf("trace: ReplayTrace on a kind %q container", r.kind)
-	}
-	for c := range r.chunks {
-		p, err := r.chunkPayload(c)
-		if err != nil {
-			return err
-		}
-		if _, err := scanTraceFrom(p, 0); err != nil {
-			r.release(int64(len(p)))
-			return fmt.Errorf("trace: container chunk %d: %w", c, err)
-		}
-		// Fresh per-chunk decode state reconstructs the same absolute
-		// values the encoder saw: it reset its deltas at this boundary.
-		replayTraceEvents(p, 0, s)
-		r.release(int64(len(p)))
-	}
-	return nil
-}
-
-// ReplayLLC drives sim's LLC with a KindLLC container and installs the
+// ReplayLLC drives sim's LLC with the container's stream and installs the
 // setup-invariant totals, reproducing LLCTrace.Replay counter for counter
 // (cache.Level.AccessBatch is batching-invariant, so the different batch
 // boundaries cannot show). Chunks decode on a worker pool — each chunk's
@@ -768,9 +691,6 @@ func (r *Reader) ReplayTrace(s Sink, opts ReplayOptions) error {
 // errors abort the replay and leave sim partially advanced; callers
 // discard it on error.
 func (r *Reader) ReplayLLC(sim *Sim, opts ReplayOptions) error {
-	if r.kind != KindLLC {
-		return fmt.Errorf("trace: ReplayLLC on a kind %q container", r.kind)
-	}
 	workers, window := opts.resolve()
 	nc := len(r.chunks)
 	h := sim.H
@@ -990,37 +910,26 @@ func feedLLCChunk(sim *Sim, h *cache.Hierarchy, llc *cache.Level, batch *[cache.
 // containers — equivalence is checked at the event level by the rechunk
 // round-trip test.
 func (r *Reader) Rechunk(w io.Writer, chunkBytes int) error {
-	cw, err := NewContainerWriter(w, r.kind, r.meta)
+	cw, err := NewContainerWriter(w, r.meta)
 	if err != nil {
 		return err
 	}
 	cw.SetChunkBytes(chunkBytes)
-	switch r.kind {
-	case KindTrace:
-		enc := NewChunkedEncoder(cw)
-		if err := r.ReplayTrace(enc, ReplayOptions{}); err != nil {
+	enc := NewChunkedLLCEncoder(cw)
+	for c := range r.chunks {
+		p, err := r.chunkPayload(c)
+		if err != nil {
 			return err
 		}
-		if err := enc.Finish(); err != nil {
-			return err
-		}
-	case KindLLC:
-		enc := NewChunkedLLCEncoder(cw)
-		for c := range r.chunks {
-			p, err := r.chunkPayload(c)
-			if err != nil {
-				return err
-			}
-			if _, err := scanLLCFrom(p, 0); err != nil {
-				r.release(int64(len(p)))
-				return fmt.Errorf("trace: container chunk %d: %w", c, err)
-			}
-			reencodeLLCEvents(p, 0, enc)
+		if _, err := scanLLCFrom(p, 0); err != nil {
 			r.release(int64(len(p)))
+			return fmt.Errorf("trace: container chunk %d: %w", c, err)
 		}
-		if err := enc.Finish(r.instructions, r.l1, r.l2); err != nil {
-			return err
-		}
+		reencodeLLCEvents(p, 0, enc)
+		r.release(int64(len(p)))
+	}
+	if err := enc.Finish(r.instructions, r.l1, r.l2); err != nil {
+		return err
 	}
 	return cw.Finish()
 }

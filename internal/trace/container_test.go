@@ -70,29 +70,29 @@ func countersOf(sim *Sim) llcCounters {
 	}
 }
 
-// TestTraceContainerRoundTrip pins the full-stream container against the
-// in-memory form: for several chunk sizes (including ones that force many
-// chunk boundaries mid-stream) the container must verify clean, report
-// the encoder's statistics, and replay the identical event sequence.
+// TestTraceContainerRoundTrip pins the container against the in-memory
+// form event for event: for several chunk sizes (including ones that force
+// many chunk boundaries mid-stream) the container must verify clean,
+// report the encoder's totals and metadata, and its chunks, decoded from
+// fresh delta state and concatenated, must yield the in-memory stream's
+// exact probe sequence with every hook mark at its recorded position.
 func TestTraceContainerRoundTrip(t *testing.T) {
+	tr := encodeRandomLLCStream(3, 2000)
+	wantProbes, wantMarks := decodeLLCChunkEvents(tr.Bytes()[llcHeaderLen:], nil)
 	for _, chunkBytes := range []int{48, 512, DefaultChunkBytes} {
-		tr := encodeRandomStream(3, 2000)
 		var buf bytes.Buffer
-		if err := WriteTraceContainer(tr, &buf, testMeta(), chunkBytes); err != nil {
-			t.Fatalf("chunk %d: WriteTraceContainer: %v", chunkBytes, err)
+		if err := WriteLLCContainer(tr, &buf, testMeta(), chunkBytes); err != nil {
+			t.Fatalf("chunk %d: WriteLLCContainer: %v", chunkBytes, err)
 		}
-		r, err := OpenContainer(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+		r, err := OpenContainerBytes(buf.Bytes())
 		if err != nil {
-			t.Fatalf("chunk %d: OpenContainer: %v", chunkBytes, err)
-		}
-		if r.Kind() != KindTrace {
-			t.Fatalf("chunk %d: kind %q, want %q", chunkBytes, r.Kind(), KindTrace)
+			t.Fatalf("chunk %d: OpenContainerBytes: %v", chunkBytes, err)
 		}
 		if r.Meta() != testMeta() {
 			t.Fatalf("chunk %d: meta %+v did not round trip", chunkBytes, r.Meta())
 		}
-		if s, ok := r.TraceStats(); !ok || s != tr.Stats() {
-			t.Fatalf("chunk %d: container stats %+v != encoder stats %+v", chunkBytes, s, tr.Stats())
+		if _, _, _, stats := r.LLCTotals(); stats != tr.Stats() || r.Events() != tr.Stats().Events() {
+			t.Fatalf("chunk %d: container stats %+v (%d events) != encoder stats %+v", chunkBytes, stats, r.Events(), tr.Stats())
 		}
 		if chunkBytes < 512 && r.Chunks() < 4 {
 			t.Fatalf("chunk %d: only %d chunks; the round trip is not exercising boundaries", chunkBytes, r.Chunks())
@@ -100,13 +100,23 @@ func TestTraceContainerRoundTrip(t *testing.T) {
 		if err := r.Verify(); err != nil {
 			t.Fatalf("chunk %d: Verify on a fresh container: %v", chunkBytes, err)
 		}
-		a, b := &recordSink{}, &recordSink{}
-		tr.Replay(a)
-		if err := r.ReplayTrace(b, ReplayOptions{}); err != nil {
-			t.Fatalf("chunk %d: ReplayTrace: %v", chunkBytes, err)
+		var probes []cache.Probe
+		var marks []llcMark
+		for c := 0; c < r.Chunks(); c++ {
+			p, err := r.chunkPayload(c)
+			if err != nil {
+				t.Fatalf("chunk %d: payload %d: %v", chunkBytes, c, err)
+			}
+			cp, cm := decodeLLCChunkEvents(p, nil)
+			for _, m := range cm {
+				m.pos += len(probes)
+				marks = append(marks, m)
+			}
+			probes = append(probes, cp...)
+			r.release(int64(len(p)))
 		}
-		if !reflect.DeepEqual(a.evs, b.evs) {
-			t.Fatalf("chunk %d: container replay diverges from the in-memory replay", chunkBytes)
+		if !reflect.DeepEqual(probes, wantProbes) || !reflect.DeepEqual(marks, wantMarks) {
+			t.Fatalf("chunk %d: container events diverge from the in-memory stream", chunkBytes)
 		}
 	}
 }
@@ -138,11 +148,10 @@ func TestLLCContainerRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("chunk %d: OpenContainer: %v", chunkBytes, err)
 		}
-		instr, l1, l2, stats, ok := r.LLCTotals()
-		if !ok || instr != 123456 || stats != tr.Stats() {
-			t.Fatalf("chunk %d: LLC totals did not round trip (instr %d stats %+v)", chunkBytes, instr, stats)
+		instr, l1, l2, stats := r.LLCTotals()
+		if instr != 123456 || l1 != tr.l1 || l2 != tr.l2 || stats != tr.Stats() {
+			t.Fatalf("chunk %d: LLC totals did not round trip (instr %d l1 %+v l2 %+v stats %+v)", chunkBytes, instr, l1, l2, stats)
 		}
-		_, _ = l1, l2
 		if err := r.Verify(); err != nil {
 			t.Fatalf("chunk %d: Verify: %v", chunkBytes, err)
 		}
@@ -255,6 +264,13 @@ func TestContainerRejectsCorruption(t *testing.T) {
 	}
 	{
 		m := append([]byte{}, valid...)
+		m[3] = 't' // a container of another inner stream kind
+		if _, err := open(m); err == nil || !strings.Contains(err.Error(), "kind") {
+			t.Errorf("foreign container kind: %v, want kind error", err)
+		}
+	}
+	{
+		m := append([]byte{}, valid...)
 		m[4]++ // inner stream version bump
 		if _, err := open(m); err == nil || !strings.Contains(err.Error(), "inner stream version") {
 			t.Errorf("future inner version: %v, want inner-version error", err)
@@ -339,7 +355,7 @@ func TestContainerRechunk(t *testing.T) {
 // error, not a torn file.
 func TestChunkedEncoderRequiresFinish(t *testing.T) {
 	var buf bytes.Buffer
-	cw, err := NewContainerWriter(&buf, KindTrace, testMeta())
+	cw, err := NewContainerWriter(&buf, testMeta())
 	if err != nil {
 		t.Fatalf("NewContainerWriter: %v", err)
 	}
@@ -353,8 +369,8 @@ func TestChunkedEncoderRequiresFinish(t *testing.T) {
 			}
 		}()
 		var buf2 bytes.Buffer
-		cw2, _ := NewContainerWriter(&buf2, KindTrace, testMeta())
-		NewChunkedEncoder(cw2).Trace()
+		cw2, _ := NewContainerWriter(&buf2, testMeta())
+		NewChunkedLLCEncoder(cw2).Trace(0, cache.Stats{}, cache.Stats{})
 	}()
 	func() {
 		defer func() {
@@ -362,9 +378,6 @@ func TestChunkedEncoderRequiresFinish(t *testing.T) {
 				t.Error("Finish on an in-memory encoder did not panic")
 			}
 		}()
-		_ = NewEncoder().Finish()
+		_ = NewLLCEncoder().Finish(0, cache.Stats{}, cache.Stats{})
 	}()
-	if _, err := NewContainerWriter(&buf, 'x', testMeta()); err == nil {
-		t.Error("NewContainerWriter accepted an unknown kind")
-	}
 }
