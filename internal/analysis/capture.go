@@ -2,24 +2,23 @@ package analysis
 
 import (
 	"popt/internal/kernels"
-	"popt/internal/mem"
 	"popt/internal/trace"
 )
 
 // captureSink records access addresses and ignores every other event.
 type captureSink struct {
-	trace.Nop
 	addrs []uint64
 	// keep, when non-nil, restricts recording to matching addresses.
 	keep func(addr uint64) bool
 }
 
-// Access implements trace.Sink.
-func (s *captureSink) Access(acc mem.Access) {
-	if s.keep != nil && !s.keep(acc.Addr) {
-		return
+// Consume implements trace.Sink.
+func (s *captureSink) Consume(b trace.Batch) {
+	for _, acc := range b.Accesses {
+		if s.keep == nil || s.keep(acc.Addr) {
+			s.addrs = append(s.addrs, acc.Addr)
+		}
 	}
-	s.addrs = append(s.addrs, acc.Addr)
 }
 
 // Capture runs a workload and records its memory reference trace without

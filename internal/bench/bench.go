@@ -385,9 +385,9 @@ func RecordLLC(c Config, w *kernels.Workload, s Setup) (Result, *trace.LLCTrace)
 	b := buildCell(c, w, s)
 	sim := b.sim()
 	enc := trace.NewLLCEncoder()
-	b.h.Tap = enc
-	w.Run(kernels.NewSinkRunner(trace.NewTee(sim, enc)))
-	b.h.Tap = nil
+	sim.Record(enc)
+	w.Run(kernels.NewSinkRunner(sim))
+	sim.Record(nil)
 	return b.finish(sim), enc.Trace(sim.Instructions, b.h.L1.Stats, b.h.L2.Stats)
 }
 
@@ -416,9 +416,9 @@ func RecordLLCToCorpus(c Config, w *kernels.Workload, s Setup, key corpus.Key) (
 		b := buildCell(c, w, s)
 		sim := b.sim()
 		enc := trace.NewChunkedLLCEncoder(cw)
-		b.h.Tap = enc
-		w.Run(kernels.NewSinkRunner(trace.NewTee(sim, enc)))
-		b.h.Tap = nil
+		sim.Record(enc)
+		w.Run(kernels.NewSinkRunner(sim))
+		sim.Record(nil)
 		res = b.finish(sim)
 		return enc.Finish(sim.Instructions, b.h.L1.Stats, b.h.L2.Stats)
 	})

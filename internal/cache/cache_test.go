@@ -57,6 +57,46 @@ func TestLRUEvictsOldest(t *testing.T) {
 	}
 }
 
+// TestLRUVictimTiesPickLowestWay pins the tie rule Victim shares with a
+// strict-< scan: after Reserve re-binds the policy every stamp is zero and
+// the victim is the lowest demand way; once some ways are touched, the
+// lowest untouched one goes first. Random stamp rows with many ties must
+// agree with that scan too.
+func TestLRUVictimTiesPickLowestWay(t *testing.T) {
+	l := NewLevel("T", 8*mem.LineSize, 8, NewLRU()) // one set, 8 ways
+	for i := 0; i < 8; i++ {
+		a := acc(lineInSet(l, 0, i))
+		l.Access(a)
+		l.Fill(a)
+	}
+	l.Reserve(2)
+	p := l.Policy().(*LRU)
+	if got := p.Victim(0, nil, mem.Access{}); got != 2 {
+		t.Fatalf("victim after Reserve = way %d, want 2 (lowest demand way)", got)
+	}
+	p.OnHit(0, 2, mem.Access{})
+	p.OnHit(0, 4, mem.Access{})
+	if got := p.Victim(0, nil, mem.Access{}); got != 3 {
+		t.Fatalf("victim with ways 2 and 4 touched = way %d, want 3", got)
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 1000; trial++ {
+		for w := range p.ts {
+			p.ts[w] = uint64(rng.Intn(3))
+		}
+		want, wantTS := 2, p.ts[2]
+		for w := 3; w < 8; w++ {
+			if p.ts[w] < wantTS {
+				want, wantTS = w, p.ts[w]
+			}
+		}
+		if got := p.Victim(0, nil, mem.Access{}); got != want {
+			t.Fatalf("stamps %v: victim %d, want %d", p.ts, got, want)
+		}
+	}
+}
+
 func TestBitPLRUNeverEvictsMRU(t *testing.T) {
 	l := tinyLevel(NewBitPLRU())
 	for i := 0; i < 4; i++ {

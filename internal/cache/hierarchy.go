@@ -133,6 +133,52 @@ func (h *Hierarchy) Access(acc mem.Access) HitLevel {
 	if h.L1.Access(acc) {
 		return HitL1
 	}
+	return h.missL1(acc)
+}
+
+// Run issues accs through the hierarchy in order, with exactly the effect
+// of calling Access on each. The L1 hit path is one tight loop that keeps
+// the L1 demand counters in locals until the run ends; an L1 miss drops
+// into missL1, the same below-L1 path Access takes. Nothing below L1 reads
+// those counters, so holding them back changes no simulated bit.
+//
+//popt:hot
+func (h *Hierarchy) Run(accs []mem.Access) {
+	l1 := h.L1
+	plru := l1.plru
+	var hits, misses uint64
+	for _, acc := range accs {
+		la := acc.LineAddr()
+		set := l1.SetIndex(la)
+		way := l1.probe(set, la)
+		if way < 0 {
+			misses++
+			h.missL1(acc)
+			continue
+		}
+		// Level.Access's hit arm, spelled out so the loop keeps it inline.
+		hits++
+		if acc.Write {
+			l1.lines[set*l1.ways+way].Dirty = true
+			l1.dirty[set] |= 1 << uint(way)
+		}
+		if plru != nil {
+			plru.OnHit(set, way, acc)
+		} else {
+			l1.pol.OnHit(set, way, acc)
+		}
+	}
+	l1.Stats.Accesses += hits + misses
+	l1.Stats.Hits += hits
+	l1.Stats.Misses += misses
+}
+
+// missL1 resolves a demand access that missed L1: L2, the LLC tap, the
+// LLC, DRAM, the fills on the way back up, and the writebacks those fills
+// push down. It reports the level that satisfied the access.
+//
+//popt:hot
+func (h *Hierarchy) missL1(acc mem.Access) HitLevel {
 	level := HitDRAM
 	if h.L2.Access(acc) {
 		level = HitL2

@@ -40,18 +40,25 @@ func (p *LRU) OnFill(set, way int, _ mem.Access) { p.touch(set, way) }
 // OnEvict implements Policy.
 func (p *LRU) OnEvict(set, way int) {}
 
-// Victim implements Policy: the stalest way.
+// Victim implements Policy: the stalest demand way, the lowest one on a
+// tie (after Reserve re-binds, every stamp is zero). The minimum is taken
+// branch-free first and then located: stamps are unordered, so a
+// compare-and-branch scan mispredicts on nearly every eviction.
 //
 //popt:hot
 func (p *LRU) Victim(set int, _ []Line, _ mem.Access) int {
 	base := set * p.g.Ways
-	best, bestTS := p.g.ReservedWays, p.ts[base+p.g.ReservedWays]
-	for w := p.g.ReservedWays + 1; w < p.g.Ways; w++ {
-		if p.ts[base+w] < bestTS {
-			best, bestTS = w, p.ts[base+w]
+	ts := p.ts[base+p.g.ReservedWays : base+p.g.Ways]
+	oldest := ts[0]
+	for _, t := range ts[1:] {
+		oldest = min(oldest, t)
+	}
+	for w, t := range ts {
+		if t == oldest {
+			return p.g.ReservedWays + w
 		}
 	}
-	return best
+	return p.g.ReservedWays
 }
 
 // Random evicts a uniformly random way; a sanity baseline for tests.

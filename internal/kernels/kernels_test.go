@@ -256,6 +256,7 @@ func TestRunnerInstructionAccounting(t *testing.T) {
 	r.Load(a, 0, 1)
 	r.Store(a, 1, 2)
 	r.Tick(3)
+	r.Flush()
 	if got := r.Sim().Instructions; got != 5 {
 		t.Errorf("Instructions = %d, want 5", got)
 	}
@@ -272,6 +273,7 @@ func TestRunnerFilterAbsorbsAccesses(t *testing.T) {
 	a := sp.AllocBytes("a", 16, 4, false)
 	r.Store(a, 0, 1) // absorbed
 	r.Load(a, 0, 1)  // passes through
+	r.Flush()
 	if h.L1.Stats.Accesses != 1 {
 		t.Errorf("L1 accesses = %d, want 1 (write absorbed)", h.L1.Stats.Accesses)
 	}

@@ -64,12 +64,23 @@ const (
 	PCCompWrite
 )
 
-// Runner is the kernel-side emitter of the typed event stream: each
-// Load/Store/SetVertex/... call becomes one trace.Sink event. The sink
-// decides what the stream means — live simulation (trace.Sim), recording
-// (trace.LLCEncoder), capture for locality analysis, or a Tee of several. A
-// zero Runner (nil sink) performs pure computation: golden-model runs and
-// preprocessing timing use it.
+// batchCap is the capacity of a Runner's event buffer, in accesses and
+// in marks: 256 of each is 10 KiB per Runner. The runs a batch hands over
+// are bounded by the hook events anyway (one outer-loop vertex's edges
+// between SetVertex marks), so a longer buffer only saves the per-batch
+// call, already negligible at this size. Must be a power of two.
+const batchCap = 256
+
+// Runner is the kernel-side emitter of the typed event stream. It buffers
+// events — Load/Store as accesses, SetVertex/StartIteration/SetTile as
+// trace.Marks at their position among the accesses, Tick as a per-batch
+// count — and hands each full buffer to its trace.Sink as one
+// trace.Batch. The sink decides what the stream means: live simulation
+// (trace.Sim, optionally recording through a trace.LLCEncoder) or
+// capture for locality analysis. Workload.Run and sched.UpdatePhase.Run
+// flush at the end; code that drives a Runner by hand calls Flush before
+// reading what the sink computed. A zero Runner (nil sink) performs pure
+// computation: golden-model runs and preprocessing timing use it.
 type Runner struct {
 	sink trace.Sink
 
@@ -79,6 +90,12 @@ type Runner struct {
 	// paper, which samples only pull iterations in detail — we exclude
 	// them from the simulated reference stream for every policy alike.
 	muted bool
+
+	// The pending batch: acc[:nAcc], marks[:nMark] and ticks.
+	nAcc, nMark int
+	ticks       uint64
+	acc         [batchCap]mem.Access
+	marks       [batchCap]trace.Mark
 }
 
 // NewRunner builds a runner emitting into a live simulation over h (see
@@ -100,12 +117,45 @@ func (r *Runner) Sim() *trace.Sim {
 	return s
 }
 
+// Flush hands the pending events to the sink.
+func (r *Runner) Flush() {
+	if r.sink == nil || r.nAcc == 0 && r.nMark == 0 && r.ticks == 0 {
+		return
+	}
+	r.sink.Consume(trace.Batch{Accesses: r.acc[:r.nAcc], Marks: r.marks[:r.nMark], Ticks: r.ticks})
+	r.nAcc, r.nMark, r.ticks = 0, 0, 0
+}
+
+// access buffers one access, flushing first when the buffer is full.
+//
+//popt:hot
+func (r *Runner) access(acc mem.Access) {
+	if r.nAcc == batchCap {
+		r.Flush()
+	}
+	// The mask is a no-op (the flush keeps nAcc < batchCap) that lets the
+	// compiler drop the bounds check.
+	r.acc[r.nAcc&(batchCap-1)] = acc
+	r.nAcc++
+}
+
+// mark buffers one hook event at the current position.
+//
+//popt:hot
+func (r *Runner) mark(k trace.MarkKind, val int) {
+	if r.nMark == batchCap {
+		r.Flush()
+	}
+	r.marks[r.nMark&(batchCap-1)] = trace.Mark{At: r.nAcc, Kind: k, Val: val}
+	r.nMark++
+}
+
 // SetVertex reports the outer-loop vertex currently being processed.
 //
 //popt:hot
 func (r *Runner) SetVertex(v graph.V) {
 	if r.sink != nil && !r.muted {
-		r.sink.SetVertex(v)
+		r.mark(trace.MarkVertex, int(v))
 	}
 }
 
@@ -115,14 +165,14 @@ func (r *Runner) SetMuted(m bool) { r.muted = m }
 // SetTile reports that a segmented kernel moved to tile t.
 func (r *Runner) SetTile(t int) {
 	if r.sink != nil {
-		r.sink.SetTile(t)
+		r.mark(trace.MarkTile, t)
 	}
 }
 
 // StartIteration marks the beginning of a fresh pass over the vertices.
 func (r *Runner) StartIteration() {
 	if r.sink != nil && !r.muted {
-		r.sink.StartIteration()
+		r.mark(trace.MarkIteration, 0)
 	}
 }
 
@@ -130,20 +180,18 @@ func (r *Runner) StartIteration() {
 //
 //popt:hot
 func (r *Runner) Load(a *mem.Array, i int, pc uint16) {
-	if r.sink == nil || r.muted {
-		return
+	if r.sink != nil && !r.muted {
+		r.access(mem.Access{Addr: a.Addr(i), PC: pc})
 	}
-	r.sink.Access(mem.Access{Addr: a.Addr(i), PC: pc})
 }
 
 // Store issues a write of element i of a.
 //
 //popt:hot
 func (r *Runner) Store(a *mem.Array, i int, pc uint16) {
-	if r.sink == nil || r.muted {
-		return
+	if r.sink != nil && !r.muted {
+		r.access(mem.Access{Addr: a.Addr(i), PC: pc, Write: true})
 	}
-	r.sink.Access(mem.Access{Addr: a.Addr(i), PC: pc, Write: true})
 }
 
 // Tick accounts n non-memory instructions.
@@ -151,7 +199,7 @@ func (r *Runner) Store(a *mem.Array, i int, pc uint16) {
 //popt:hot
 func (r *Runner) Tick(n uint64) {
 	if r.sink != nil && !r.muted {
-		r.sink.Tick(n)
+		r.ticks += n
 	}
 }
 
@@ -182,8 +230,11 @@ type Workload struct {
 }
 
 // Run simulates the kernel's reference stream through r (and computes the
-// kernel's real results as a side effect).
-func (w *Workload) Run(r *Runner) { w.run(r) }
+// kernel's real results as a side effect), flushing r at the end.
+func (w *Workload) Run(r *Runner) {
+	w.run(r)
+	r.Flush()
+}
 
 // Check validates the computed results against an independent golden
 // implementation. It is only meaningful after Run.

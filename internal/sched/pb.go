@@ -28,8 +28,11 @@ type UpdatePhase struct {
 	run func(r *kernels.Runner)
 }
 
-// Run simulates the phase.
-func (u *UpdatePhase) Run(r *kernels.Runner) { u.run(r) }
+// Run simulates the phase, flushing r at the end.
+func (u *UpdatePhase) Run(r *kernels.Runner) {
+	u.run(r)
+	r.Flush()
+}
 
 // NewScatterPhase builds the direct scatter-update phase: for every edge
 // (src, dst), read contrib[src] (streaming by src) and update

@@ -14,7 +14,7 @@ import (
 // in-buffer; uniform-degree graphs see little aggregation and PHI
 // degenerates toward plain scatter (the Fig. 14 observation).
 //
-// The buffer installs as a Runner.Filter: writes to the target array are
+// The buffer installs as a trace.Sim Filter: writes to the target array are
 // absorbed; evicted aggregates issue as writes into the hierarchy.
 type PHIBuffer struct {
 	h      *cache.Hierarchy
@@ -35,7 +35,7 @@ func NewPHIBuffer(h *cache.Hierarchy, target *mem.Array, capLines int) *PHIBuffe
 	return &PHIBuffer{h: h, target: target, cap: capLines, lru: list.New(), index: make(map[uint64]*list.Element)}
 }
 
-// Filter implements the kernels.Runner filter contract: it returns true
+// Filter implements the trace.Sim filter contract: it returns true
 // when the access was absorbed by the buffer.
 func (p *PHIBuffer) Filter(acc mem.Access) bool {
 	if !acc.Write || !p.target.Contains(acc.Addr) {

@@ -662,21 +662,13 @@ func (o ReplayOptions) resolve() (workers, window int) {
 	return workers, window
 }
 
-// llcMark is a hook event at a position in a chunk's decoded probe
-// sequence: the feed stage delivers it (flushing the probe batch first)
-// between probes[pos-1] and probes[pos], exactly where LLCTrace.Replay
-// would.
-type llcMark struct {
-	pos  int
-	kind byte
-	val  int64
-}
-
 // llcChunk is one decoded chunk in flight between a decode worker and the
-// in-order feed stage.
+// in-order feed stage. Each mark's At indexes probes: the feed stage
+// delivers it (flushing the probe batch first) between probes[At-1] and
+// probes[At], exactly where LLCTrace.Replay would.
 type llcChunk struct {
 	probes []cache.Probe
-	marks  []llcMark
+	marks  []Mark
 	bytes  int64
 	err    error
 }
@@ -793,8 +785,8 @@ func (r *Reader) decodeLLCChunk(c int) llcChunk {
 //
 //popt:hot
 //popt:codec llc dec
-func decodeLLCChunkEvents(data []byte, probes []cache.Probe) ([]cache.Probe, []llcMark) {
-	var marks []llcMark
+func decodeLLCChunkEvents(data []byte, probes []cache.Probe) ([]cache.Probe, []Mark) {
+	var marks []Mark
 	var last [pcSlots]uint64
 	var lastWB uint64
 	var lastV graph.V
@@ -836,13 +828,13 @@ func decodeLLCChunkEvents(data []byte, probes []cache.Probe) ([]cache.Probe, []l
 			d, nn := varint(data, i)
 			i = nn
 			lastV = graph.V(int64(lastV) + d)
-			marks = appendMark(marks, llcMark{pos: len(probes), kind: lopSetVertex, val: int64(lastV)})
+			marks = appendMark(marks, Mark{At: len(probes), Kind: MarkVertex, Val: int(lastV)})
 		case lopStartIteration:
-			marks = appendMark(marks, llcMark{pos: len(probes), kind: lopStartIteration})
+			marks = appendMark(marks, Mark{At: len(probes), Kind: MarkIteration})
 		case lopSetTile:
 			tl, nn := uvarint(data, i)
 			i = nn
-			marks = appendMark(marks, llcMark{pos: len(probes), kind: lopSetTile, val: int64(tl)})
+			marks = appendMark(marks, Mark{At: len(probes), Kind: MarkTile, Val: int(tl)})
 		default:
 			badOp(op, i-1)
 		}
@@ -856,7 +848,7 @@ func decodeLLCChunkEvents(data []byte, probes []cache.Probe) ([]cache.Probe, []l
 // simulator values, not wire bytes.
 func appendProbe(ps []cache.Probe, p cache.Probe) []cache.Probe { return append(ps, p) }
 
-func appendMark(ms []llcMark, m llcMark) []llcMark { return append(ms, m) }
+func appendMark(ms []Mark, m Mark) []Mark { return append(ms, m) }
 
 // feedLLCChunk issues one decoded chunk in recorded order through the
 // persistent probe batch, delivering hook marks at their positions exactly
@@ -870,7 +862,7 @@ func feedLLCChunk(sim *Sim, h *cache.Hierarchy, llc *cache.Level, batch *[cache.
 	pos := 0
 	for m := range ck.marks {
 		mk := ck.marks[m]
-		for _, pr := range probes[pos:mk.pos] {
+		for _, pr := range probes[pos:mk.At] {
 			if n == cache.BatchMax {
 				n = flushProbes(h, llc, batch, n)
 			}
@@ -879,17 +871,10 @@ func feedLLCChunk(sim *Sim, h *cache.Hierarchy, llc *cache.Level, batch *[cache.
 			batch[n&(cache.BatchMax-1)] = pr
 			n++
 		}
-		pos = mk.pos
+		pos = mk.At
 		if hooked {
 			n = flushProbes(h, llc, batch, n)
-			switch mk.kind {
-			case lopSetVertex:
-				sim.SetVertex(graph.V(mk.val))
-			case lopStartIteration:
-				sim.StartIteration()
-			case lopSetTile:
-				sim.SetTile(int(mk.val))
-			}
+			sim.hook(mk)
 		}
 	}
 	for _, pr := range probes[pos:] {

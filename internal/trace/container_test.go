@@ -101,7 +101,7 @@ func TestTraceContainerRoundTrip(t *testing.T) {
 			t.Fatalf("chunk %d: Verify on a fresh container: %v", chunkBytes, err)
 		}
 		var probes []cache.Probe
-		var marks []llcMark
+		var marks []Mark
 		for c := 0; c < r.Chunks(); c++ {
 			p, err := r.chunkPayload(c)
 			if err != nil {
@@ -109,7 +109,7 @@ func TestTraceContainerRoundTrip(t *testing.T) {
 			}
 			cp, cm := decodeLLCChunkEvents(p, nil)
 			for _, m := range cm {
-				m.pos += len(probes)
+				m.At += len(probes)
 				marks = append(marks, m)
 			}
 			probes = append(probes, cp...)

@@ -54,15 +54,14 @@ func (s LLCStats) Events() uint64 {
 	return s.Accesses + s.Writebacks + s.VertexUpdates + s.Iterations + s.TileSwitches
 }
 
-// LLCEncoder records the LLC-visible stream of one live run. It plugs
-// into two observation points at once: as the hierarchy's Tap it sees
-// LLC accesses and writebacks, and as a Sink (teed behind the live Sim)
-// it sees the hook events that must stay ordered relative to them. The
-// Sink-side Access/Tick events carry no LLC-visible information and are
-// dropped — their one consumer, the instruction counter, is a total
-// the finished trace copies from the recording Sim.
+// LLCEncoder records the LLC-visible stream of one live run. Attached to
+// the run's Sim (Sim.Record) it observes two points at once: as the
+// hierarchy's Tap it sees LLC accesses and writebacks, and from the Sim it
+// sees each hook event in stream order relative to them. Accesses that
+// stop above the LLC and non-memory instructions carry no LLC-visible
+// information and never reach it — their one consumer, the instruction
+// counter, is a total the finished trace copies from the recording Sim.
 type LLCEncoder struct {
-	Nop
 	buf    []byte
 	last   [pcSlots]uint64 // previous access address per PC slot
 	lastWB uint64          // previous writeback line address
@@ -108,10 +107,10 @@ func NewChunkedLLCEncoder(cw *ContainerWriter) *LLCEncoder {
 // maybeChunk closes the current chunk once the payload passes the byte
 // target; called at the end of every encoded event. The call pushes
 // LLCWriteback and SetVertex past the inlining budget, which the hotpath
-// baseline accepts deliberately: every hot caller reaches them through an
-// interface (Hierarchy.Tap during recording, Sink via Tee), where
-// inlining never applied; the only static caller is the cold rechunk
-// path.
+// baseline accepts deliberately: the taps arrive through an interface
+// (Hierarchy.Tap), where inlining never applied, and SetVertex runs once
+// per hook mark from the encoder's out-of-line mark dispatch; the only
+// other static caller is the cold rechunk path.
 //
 //popt:hot
 func (e *LLCEncoder) maybeChunk() {
@@ -191,7 +190,7 @@ func (e *LLCEncoder) LLCWriteback(lineAddr uint64) {
 	e.maybeChunk()
 }
 
-// SetVertex implements Sink.
+// SetVertex encodes a hook event (see Sim.Record).
 //
 //popt:hot
 //popt:codec llc enc
@@ -203,7 +202,7 @@ func (e *LLCEncoder) SetVertex(v graph.V) {
 	e.maybeChunk()
 }
 
-// StartIteration implements Sink.
+// StartIteration encodes a hook event (see Sim.Record).
 //
 //popt:codec llc enc
 func (e *LLCEncoder) StartIteration() {
@@ -212,7 +211,7 @@ func (e *LLCEncoder) StartIteration() {
 	e.maybeChunk()
 }
 
-// SetTile implements Sink.
+// SetTile encodes a hook event (see Sim.Record).
 //
 //popt:codec llc enc
 func (e *LLCEncoder) SetTile(t int) {
@@ -220,6 +219,18 @@ func (e *LLCEncoder) SetTile(t int) {
 	e.buf = append(e.buf, lopSetTile)
 	e.buf = appendUvarint(e.buf, uint64(t))
 	e.maybeChunk()
+}
+
+// mark encodes one hook event of a recording Sim.
+func (e *LLCEncoder) mark(m Mark) {
+	switch m.Kind {
+	case MarkVertex:
+		e.SetVertex(graph.V(m.Val))
+	case MarkIteration:
+		e.StartIteration()
+	case MarkTile:
+		e.SetTile(m.Val)
+	}
 }
 
 // Trace finalizes the encoder. instructions is the recording run's

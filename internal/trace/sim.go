@@ -29,9 +29,13 @@ type Sim struct {
 	// coalesce commutative updates in-cache. Absorbed accesses still
 	// charge their instruction, exactly as a real coalesced store retires.
 	Filter func(acc mem.Access) bool
-	// Instructions counts retired instructions: one per Access event plus
-	// every Tick. It is the denominator of MPKI.
+	// Instructions counts retired instructions: one per access plus every
+	// tick. It is the denominator of MPKI.
 	Instructions uint64
+
+	// enc, when set by Record, receives the hook marks; the hierarchy's
+	// Tap feeds it the LLC-visible accesses and writebacks between them.
+	enc *LLCEncoder
 }
 
 // NewSim builds a live sink over h. hook may be nil.
@@ -39,22 +43,76 @@ func NewSim(h *cache.Hierarchy, hook core.VertexIndexed) *Sim {
 	return &Sim{H: h, Hook: hook}
 }
 
-// Access implements Sink: charge one instruction and run the reference
-// through the hierarchy (unless a filter absorbs it).
-//
-//popt:hot
-func (s *Sim) Access(acc mem.Access) {
-	if s.H == nil {
-		return
+// Record attaches e to the run: e becomes the hierarchy's LLC tap and sees
+// every hook event right after the hook does, so the encoded stream keeps
+// hook events in order against the LLC-visible accesses. Record(nil)
+// detaches it.
+func (s *Sim) Record(e *LLCEncoder) {
+	s.enc = e
+	if e == nil {
+		s.H.Tap = nil
+	} else {
+		s.H.Tap = e
 	}
-	s.Instructions++
-	if s.Filter != nil && s.Filter(acc) {
-		return
-	}
-	s.H.Access(acc)
 }
 
-// SetVertex implements Sink: forward outer-loop progress to the hook.
+// Consume implements Sink: charge the batch's instructions, run each run
+// of accesses between two marks through the hierarchy in one call, and
+// deliver each mark at its position. With a Filter the accesses go one at
+// a time, since the filter may itself reach into the hierarchy.
+//
+//popt:hot
+func (s *Sim) Consume(b Batch) {
+	if s.H != nil {
+		s.Instructions += uint64(len(b.Accesses)) + b.Ticks
+	}
+	at := 0
+	for _, m := range b.Marks {
+		s.run(b.Accesses[at:m.At])
+		at = int(m.At)
+		s.mark(m)
+	}
+	s.run(b.Accesses[at:])
+}
+
+// run issues accs through the hierarchy (or through the filter).
+//
+//popt:hot
+func (s *Sim) run(accs []mem.Access) {
+	switch {
+	case s.H == nil || len(accs) == 0:
+	case s.Filter == nil:
+		s.H.Run(accs)
+	default:
+		for _, acc := range accs {
+			if !s.Filter(acc) {
+				s.H.Access(acc)
+			}
+		}
+	}
+}
+
+// mark delivers one hook event to the hook, then to an attached encoder.
+func (s *Sim) mark(m Mark) {
+	s.hook(m)
+	if s.enc != nil {
+		s.enc.mark(m)
+	}
+}
+
+// hook delivers one hook event to the hook.
+func (s *Sim) hook(m Mark) {
+	switch m.Kind {
+	case MarkVertex:
+		s.SetVertex(graph.V(m.Val))
+	case MarkIteration:
+		s.StartIteration()
+	case MarkTile:
+		s.SetTile(m.Val)
+	}
+}
+
+// SetVertex forwards outer-loop progress to the hook.
 //
 //popt:hot
 func (s *Sim) SetVertex(v graph.V) {
@@ -63,8 +121,8 @@ func (s *Sim) SetVertex(v graph.V) {
 	}
 }
 
-// StartIteration implements Sink: epoch-tracking policies reset; others
-// see the traversal restart as progress to vertex 0.
+// StartIteration resets epoch-tracking policies; others see the traversal
+// restart as progress to vertex 0.
 func (s *Sim) StartIteration() {
 	if er, ok := s.Hook.(epochResetter); ok {
 		er.ResetEpoch()
@@ -73,19 +131,10 @@ func (s *Sim) StartIteration() {
 	}
 }
 
-// SetTile implements Sink: forward tile switches to tile-aware policies.
+// SetTile forwards tile switches to tile-aware policies.
 func (s *Sim) SetTile(t int) {
 	if ts, ok := s.Hook.(tileSetter); ok {
 		ts.SetTile(t)
-	}
-}
-
-// Tick implements Sink: account n non-memory instructions.
-//
-//popt:hot
-func (s *Sim) Tick(n uint64) {
-	if s.H != nil {
-		s.Instructions += n
 	}
 }
 

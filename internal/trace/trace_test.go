@@ -10,24 +10,6 @@ import (
 	"popt/internal/mem"
 )
 
-// ev is one recorded event for equivalence checking.
-type ev struct {
-	op   string
-	acc  mem.Access
-	v    graph.V
-	tile int
-	n    uint64
-}
-
-// recordSink captures the full event stream as a slice.
-type recordSink struct{ evs []ev }
-
-func (r *recordSink) Access(acc mem.Access) { r.evs = append(r.evs, ev{op: "access", acc: acc}) }
-func (r *recordSink) SetVertex(v graph.V)   { r.evs = append(r.evs, ev{op: "vertex", v: v}) }
-func (r *recordSink) StartIteration()       { r.evs = append(r.evs, ev{op: "iter"}) }
-func (r *recordSink) SetTile(t int)         { r.evs = append(r.evs, ev{op: "tile", tile: t}) }
-func (r *recordSink) Tick(n uint64)         { r.evs = append(r.evs, ev{op: "tick", n: n}) }
-
 // TestEncoderRoundTrip drives pseudo-random LLC event streams through the
 // encoder and checks the decoder yields the original probe sequence with
 // every hook event at its recorded position. Addresses span the full
@@ -38,21 +20,21 @@ func TestEncoderRoundTrip(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		enc := NewLLCEncoder()
 		var probes []cache.Probe
-		var marks []llcMark
+		var marks []Mark
 		n := 1 + rng.Intn(2000)
 		for i := 0; i < n; i++ {
 			switch rng.Intn(10) {
 			case 0:
 				v := graph.V(rng.Uint32())
 				enc.SetVertex(v)
-				marks = append(marks, llcMark{pos: len(probes), kind: lopSetVertex, val: int64(v)})
+				marks = append(marks, Mark{At: len(probes), Kind: MarkVertex, Val: int(v)})
 			case 1:
 				enc.StartIteration()
-				marks = append(marks, llcMark{pos: len(probes), kind: lopStartIteration})
+				marks = append(marks, Mark{At: len(probes), Kind: MarkIteration})
 			case 2:
 				tile := rng.Intn(64)
 				enc.SetTile(tile)
-				marks = append(marks, llcMark{pos: len(probes), kind: lopSetTile, val: int64(tile)})
+				marks = append(marks, Mark{At: len(probes), Kind: MarkTile, Val: tile})
 			case 3:
 				line := rng.Uint64()
 				enc.LLCWriteback(line)
@@ -113,8 +95,8 @@ func TestTraceReplayIsRepeatable(t *testing.T) {
 }
 
 // TestStatsEvents checks the event total matches a hand count, and that
-// the Sink-side Access and Tick events — invisible to the LLC — are not
-// recorded.
+// what stays invisible to the LLC — an access that hits L1 and the
+// non-memory instructions of a recording Sim's batch — is not recorded.
 func TestStatsEvents(t *testing.T) {
 	enc := NewLLCEncoder()
 	enc.LLCAccess(mem.Access{Addr: 1, PC: 1, Write: true})
@@ -122,14 +104,16 @@ func TestStatsEvents(t *testing.T) {
 	enc.SetVertex(1)
 	enc.StartIteration()
 	enc.SetTile(2)
-	enc.Access(mem.Access{Addr: 2, PC: 1})
-	enc.Tick(5)
+	sim := NewSim(cache.NewHierarchy(tinyConfig()), nil)
+	sim.Record(enc)
+	// The first access misses to the LLC (one event); the repeat hits L1.
+	sim.Consume(Batch{Accesses: []mem.Access{{Addr: 1 << 20, PC: 1}, {Addr: 1 << 20, PC: 1}}, Ticks: 5})
 	st := enc.Trace(0, cache.Stats{}, cache.Stats{}).Stats()
-	if got := st.Events(); got != 5 {
-		t.Errorf("Events() = %d, want 5", got)
+	if got := st.Events(); got != 6 {
+		t.Errorf("Events() = %d, want 6", got)
 	}
-	if st.Accesses != 1 || st.Writes != 1 || st.Writebacks != 1 {
-		t.Errorf("stats %+v, want one write access and one writeback", st)
+	if st.Accesses != 2 || st.Writes != 1 || st.Writebacks != 1 {
+		t.Errorf("stats %+v, want two accesses (one a write) and one writeback", st)
 	}
 }
 
@@ -138,7 +122,7 @@ func TestStatsEvents(t *testing.T) {
 func TestSimMPKI(t *testing.T) {
 	h := cache.NewHierarchy(cache.Scaled(func() cache.Policy { return cache.NewLRU() }))
 	s := NewSim(h, nil)
-	s.Tick(1000)
+	s.Consume(Batch{Ticks: 1000})
 	for i := 0; i < 10; i++ {
 		h.Access(mem.Access{Addr: uint64(i) * 4096 * mem.LineSize})
 	}
@@ -156,24 +140,11 @@ func TestSimChargesAbsorbedAccesses(t *testing.T) {
 	h := cache.NewHierarchy(cache.Scaled(func() cache.Policy { return cache.NewLRU() }))
 	s := NewSim(h, nil)
 	s.Filter = func(acc mem.Access) bool { return acc.Write }
-	s.Access(mem.Access{Addr: 64, Write: true})
-	s.Access(mem.Access{Addr: 64})
+	s.Consume(Batch{Accesses: []mem.Access{{Addr: 64, Write: true}, {Addr: 64}}})
 	if s.Instructions != 2 {
 		t.Errorf("Instructions = %d, want 2", s.Instructions)
 	}
 	if h.L1.Stats.Accesses != 1 {
 		t.Errorf("L1 accesses = %d, want 1", h.L1.Stats.Accesses)
-	}
-}
-
-// TestTeeDeliversInOrder checks fan-out order and completeness.
-func TestTeeDeliversInOrder(t *testing.T) {
-	a, b := &recordSink{}, &recordSink{}
-	tee := NewTee(a, b)
-	tee.Access(mem.Access{Addr: 10, PC: 2})
-	tee.SetVertex(3)
-	tee.Tick(4)
-	if !reflect.DeepEqual(a.evs, b.evs) || len(a.evs) != 3 {
-		t.Fatalf("tee fan-out diverged: %v vs %v", a.evs, b.evs)
 	}
 }
