@@ -436,7 +436,7 @@ func RecordLLCToCorpus(c Config, w *kernels.Workload, s Setup, key corpus.Key) (
 func ReplayLLCEntry(c Config, w *kernels.Workload, ent *corpus.Entry, s Setup) Result {
 	b := buildCell(c, w, s)
 	sim := b.sim()
-	if err := ent.Reader().ReplayLLC(sim, trace.ReplayOptions{}); err != nil {
+	if err := ent.Reader().ReplayLLC(sim); err != nil {
 		// The entry was validated at open and Publish; damage appearing
 		// between open and replay is corruption mid-run, not a condition a
 		// sweep cell can recover from.

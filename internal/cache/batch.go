@@ -9,22 +9,17 @@ import (
 // Batch-probe datapath. Trace replay delivers millions of decoded events
 // to one cache level; paying a full exported-method call — set-index
 // branch, statistics read-modify-writes against memory — per event is
-// measurable overhead once PR 5's SoA layout made the per-probe work
-// itself cheap. The replay loops therefore decode events into a small
-// fixed-size batch of Probes and hand the whole batch to AccessBatch,
-// which resolves the set-mapping strategy once per batch, keeps the
-// statistics deltas in registers until the batch ends, and processes the
-// probes strictly in decoded order — so every policy callback, fill,
-// eviction and counter lands exactly as the one-event-at-a-time path
-// would. The batch buffer is the caller's (a stack array in the replay
-// loop); AccessBatch borrows it for the call and retains nothing, so it
-// never aliases policy-borrowed line storage.
-
-// BatchMax is the fixed capacity of a replay probe batch. Small enough
-// to live on the replay loop's stack and stay L1-resident, large enough
-// to amortize the per-batch setup over the common long runs between
-// hook events.
-const BatchMax = 64
+// measurable overhead once the SoA layout made the per-probe work itself
+// cheap. The LLC-stream decoder therefore decodes events into a
+// slice of Probes and hands whole runs of it (the events between two hook
+// marks, or a whole decoded window or chunk when nothing consumes the
+// marks) to AccessBatch, which resolves the set-mapping strategy once per
+// batch, keeps the statistics deltas in registers until the batch ends,
+// and processes the probes strictly in decoded order — so every policy
+// callback, fill, eviction and counter lands exactly as the
+// one-event-at-a-time path would, whatever the batch size. The probe
+// slice is the caller's; AccessBatch borrows it for the call and retains
+// nothing, so it never aliases policy-borrowed line storage.
 
 // ProbeKind distinguishes the three event shapes a cache level sees
 // during LLC-trace replay.

@@ -98,7 +98,7 @@ func TestAccessBatchMatchesSequential(t *testing.T) {
 			// Footprint 4x capacity so misses, evictions and dirty victims
 			// are all frequent.
 			stream := probeStream(1<<15, uint64(4*cfg.size/mem.LineSize), 7)
-			for _, batchSize := range []int{1, 3, BatchMax, len(stream)} {
+			for _, batchSize := range []int{1, 3, 64, len(stream)} {
 				seq := NewLevel("seq", cfg.size, 16, cfg.pol())
 				bat := NewLevel("bat", cfg.size, 16, cfg.pol())
 				if cfg.reserve > 0 {
@@ -145,10 +145,11 @@ func BenchmarkLevelAccessBatch(b *testing.B) {
 			l.Fill(acc)
 		}
 	}
-	var batch [BatchMax]Probe
+	const batchLen = 64
+	var batch [batchLen]Probe
 	b.ResetTimer()
-	for i := 0; i < b.N; i += BatchMax {
-		for j := 0; j < BatchMax; j++ {
+	for i := 0; i < b.N; i += batchLen {
+		for j := 0; j < batchLen; j++ {
 			batch[j] = Probe{Addr: addrs[(i+j)&(len(addrs)-1)]}
 		}
 		l.AccessBatch(batch[:])

@@ -268,21 +268,3 @@ func encodeLLCStats(s LLCStats, instructions uint64, l1, l2 cache.Stats, streamC
 	}
 	return buf
 }
-
-// WriteLLCContainer re-encodes an in-memory LLC-visible stream as a
-// container on w: re-encoding the events through a chunked encoder
-// reproduces the exact event sequence with fresh per-chunk delta state.
-// Recording paths stream straight into a container instead.
-func WriteLLCContainer(t *LLCTrace, w io.Writer, meta Meta, chunkBytes int) error {
-	cw, err := NewContainerWriter(w, meta)
-	if err != nil {
-		return err
-	}
-	cw.SetChunkBytes(chunkBytes)
-	enc := NewChunkedLLCEncoder(cw)
-	reencodeLLCEvents(t.data, llcHeaderLen, enc)
-	if err := enc.Finish(t.instructions, t.l1, t.l2); err != nil {
-		return err
-	}
-	return cw.Finish()
-}

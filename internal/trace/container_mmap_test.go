@@ -27,12 +27,7 @@ func writeTempContainer(t *testing.T, data []byte) string {
 // accounting must report the same high-water mark whether the windows are
 // mapped views or heap copies.
 func TestContainerMappedReplay(t *testing.T) {
-	tr := encodeRandomLLCStream(11, 2000)
-	var buf bytes.Buffer
-	if err := WriteLLCContainer(tr, &buf, testMeta(), 512); err != nil {
-		t.Fatal(err)
-	}
-	path := writeTempContainer(t, buf.Bytes())
+	path := writeTempContainer(t, randomLLCContainer(t, 11, 2000, 512))
 
 	mapped, err := OpenContainerFile(path)
 	if err != nil {
@@ -68,12 +63,13 @@ func TestContainerMappedReplay(t *testing.T) {
 	if err := copied.Verify(); err != nil {
 		t.Fatalf("Verify (pread): %v", err)
 	}
+	setProcs(t, 1)
 	a := NewSim(cache.NewHierarchy(tinyConfig()), nil)
 	b := NewSim(cache.NewHierarchy(tinyConfig()), nil)
-	if err := mapped.ReplayLLC(a, ReplayOptions{Workers: 1}); err != nil {
+	if err := mapped.ReplayLLC(a); err != nil {
 		t.Fatalf("ReplayLLC (mapped): %v", err)
 	}
-	if err := copied.ReplayLLC(b, ReplayOptions{Workers: 1}); err != nil {
+	if err := copied.ReplayLLC(b); err != nil {
 		t.Fatalf("ReplayLLC (pread): %v", err)
 	}
 	if countersOf(a) != countersOf(b) {
@@ -93,15 +89,12 @@ func TestContainerMappedReplay(t *testing.T) {
 // mapped chunk views: concurrent workers reading disjoint subslices of
 // one mapping must reproduce the pread replay counter for counter.
 func TestContainerMappedLLCParallel(t *testing.T) {
-	tr := encodeRandomLLCStream(13, 3000)
-	var buf bytes.Buffer
-	if err := WriteLLCContainer(tr, &buf, testMeta(), 512); err != nil {
-		t.Fatal(err)
-	}
-	path := writeTempContainer(t, buf.Bytes())
+	data := randomLLCContainer(t, 13, 3000, 512)
+	path := writeTempContainer(t, data)
+	setProcs(t, 4)
 	run := func(r *Reader) llcCounters {
 		sim := NewSim(cache.NewHierarchy(tinyConfig()), nil)
-		if err := r.ReplayLLC(sim, ReplayOptions{Workers: 4, Window: 3}); err != nil {
+		if err := r.ReplayLLC(sim); err != nil {
 			t.Fatalf("ReplayLLC: %v", err)
 		}
 		return countersOf(sim)
@@ -114,7 +107,7 @@ func TestContainerMappedLLCParallel(t *testing.T) {
 	defer mapped.Close()
 	got := run(mapped)
 
-	copied, err := OpenContainerBytes(buf.Bytes())
+	copied, err := OpenContainerBytes(data)
 	if err != nil {
 		t.Fatalf("OpenContainerBytes: %v", err)
 	}
@@ -131,13 +124,8 @@ func TestContainerMappedLLCParallel(t *testing.T) {
 // no simulation): "mapped" serves capacity-capped views of one mapping,
 // "pread" copies each chunk into a pooled heap window.
 func BenchmarkContainerWindowModes(b *testing.B) {
-	tr := encodeRandomLLCStream(7, 200_000)
-	var buf bytes.Buffer
-	if err := WriteLLCContainer(tr, &buf, testMeta(), 64<<10); err != nil {
-		b.Fatal(err)
-	}
 	path := filepath.Join(b.TempDir(), "bench.poptc")
-	if err := os.WriteFile(path, buf.Bytes(), 0o666); err != nil {
+	if err := os.WriteFile(path, randomLLCContainer(b, 7, 200_000, 64<<10), 0o666); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("mapped", func(b *testing.B) {
@@ -183,12 +171,8 @@ func BenchmarkContainerWindowModes(b *testing.B) {
 // releases the mapping exactly once, and a reader over a caller-owned
 // ReaderAt treats Close as a no-op.
 func TestContainerMappedClose(t *testing.T) {
-	tr := encodeRandomLLCStream(17, 200)
-	var buf bytes.Buffer
-	if err := WriteLLCContainer(tr, &buf, testMeta(), 0); err != nil {
-		t.Fatal(err)
-	}
-	path := writeTempContainer(t, buf.Bytes())
+	data := randomLLCContainer(t, 17, 200, 0)
+	path := writeTempContainer(t, data)
 	r, err := OpenContainerFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +183,7 @@ func TestContainerMappedClose(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	plain, err := OpenContainer(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	plain, err := OpenContainer(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 
 	"popt/internal/cache"
-	"popt/internal/graph"
 	"popt/internal/mem"
 )
 
@@ -624,48 +623,16 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-// ReplayOptions bounds a container replay's parallelism and memory.
-type ReplayOptions struct {
-	// Workers is the number of parallel chunk decoders. Zero means
-	// min(GOMAXPROCS, 8); one forces sequential decode.
-	Workers int
-	// Window is the maximum number of chunks resident at once — the
-	// out-of-core bound. Zero means 2x Workers.
-	Window int
-}
-
-// DefaultReplayWorkers returns the worker count a zero ReplayOptions
-// resolves to on this host — min(GOMAXPROCS, 8) — so footprint reports
-// can state the default window bound (2x workers x chunk bytes) without
-// duplicating the policy.
+// DefaultReplayWorkers returns the number of parallel chunk decoders a
+// container replay uses on this host, min(GOMAXPROCS, 8); the replay
+// keeps at most twice that many chunks resident, and footprint reports
+// state that bound from here.
 func DefaultReplayWorkers() int {
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	return w
-}
-
-// resolve applies the documented defaults.
-func (o ReplayOptions) resolve() (workers, window int) {
-	workers = o.Workers
-	if workers <= 0 {
-		workers = DefaultReplayWorkers()
-	}
-	window = o.Window
-	if window <= 0 {
-		window = 2 * workers
-	}
-	if window < 1 {
-		window = 1
-	}
-	return workers, window
+	return min(runtime.GOMAXPROCS(0), 8)
 }
 
 // llcChunk is one decoded chunk in flight between a decode worker and the
-// in-order feed stage. Each mark's At indexes probes: the feed stage
-// delivers it (flushing the probe batch first) between probes[At-1] and
-// probes[At], exactly where LLCTrace.Replay would.
+// in-order feed stage. Each mark's At indexes probes.
 type llcChunk struct {
 	probes []cache.Probe
 	marks  []Mark
@@ -676,20 +643,15 @@ type llcChunk struct {
 // ReplayLLC drives sim's LLC with the container's stream and installs the
 // setup-invariant totals, reproducing LLCTrace.Replay counter for counter
 // (cache.Level.AccessBatch is batching-invariant, so the different batch
-// boundaries cannot show). Chunks decode on a worker pool — each chunk's
-// delta state is self-contained — while the feed stage consumes them in
-// recorded order; the window semaphore caps chunks in flight, so peak
-// resident trace memory is O(window x chunk), not O(stream). Decode
-// errors abort the replay and leave sim partially advanced; callers
-// discard it on error.
-func (r *Reader) ReplayLLC(sim *Sim, opts ReplayOptions) error {
-	workers, window := opts.resolve()
+// boundaries cannot show). Chunks decode on DefaultReplayWorkers workers —
+// each chunk's delta state is self-contained — while the feed stage
+// consumes them in recorded order; a window of twice the worker count
+// caps chunks in flight, so peak resident trace memory is
+// O(window x chunk), not O(stream). Decode errors abort the replay and
+// leave sim partially advanced; callers discard it on error.
+func (r *Reader) ReplayLLC(sim *Sim) error {
+	workers := DefaultReplayWorkers()
 	nc := len(r.chunks)
-	h := sim.H
-	llc := h.LLC
-	hooked := sim.Hook != nil
-	var batch [cache.BatchMax]cache.Probe
-	n := 0
 	var firstErr error
 
 	if workers <= 1 || nc <= 1 {
@@ -698,7 +660,7 @@ func (r *Reader) ReplayLLC(sim *Sim, opts ReplayOptions) error {
 			if ck.err != nil {
 				return ck.err
 			}
-			n = feedLLCChunk(sim, h, llc, &batch, n, &ck, hooked)
+			sim.feed(ck.probes, ck.marks)
 			r.release(ck.bytes)
 		}
 	} else {
@@ -708,7 +670,7 @@ func (r *Reader) ReplayLLC(sim *Sim, opts ReplayOptions) error {
 		}
 		next := make(chan int)
 		done := make(chan struct{})
-		sem := make(chan struct{}, window)
+		sem := make(chan struct{}, 2*workers)
 		go func() {
 			defer close(next)
 			for c := 0; c < nc; c++ {
@@ -740,151 +702,52 @@ func (r *Reader) ReplayLLC(sim *Sim, opts ReplayOptions) error {
 				firstErr = ck.err
 				break
 			}
-			n = feedLLCChunk(sim, h, llc, &batch, n, &ck, hooked)
+			sim.feed(ck.probes, ck.marks)
 			r.release(ck.bytes)
 			<-sem
 		}
 		close(done)
 		wg.Wait()
+		if firstErr != nil {
+			// Chunks decoded ahead of the failure still hold their
+			// resident charge, and the Reader outlives this replay.
+			for _, ch := range results {
+				select {
+				case ck := <-ch:
+					r.release(ck.bytes)
+				default:
+				}
+			}
+		}
 	}
 	if firstErr != nil {
 		return firstErr
 	}
-	flushProbes(h, llc, &batch, n)
 	sim.Instructions += r.instructions
-	h.L1.Stats.Add(r.l1)
-	h.L2.Stats.Add(r.l2)
+	sim.H.L1.Stats.Add(r.l1)
+	sim.H.L2.Stats.Add(r.l2)
 	return nil
 }
 
 // decodeLLCChunk reads and fully decodes chunk c: payload fetch + CRC,
-// structural scan (so the hot decoder below never sees corrupt bytes),
-// then the concrete probe/mark decode. Runs on the worker pool; the
-// resident charge it takes is released by the feed stage.
+// structural scan (so the hot decoder never sees corrupt bytes), then the
+// probe/mark decode into slices sized from the scan's counts, so one
+// decode call takes the whole chunk. The resident charge it takes is released by the
+// caller.
 func (r *Reader) decodeLLCChunk(c int) llcChunk {
 	p, err := r.chunkPayload(c)
 	if err != nil {
 		return llcChunk{err: err}
 	}
-	if _, err := scanLLCFrom(p, 0); err != nil {
+	s, err := scanLLCFrom(p, 0)
+	if err != nil {
 		r.release(int64(len(p)))
 		return llcChunk{err: fmt.Errorf("trace: container chunk %d: %w", c, err)}
 	}
-	// Probe count <= events (every LLC event is at least one byte and none
-	// expands to two probes), so the append below never grows.
-	probes := make([]cache.Probe, 0, r.chunks[c].events)
-	probes, marks := decodeLLCChunkEvents(p, probes)
+	d := llcDecoder{data: p}
+	probes, marks := d.decode(make([]cache.Probe, s.Accesses+s.Writebacks),
+		make([]Mark, s.VertexUpdates+s.Iterations+s.TileSwitches))
 	return llcChunk{probes: probes, marks: marks, bytes: int64(len(p))}
-}
-
-// decodeLLCChunkEvents decodes one structurally-validated chunk payload
-// into its probe sequence and hook marks. The decode arms mirror
-// LLCTrace.Replay opcode for opcode (codecpair holds them in lockstep);
-// per-chunk delta state starts at zero because the encoder reset at the
-// boundary. Allocation lives in the caller so this loop stays escape-free.
-//
-//popt:hot
-//popt:codec llc dec
-func decodeLLCChunkEvents(data []byte, probes []cache.Probe) ([]cache.Probe, []Mark) {
-	var marks []Mark
-	var last [pcSlots]uint64
-	var lastWB uint64
-	var lastV graph.V
-	i := 0
-	for i < len(data) {
-		b := data[i]
-		i++
-		op := b & opMask
-		switch op {
-		case lopAccessR, lopAccessW:
-			var pc uint64
-			if hi := b >> 4; hi != pcEscape {
-				pc = uint64(hi - 1)
-			} else {
-				pc, i = uvarint(data, i)
-			}
-			var d int64
-			if i < len(data) && data[i] < 0x80 {
-				ux := uint64(data[i])
-				d = int64(ux>>1) ^ -int64(ux&1)
-				i++
-			} else {
-				d, i = varint(data, i)
-			}
-			slot := uint16(pc) & pcSlotMask
-			addr := last[slot] + uint64(d)
-			last[slot] = addr
-			kind := cache.ProbeRead
-			if op == lopAccessW {
-				kind = cache.ProbeWrite
-			}
-			probes = appendProbe(probes, cache.Probe{Addr: addr, PC: uint16(pc), Kind: kind})
-		case lopWB:
-			d, nn := varint(data, i)
-			i = nn
-			lastWB += uint64(d)
-			probes = appendProbe(probes, cache.Probe{Addr: lastWB, Kind: cache.ProbeWB})
-		case lopSetVertex:
-			d, nn := varint(data, i)
-			i = nn
-			lastV = graph.V(int64(lastV) + d)
-			marks = appendMark(marks, Mark{At: len(probes), Kind: MarkVertex, Val: int(lastV)})
-		case lopStartIteration:
-			marks = appendMark(marks, Mark{At: len(probes), Kind: MarkIteration})
-		case lopSetTile:
-			tl, nn := uvarint(data, i)
-			i = nn
-			marks = appendMark(marks, Mark{At: len(probes), Kind: MarkTile, Val: int(tl)})
-		default:
-			badOp(op, i-1)
-		}
-	}
-	return probes, marks
-}
-
-// appendProbe and appendMark keep the decoded-event appends out of the
-// annotated decode loop: the wire-format walker reads every append inside
-// a //popt:codec function as an opcode-byte emission, and these append
-// simulator values, not wire bytes.
-func appendProbe(ps []cache.Probe, p cache.Probe) []cache.Probe { return append(ps, p) }
-
-func appendMark(ms []Mark, m Mark) []Mark { return append(ms, m) }
-
-// feedLLCChunk issues one decoded chunk in recorded order through the
-// persistent probe batch, delivering hook marks at their positions exactly
-// like LLCTrace.Replay: the batch flushes before a mark only when the sim
-// actually has a hook. Returns the new batch length; the batch carries
-// across chunks so hookless replays run long batches through boundaries.
-//
-//popt:hot
-func feedLLCChunk(sim *Sim, h *cache.Hierarchy, llc *cache.Level, batch *[cache.BatchMax]cache.Probe, n int, ck *llcChunk, hooked bool) int {
-	probes := ck.probes
-	pos := 0
-	for m := range ck.marks {
-		mk := ck.marks[m]
-		for _, pr := range probes[pos:mk.At] {
-			if n == cache.BatchMax {
-				n = flushProbes(h, llc, batch, n)
-			}
-			// The mask is a no-op (the flush above keeps n < BatchMax) that
-			// lets the compiler drop the bounds check from the feed loop.
-			batch[n&(cache.BatchMax-1)] = pr
-			n++
-		}
-		pos = mk.At
-		if hooked {
-			n = flushProbes(h, llc, batch, n)
-			sim.hook(mk)
-		}
-	}
-	for _, pr := range probes[pos:] {
-		if n == cache.BatchMax {
-			n = flushProbes(h, llc, batch, n)
-		}
-		batch[n&(cache.BatchMax-1)] = pr
-		n++
-	}
-	return n
 }
 
 // Rechunk rewrites the container on w with a new chunk-size target by
@@ -902,16 +765,12 @@ func (r *Reader) Rechunk(w io.Writer, chunkBytes int) error {
 	cw.SetChunkBytes(chunkBytes)
 	enc := NewChunkedLLCEncoder(cw)
 	for c := range r.chunks {
-		p, err := r.chunkPayload(c)
-		if err != nil {
-			return err
+		ck := r.decodeLLCChunk(c)
+		if ck.err != nil {
+			return ck.err
 		}
-		if _, err := scanLLCFrom(p, 0); err != nil {
-			r.release(int64(len(p)))
-			return fmt.Errorf("trace: container chunk %d: %w", c, err)
-		}
-		reencodeLLCEvents(p, 0, enc)
-		r.release(int64(len(p)))
+		enc.encode(ck.probes, ck.marks)
+		r.release(ck.bytes)
 	}
 	if err := enc.Finish(r.instructions, r.l1, r.l2); err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -17,16 +18,105 @@ func testMeta() Meta {
 	return Meta{Workload: "PR-uniform", Schedule: "pull", Scale: "tiny", Seed: 42}
 }
 
+// The totals every test stream records with.
+var (
+	testL1 = cache.Stats{Accesses: 1000, Hits: 900, Misses: 100, Evictions: 40, Writebacks: 20}
+	testL2 = cache.Stats{Accesses: 100, Hits: 50, Misses: 50, Evictions: 10, Writebacks: 5}
+)
+
+const testInstructions = 123456
+
+// flatTrace records feed's events as an in-memory LLC stream.
+func flatTrace(feed func(*LLCEncoder)) *LLCTrace {
+	enc := NewLLCEncoder()
+	feed(enc)
+	return enc.Trace(testInstructions, testL1, testL2)
+}
+
+// writeContainer records feed's events straight into a container with
+// the given chunk target (0 keeps the default) and returns its bytes.
+func writeContainer(t testing.TB, meta Meta, chunkBytes int, feed func(*LLCEncoder)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	cw, err := NewContainerWriter(&buf, meta)
+	if err != nil {
+		t.Fatalf("NewContainerWriter: %v", err)
+	}
+	cw.SetChunkBytes(chunkBytes)
+	enc := NewChunkedLLCEncoder(cw)
+	feed(enc)
+	if err := enc.Finish(testInstructions, testL1, testL2); err != nil {
+		t.Fatalf("encoder Finish: %v", err)
+	}
+	if err := cw.Finish(); err != nil {
+		t.Fatalf("container Finish: %v", err)
+	}
+	return buf.Bytes()
+}
+
 // encodeRandomLLCStream builds a pseudo-random LLC-visible stream
 // exercising every opcode, inline and escaped PCs, and full-range
 // addresses (delta wraparound).
 func encodeRandomLLCStream(seed int64, n int) *LLCTrace {
-	rng := rand.New(rand.NewSource(seed))
-	enc := NewLLCEncoder()
-	feedRandomLLCEvents(rng, enc, n)
-	l1 := cache.Stats{Accesses: 1000, Hits: 900, Misses: 100, Evictions: 40, Writebacks: 20}
-	l2 := cache.Stats{Accesses: 100, Hits: 50, Misses: 50, Evictions: 10, Writebacks: 5}
-	return enc.Trace(123456, l1, l2)
+	return flatTrace(func(enc *LLCEncoder) {
+		feedRandomLLCEvents(rand.New(rand.NewSource(seed)), enc, n)
+	})
+}
+
+// randomLLCContainer records the encodeRandomLLCStream(seed, n) stream
+// as a container.
+func randomLLCContainer(t testing.TB, seed int64, n, chunkBytes int) []byte {
+	return writeContainer(t, testMeta(), chunkBytes, func(enc *LLCEncoder) {
+		feedRandomLLCEvents(rand.New(rand.NewSource(seed)), enc, n)
+	})
+}
+
+// containerEvents decodes every chunk of r the way replay does and
+// concatenates the events, rebasing each mark onto the whole sequence.
+func containerEvents(t *testing.T, r *Reader) ([]cache.Probe, []Mark) {
+	t.Helper()
+	var probes []cache.Probe
+	var marks []Mark
+	for c := 0; c < r.Chunks(); c++ {
+		ck := r.decodeLLCChunk(c)
+		if ck.err != nil {
+			t.Fatalf("chunk %d: %v", c, ck.err)
+		}
+		for _, m := range ck.marks {
+			m.At += len(probes)
+			marks = append(marks, m)
+		}
+		probes = append(probes, ck.probes...)
+		r.release(ck.bytes)
+	}
+	return probes, marks
+}
+
+// setProcs sets GOMAXPROCS until the test ends. It selects ReplayLLC's
+// path: sequential at 1, else that many decode workers and a window of
+// twice as many chunks.
+func setProcs(t testing.TB, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// decodeAll decodes an LLC event body through the shared decoder in
+// windows of the given number of probes and of marks, concatenating the
+// probes and rebasing each mark onto the whole sequence.
+func decodeAll(data []byte, window int) ([]cache.Probe, []Mark) {
+	d := llcDecoder{data: data}
+	pwin, mwin := make([]cache.Probe, window), make([]Mark, window)
+	var probes []cache.Probe
+	var marks []Mark
+	for d.i < len(data) {
+		ps, ms := d.decode(pwin, mwin)
+		for _, m := range ms {
+			m.At += len(probes)
+			marks = append(marks, m)
+		}
+		probes = append(probes, ps...)
+	}
+	return probes, marks
 }
 
 // feedRandomLLCEvents drives the same pseudo-random event mix into any
@@ -55,11 +145,11 @@ func feedRandomLLCEvents(rng *rand.Rand, enc *LLCEncoder, n int) {
 // llcCounters distills the replay-visible state of a sim for equivalence
 // checks.
 type llcCounters struct {
-	instr      uint64
-	l1, l2     cache.Stats
-	llc        cache.Stats
-	dramR      uint64
-	dramW      uint64
+	instr  uint64
+	l1, l2 cache.Stats
+	llc    cache.Stats
+	dramR  uint64
+	dramW  uint64
 }
 
 func countersOf(sim *Sim) llcCounters {
@@ -78,13 +168,9 @@ func countersOf(sim *Sim) llcCounters {
 // exact probe sequence with every hook mark at its recorded position.
 func TestTraceContainerRoundTrip(t *testing.T) {
 	tr := encodeRandomLLCStream(3, 2000)
-	wantProbes, wantMarks := decodeLLCChunkEvents(tr.Bytes()[llcHeaderLen:], nil)
+	wantProbes, wantMarks := decodeAll(tr.Bytes()[llcHeaderLen:], replayWindow)
 	for _, chunkBytes := range []int{48, 512, DefaultChunkBytes} {
-		var buf bytes.Buffer
-		if err := WriteLLCContainer(tr, &buf, testMeta(), chunkBytes); err != nil {
-			t.Fatalf("chunk %d: WriteLLCContainer: %v", chunkBytes, err)
-		}
-		r, err := OpenContainerBytes(buf.Bytes())
+		r, err := OpenContainerBytes(randomLLCContainer(t, 3, 2000, chunkBytes))
 		if err != nil {
 			t.Fatalf("chunk %d: OpenContainerBytes: %v", chunkBytes, err)
 		}
@@ -100,21 +186,7 @@ func TestTraceContainerRoundTrip(t *testing.T) {
 		if err := r.Verify(); err != nil {
 			t.Fatalf("chunk %d: Verify on a fresh container: %v", chunkBytes, err)
 		}
-		var probes []cache.Probe
-		var marks []Mark
-		for c := 0; c < r.Chunks(); c++ {
-			p, err := r.chunkPayload(c)
-			if err != nil {
-				t.Fatalf("chunk %d: payload %d: %v", chunkBytes, c, err)
-			}
-			cp, cm := decodeLLCChunkEvents(p, nil)
-			for _, m := range cm {
-				m.At += len(probes)
-				marks = append(marks, m)
-			}
-			probes = append(probes, cp...)
-			r.release(int64(len(p)))
-		}
+		probes, marks := containerEvents(t, r)
 		if !reflect.DeepEqual(probes, wantProbes) || !reflect.DeepEqual(marks, wantMarks) {
 			t.Fatalf("chunk %d: container events diverge from the in-memory stream", chunkBytes)
 		}
@@ -122,9 +194,9 @@ func TestTraceContainerRoundTrip(t *testing.T) {
 }
 
 // TestLLCContainerRoundTrip pins the LLC container against LLCTrace.Replay
-// counter for counter, across chunk sizes, worker counts, and window
-// sizes, hookless and hooked — the equivalence the corpus-backed sweep
-// path rests on.
+// counter for counter, across chunk sizes and worker counts (and with
+// them window sizes), hookless and hooked — the equivalence the
+// corpus-backed sweep path rests on.
 func TestLLCContainerRoundTrip(t *testing.T) {
 	tr := encodeRandomLLCStream(5, 3000)
 	want := func(hook *countingHook) llcCounters {
@@ -140,39 +212,33 @@ func TestLLCContainerRoundTrip(t *testing.T) {
 	refHooked := want(refHook)
 
 	for _, chunkBytes := range []int{64, 1024, DefaultChunkBytes} {
-		var buf bytes.Buffer
-		if err := WriteLLCContainer(tr, &buf, testMeta(), chunkBytes); err != nil {
-			t.Fatalf("chunk %d: WriteLLCContainer: %v", chunkBytes, err)
-		}
-		r, err := OpenContainer(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+		data := randomLLCContainer(t, 5, 3000, chunkBytes)
+		r, err := OpenContainer(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			t.Fatalf("chunk %d: OpenContainer: %v", chunkBytes, err)
 		}
 		instr, l1, l2, stats := r.LLCTotals()
-		if instr != 123456 || l1 != tr.l1 || l2 != tr.l2 || stats != tr.Stats() {
+		if instr != testInstructions || l1 != tr.l1 || l2 != tr.l2 || stats != tr.Stats() {
 			t.Fatalf("chunk %d: LLC totals did not round trip (instr %d l1 %+v l2 %+v stats %+v)", chunkBytes, instr, l1, l2, stats)
 		}
 		if err := r.Verify(); err != nil {
 			t.Fatalf("chunk %d: Verify: %v", chunkBytes, err)
 		}
-		for _, opt := range []ReplayOptions{
-			{Workers: 1, Window: 1},
-			{Workers: 2, Window: 2},
-			{Workers: 4},
-			{},
-		} {
+		for _, procs := range []int{1, 2, 4} {
+			setProcs(t, procs)
 			sim := NewSim(cache.NewHierarchy(tinyConfig()), nil)
-			if err := r.ReplayLLC(sim, opt); err != nil {
-				t.Fatalf("chunk %d %+v: ReplayLLC: %v", chunkBytes, opt, err)
+			if err := r.ReplayLLC(sim); err != nil {
+				t.Fatalf("chunk %d procs %d: ReplayLLC: %v", chunkBytes, procs, err)
 			}
 			if got := countersOf(sim); got != ref {
-				t.Fatalf("chunk %d %+v: container replay %+v != in-memory replay %+v", chunkBytes, opt, got, ref)
+				t.Fatalf("chunk %d procs %d: container replay %+v != in-memory replay %+v", chunkBytes, procs, got, ref)
 			}
 		}
 		// Hooked replay: marks must fire at their recorded positions.
+		setProcs(t, 3)
 		hook := &countingHook{}
 		sim := NewSim(cache.NewHierarchy(tinyConfig()), hook)
-		if err := r.ReplayLLC(sim, ReplayOptions{Workers: 3}); err != nil {
+		if err := r.ReplayLLC(sim); err != nil {
 			t.Fatalf("chunk %d hooked: ReplayLLC: %v", chunkBytes, err)
 		}
 		if got := countersOf(sim); got != refHooked {
@@ -193,26 +259,27 @@ func (h *countingHook) UpdateIndex(v graph.V) { h.updates++ }
 // many-chunk container under a small window must never hold more than
 // window x chunk payload bytes resident, far below the total stream size.
 func TestContainerWindowedAccounting(t *testing.T) {
-	tr := encodeRandomLLCStream(11, 20000)
-	var buf bytes.Buffer
-	if err := WriteLLCContainer(tr, &buf, testMeta(), 256); err != nil {
-		t.Fatalf("WriteLLCContainer: %v", err)
-	}
-	r, err := OpenContainer(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	data := randomLLCContainer(t, 11, 20000, 256)
+	r, err := OpenContainer(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatalf("OpenContainer: %v", err)
 	}
 	if r.Chunks() < 16 {
 		t.Fatalf("only %d chunks; the accounting test needs a long stream", r.Chunks())
 	}
-	const window = 3
+	const workers = 2
+	setProcs(t, workers)
+	window := 2 * workers
 	sim := NewSim(cache.NewHierarchy(tinyConfig()), nil)
-	if err := r.ReplayLLC(sim, ReplayOptions{Workers: 2, Window: window}); err != nil {
+	if err := r.ReplayLLC(sim); err != nil {
 		t.Fatalf("ReplayLLC: %v", err)
 	}
 	peak := r.MaxResidentBytes()
 	if peak == 0 {
 		t.Fatal("accounting recorded no resident bytes")
+	}
+	if r.resident.Load() != 0 {
+		t.Fatalf("%d payload bytes still charged after the replay", r.resident.Load())
 	}
 	if bound := int64(window) * r.MaxChunkBytes(); peak > bound {
 		t.Fatalf("peak resident %d bytes exceeds the window bound %d (window %d x max chunk %d)",
@@ -228,12 +295,7 @@ func TestContainerWindowedAccounting(t *testing.T) {
 // footer, or in the trailer — must come back as an error naming the
 // problem, never a panic or a silent misread.
 func TestContainerRejectsCorruption(t *testing.T) {
-	tr := encodeRandomLLCStream(7, 1500)
-	var buf bytes.Buffer
-	if err := WriteLLCContainer(tr, &buf, testMeta(), 128); err != nil {
-		t.Fatalf("WriteLLCContainer: %v", err)
-	}
-	valid := buf.Bytes()
+	valid := randomLLCContainer(t, 7, 1500, 128)
 	open := func(data []byte) (*Reader, error) {
 		return OpenContainer(bytes.NewReader(data), int64(len(data)))
 	}
@@ -300,9 +362,44 @@ func TestContainerRejectsCorruption(t *testing.T) {
 	if err := rd.Verify(); err == nil || !strings.Contains(err.Error(), "CRC") {
 		t.Errorf("Verify on a damaged chunk: %v, want CRC error", err)
 	}
-	sim := NewSim(cache.NewHierarchy(tinyConfig()), nil)
-	if err := rd.ReplayLLC(sim, ReplayOptions{Workers: 2}); err == nil {
-		t.Error("ReplayLLC replayed a chunk whose CRC does not match")
+	for _, procs := range []int{1, 2} {
+		setProcs(t, procs)
+		sim := NewSim(cache.NewHierarchy(tinyConfig()), nil)
+		if err := rd.ReplayLLC(sim); err == nil {
+			t.Errorf("procs %d: ReplayLLC replayed a chunk whose CRC does not match", procs)
+		}
+	}
+}
+
+// TestReplayLLCReleasesOnError pins the resident accounting across a
+// failed parallel replay: chunks decoded ahead of the damaged one must
+// give their charge back, or every later MaxResidentBytes reading of a
+// Reader the corpus shares across cells is inflated.
+func TestReplayLLCReleasesOnError(t *testing.T) {
+	setProcs(t, 4)
+	data := randomLLCContainer(t, 19, 20000, 256)
+	r, err := OpenContainerBytes(data)
+	if err != nil {
+		t.Fatalf("OpenContainerBytes: %v", err)
+	}
+	if r.Chunks() < 64 {
+		t.Fatalf("only %d chunks; the test needs many in flight", r.Chunks())
+	}
+	ci := r.chunks[1]
+	damaged := append([]byte{}, data...)
+	damaged[ci.off+int64(frameHeaderLen(ci))] ^= 0xff // chunk 1's first payload byte
+	rd, err := OpenContainerBytes(damaged)
+	if err != nil {
+		t.Fatalf("OpenContainerBytes(damaged): %v", err)
+	}
+	for run := 0; run < 8; run++ {
+		sim := NewSim(cache.NewHierarchy(tinyConfig()), nil)
+		if err := rd.ReplayLLC(sim); err == nil || !strings.Contains(err.Error(), "chunk 1 CRC") {
+			t.Fatalf("run %d: ReplayLLC on a damaged chunk 1: %v, want its CRC error", run, err)
+		}
+		if got := rd.resident.Load(); got != 0 {
+			t.Fatalf("run %d: %d payload bytes still charged after the failed replay", run, got)
+		}
 	}
 }
 
@@ -310,12 +407,8 @@ func TestContainerRejectsCorruption(t *testing.T) {
 // target preserves the event sequence, the stream totals, and the
 // metadata, and the result verifies clean.
 func TestContainerRechunk(t *testing.T) {
-	tr := encodeRandomLLCStream(9, 2500)
-	var small bytes.Buffer
-	if err := WriteLLCContainer(tr, &small, testMeta(), 96); err != nil {
-		t.Fatalf("WriteLLCContainer: %v", err)
-	}
-	rs, err := OpenContainer(bytes.NewReader(small.Bytes()), int64(small.Len()))
+	small := randomLLCContainer(t, 9, 2500, 96)
+	rs, err := OpenContainer(bytes.NewReader(small), int64(len(small)))
 	if err != nil {
 		t.Fatalf("OpenContainer(small): %v", err)
 	}
@@ -336,12 +429,16 @@ func TestContainerRechunk(t *testing.T) {
 	if err := rb.Verify(); err != nil {
 		t.Fatalf("Verify(rechunked): %v", err)
 	}
+	wantProbes, wantMarks := containerEvents(t, rs)
+	if probes, marks := containerEvents(t, rb); !reflect.DeepEqual(probes, wantProbes) || !reflect.DeepEqual(marks, wantMarks) {
+		t.Fatal("rechunked container events diverge from the source stream")
+	}
 	a := NewSim(cache.NewHierarchy(tinyConfig()), nil)
 	b := NewSim(cache.NewHierarchy(tinyConfig()), nil)
-	if err := rs.ReplayLLC(a, ReplayOptions{Workers: 1}); err != nil {
+	if err := rs.ReplayLLC(a); err != nil {
 		t.Fatalf("ReplayLLC(small): %v", err)
 	}
-	if err := rb.ReplayLLC(b, ReplayOptions{}); err != nil {
+	if err := rb.ReplayLLC(b); err != nil {
 		t.Fatalf("ReplayLLC(rechunked): %v", err)
 	}
 	if countersOf(a) != countersOf(b) {

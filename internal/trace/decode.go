@@ -1,89 +1,23 @@
 package trace
 
-import (
-	"encoding/binary"
-	"fmt"
+import "fmt"
 
-	"popt/internal/cache"
-)
+// This file is the untrusted-input half of the wire format. The shared
+// hot decoder (llcDecoder in llc.go) assumes bytes this process's encoder
+// produced and panics on corruption (badOp / badEOF / badLLCHeader), which
+// is the right contract for in-memory streams but not for bytes read back
+// off disk. Untrusted LLC bytes only ever arrive as container chunk
+// payloads, and the container reader runs scanLLCFrom over each one —
+// every opcode, every varint boundary — before the hot decoder touches it.
 
-// This file is the untrusted-input half of the wire format: the hot
-// replay paths in llc.go assume a stream produced by this process's
-// encoder and panic on corruption (badOp / badEOF / badLLCHeader), which
-// is the right contract for in-memory round trips but not for bytes read
-// back off disk. DecodeLLCTrace validates a byte stream completely —
-// header magic, format version, every opcode, every varint boundary —
-// and returns errors instead of panicking. A successfully decoded trace
-// is structurally sound by construction, so its Replay may keep using the
-// panic-based hot loop unchanged. The container reader runs the same
-// structural scan over every chunk payload before decoding it.
-
-// Bytes returns the encoded LLC stream, header included — the exact byte
-// form DecodeLLCTrace accepts. The slice aliases the trace's storage.
+// Bytes returns the encoded LLC stream, header included. The slice
+// aliases the trace's storage.
 func (t *LLCTrace) Bytes() []byte { return t.data }
 
-// DecodeLLCTrace validates data as an encoded LLC-visible stream and
-// returns it as a replayable LLCTrace, reading the setup-invariant totals
-// (instructions, L1/L2 statistics) back out of the header.
-func DecodeLLCTrace(data []byte) (*LLCTrace, error) {
-	if err := checkHeaderErr(data); err != nil {
-		return nil, err
-	}
-	at := 3
-	take := func() uint64 {
-		x := binary.LittleEndian.Uint64(data[at : at+8])
-		at += 8
-		return x
-	}
-	instructions := take()
-	var levels [2]cache.Stats
-	for i := range levels {
-		levels[i] = cache.Stats{
-			Accesses:   take(),
-			Hits:       take(),
-			Misses:     take(),
-			Evictions:  take(),
-			Writebacks: take(),
-		}
-	}
-	stats, err := scanLLC(data)
-	if err != nil {
-		return nil, err
-	}
-	return &LLCTrace{
-		data:         data,
-		instructions: instructions,
-		l1:           levels[0],
-		l2:           levels[1],
-		stats:        stats,
-	}, nil
-}
-
-// checkHeaderErr is the error-returning counterpart of checkLLCHeader.
-func checkHeaderErr(data []byte) error {
-	if len(data) < llcHeaderLen {
-		return fmt.Errorf("trace: llc stream truncated: %d byte(s), header needs %d", len(data), llcHeaderLen)
-	}
-	if data[0] != magic0 || data[1] != magicLLC1 {
-		return fmt.Errorf("trace: not a llc stream: magic % x, want %c%c", data[:2], magic0, magicLLC1)
-	}
-	if data[2] != LLCFormatVersion {
-		return fmt.Errorf("trace: llc stream is format version %d, this decoder reads version %d; re-record the trace or migrate the corpus", data[2], LLCFormatVersion)
-	}
-	return nil
-}
-
-// scanLLC walks every event of an LLC-stream body, validating structure
-// and recomputing the statistics the encoder would have collected.
-func scanLLC(data []byte) (LLCStats, error) {
-	return scanLLCFrom(data, llcHeaderLen)
-}
-
-// scanLLCFrom validates LLC-stream event bytes starting at i — the whole
-// body for DecodeLLCTrace, a single headerless chunk payload for the
-// container reader. The opcode dispatch mirrors LLCTrace.Replay arm for
-// arm; the codecpair analyzer holds every decoder to the encoder's opcode
-// payloads.
+// scanLLCFrom validates LLC-stream event bytes starting at i (a headerless
+// chunk payload) and recomputes the statistics the encoder collected. The
+// opcode dispatch mirrors llcDecoder.decode arm for arm; the codecpair
+// analyzer holds both decoders to the encoder's opcode payloads.
 //
 //popt:codec llc dec
 func scanLLCFrom(data []byte, i int) (LLCStats, error) {

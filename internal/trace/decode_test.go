@@ -19,10 +19,11 @@ func tinyConfig() cache.Config {
 	}
 }
 
-// TestDecodeLLCTraceRoundTrip checks the LLC decoder reads the totals
-// back out of the header and that a decoded stream replays exactly like
-// the original.
-func TestDecodeLLCTraceRoundTrip(t *testing.T) {
+// TestScanLLCFrom holds the validating scan to its contract on headerless
+// event bytes, the form untrusted chunk payloads take: a real body is
+// accepted with the encoder's own statistics, and every corruption comes
+// back as an error naming the problem, never a panic.
+func TestScanLLCFrom(t *testing.T) {
 	enc := NewLLCEncoder()
 	enc.LLCAccess(mem.Access{Addr: 1 << 20, PC: 3})
 	enc.LLCAccess(mem.Access{Addr: 1<<20 + 64, PC: 3, Write: true})
@@ -31,57 +32,28 @@ func TestDecodeLLCTraceRoundTrip(t *testing.T) {
 	enc.SetVertex(17)
 	enc.StartIteration()
 	enc.SetTile(5)
-	l1 := cache.Stats{Accesses: 100, Hits: 90, Misses: 10, Evictions: 4, Writebacks: 2}
-	l2 := cache.Stats{Accesses: 10, Hits: 5, Misses: 5, Evictions: 1, Writebacks: 1}
-	tr := enc.Trace(4242, l1, l2)
-
-	dec, err := DecodeLLCTrace(tr.Bytes())
-	if err != nil {
-		t.Fatalf("DecodeLLCTrace on a real stream: %v", err)
+	tr := enc.Trace(0, cache.Stats{}, cache.Stats{})
+	body := tr.Bytes()[llcHeaderLen:]
+	if got, err := scanLLCFrom(body, 0); err != nil || got != tr.Stats() {
+		t.Fatalf("scanLLCFrom on a real body: stats %+v, err %v; want %+v", got, err, tr.Stats())
 	}
-	if dec.instructions != 4242 || dec.l1 != l1 || dec.l2 != l2 {
-		t.Fatalf("header totals did not round trip: instructions=%d l1=%+v l2=%+v", dec.instructions, dec.l1, dec.l2)
-	}
-	if dec.Stats() != tr.Stats() {
-		t.Fatalf("recomputed stats %+v != encoder stats %+v", dec.Stats(), tr.Stats())
+	if got, err := scanLLCFrom(nil, 0); err != nil || got != (LLCStats{}) {
+		t.Fatalf("scanLLCFrom on an empty body: stats %+v, err %v", got, err)
 	}
 
-	simA := NewSim(cache.NewHierarchy(tinyConfig()), nil)
-	simB := NewSim(cache.NewHierarchy(tinyConfig()), nil)
-	tr.Replay(simA)
-	dec.Replay(simB)
-	if simA.Instructions != simB.Instructions ||
-		simA.H.LLC.Stats != simB.H.LLC.Stats ||
-		simA.H.DRAMReads != simB.H.DRAMReads || simA.H.DRAMWrites != simB.H.DRAMWrites {
-		t.Fatal("decoded LLC trace replays differently from the original")
-	}
-}
-
-// TestDecodeLLCTraceRejectsCorruptInput drives the error paths that the
-// panic-based hot replay deliberately does not have: every corruption,
-// including one inside the fixed-width header, must come back as an error
-// naming the problem.
-func TestDecodeLLCTraceRejectsCorruptInput(t *testing.T) {
-	valid := NewLLCEncoder().Trace(1, cache.Stats{}, cache.Stats{}).Bytes()
-	header := append([]byte{}, valid...) // a bare, valid header
-	badVersion := append([]byte{}, header...)
-	badVersion[2]++
 	cases := []struct {
 		name string
 		data []byte
 		want string
 	}{
-		{"empty", nil, "truncated"},
-		{"header only magic", []byte{magic0, magicLLC1, LLCFormatVersion}, "truncated"},
-		{"bad magic", append([]byte{'q', 'q'}, header[2:]...), "not a llc stream"},
-		{"future version", badVersion, "format version"},
-		{"unknown opcode", append(append([]byte{}, header...), 0x07), "opcode 7"},
-		{"missing payload", append(append([]byte{}, header...), lopWB), "truncated varint"},
-		{"truncated escaped pc", append(append([]byte{}, header...), lopAccessW|pcEscape<<4), "truncated varint"},
+		{"unknown opcode", append(append([]byte{}, body...), 0x07), "opcode 7"},
+		{"missing payload", []byte{lopWB}, "truncated varint"},
+		{"truncated escaped pc", []byte{lopAccessW | pcEscape<<4}, "truncated varint"},
+		{"dangling continuation", append(append([]byte{}, body...), lopSetTile, 0x80), "truncated varint"},
 	}
 	for _, tc := range cases {
-		if _, err := DecodeLLCTrace(tc.data); err == nil {
-			t.Errorf("%s: DecodeLLCTrace accepted corrupt input", tc.name)
+		if _, err := scanLLCFrom(tc.data, 0); err == nil {
+			t.Errorf("%s: scanLLCFrom accepted corrupt input", tc.name)
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
@@ -89,10 +61,9 @@ func TestDecodeLLCTraceRejectsCorruptInput(t *testing.T) {
 }
 
 // TestFormatVersionsRideTheHeaders pins the registry-to-wire link: the
-// byte each encoder writes at the version offset is the stream's
-// FormatVersions entry, and a mismatched version fails loudly — as an
-// error through the validating decoder and as a panic on the hot replay
-// path — rather than misdecoding.
+// byte the encoder writes at the version offset is the stream's
+// FormatVersions entry, and replaying a mismatched version fails loudly
+// rather than misdecoding.
 func TestFormatVersionsRideTheHeaders(t *testing.T) {
 	llc := NewLLCEncoder().Trace(0, cache.Stats{}, cache.Stats{}).Bytes()
 	if got := llc[2]; got != FormatVersions["llc"] {
@@ -101,12 +72,8 @@ func TestFormatVersionsRideTheHeaders(t *testing.T) {
 
 	mutated := append([]byte{}, llc...)
 	mutated[2]++
-	if _, err := DecodeLLCTrace(mutated); err == nil || !strings.Contains(err.Error(), "format version") {
-		t.Fatalf("DecodeLLCTrace on a version-bumped stream: %v, want format-version error", err)
-	}
-
-	// The hot path must refuse too: replaying under the wrong version
-	// would silently misdecode every delta that follows.
+	// Replaying under the wrong version would silently misdecode every
+	// delta that follows.
 	defer func() {
 		r := recover()
 		if r == nil {

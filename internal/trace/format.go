@@ -96,6 +96,6 @@ const containerTrailerLen = 20
 //
 //go:noinline
 func badLLCHeader(m0, m1, v byte) {
-	panic(fmt.Sprintf("trace: bad LLC stream header % x (want magic %c%c version %d); re-record the trace or decode it with DecodeLLCTrace",
+	panic(fmt.Sprintf("trace: bad LLC stream header % x (want magic %c%c version %d); the flat form is only built in-process, so this is an encoder bug",
 		[]byte{m0, m1, v}, magic0, magicLLC1, LLCFormatVersion))
 }

@@ -9,12 +9,16 @@ import (
 )
 
 // The fuzz targets below hold the validating decoders to their contract:
-// on arbitrary bytes they either return an error or return a stream whose
-// replay — the panic-based hot loop — runs to completion. Seeds are real
-// encoded streams plus hand-built corruptions near the interesting
-// boundaries (bare header, unknown opcode, dangling varint), so mutation
-// starts from well-formed structure instead of noise.
+// on arbitrary bytes they either return an error or accept bytes whose
+// replay through the panic-based hot decoder runs to completion. Seeds are
+// real encoded streams plus hand-built corruptions near the interesting
+// boundaries (unknown opcode, dangling varint), so mutation starts from
+// well-formed structure instead of noise.
 
+// FuzzDecodeLLCTrace fuzzes headerless LLC event bytes, the form
+// untrusted chunk payloads take, straight into the validator with no CRC
+// in front: whatever scanLLCFrom accepts must decode through the shared
+// decoder in small windows and feed a hooked sim without panicking.
 func FuzzDecodeLLCTrace(f *testing.F) {
 	enc := NewLLCEncoder()
 	enc.LLCAccess(mem.Access{Addr: 1 << 22, PC: 1})
@@ -23,20 +27,23 @@ func FuzzDecodeLLCTrace(f *testing.F) {
 	enc.SetVertex(9)
 	enc.StartIteration()
 	enc.SetTile(2)
-	l1 := cache.Stats{Accesses: 7, Hits: 5, Misses: 2, Evictions: 1, Writebacks: 1}
-	valid := enc.Trace(321, l1, cache.Stats{}).Bytes()
+	valid := enc.Trace(0, cache.Stats{}, cache.Stats{}).Bytes()[llcHeaderLen:]
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add(valid[:llcHeaderLen])
-	f.Add(append(append([]byte{}, valid[:llcHeaderLen]...), 0x07))
-	f.Add(append(append([]byte{}, valid[:llcHeaderLen]...), lopWB, 0xff))
+	f.Add(append(append([]byte{}, valid...), 0x07))
+	f.Add(append(append([]byte{}, valid...), lopWB, 0xff))
+	f.Add([]byte{lopAccessW | pcEscape<<4})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := DecodeLLCTrace(data)
-		if err != nil {
+		if _, err := scanLLCFrom(data, 0); err != nil {
 			return
 		}
-		sim := NewSim(cache.NewHierarchy(tinyConfig()), nil)
-		tr.Replay(sim)
+		sim := NewSim(cache.NewHierarchy(tinyConfig()), &countingHook{})
+		d := llcDecoder{data: data}
+		var probes [3]cache.Probe
+		var marks [2]Mark
+		for d.i < len(data) {
+			sim.feed(d.decode(probes[:], marks[:]))
+		}
 	})
 }
 
@@ -49,40 +56,35 @@ func FuzzDecodeLLCTrace(f *testing.F) {
 func FuzzReadContainer(f *testing.F) {
 	meta := Meta{Workload: "fuzz", Schedule: "pull", Scale: "tiny", Seed: 1}
 
-	lenc := NewLLCEncoder()
-	lenc.LLCAccess(mem.Access{Addr: 1 << 22, PC: 1})
-	lenc.LLCAccess(mem.Access{Addr: 1<<22 + 128, PC: 4000, Write: true})
-	lenc.LLCWriteback(1 << 16)
-	lenc.SetVertex(9)
-	lenc.StartIteration()
-	lenc.SetTile(2)
-	ltr := lenc.Trace(77, cache.Stats{Accesses: 3}, cache.Stats{})
-	var lbuf bytes.Buffer
-	if err := WriteLLCContainer(ltr, &lbuf, meta, 16); err != nil {
-		f.Fatal(err)
+	events := func(enc *LLCEncoder) {
+		enc.LLCAccess(mem.Access{Addr: 1 << 22, PC: 1})
+		enc.LLCAccess(mem.Access{Addr: 1<<22 + 128, PC: 4000, Write: true})
+		enc.LLCWriteback(1 << 16)
+		enc.SetVertex(9)
+		enc.StartIteration()
+		enc.SetTile(2)
 	}
-	var one bytes.Buffer // the same stream in a single chunk
-	if err := WriteLLCContainer(ltr, &one, meta, 0); err != nil {
-		f.Fatal(err)
-	}
+	lbuf := writeContainer(f, meta, 16, events)
+	one := writeContainer(f, meta, 0, events) // the same stream in a single chunk
 
-	f.Add(lbuf.Bytes())
-	f.Add(one.Bytes())
+	f.Add(lbuf)
+	f.Add(one)
 	f.Add([]byte{})
 	f.Add([]byte{magic0, magicContainer1, ContainerFormatVersion, KindLLC, LLCFormatVersion})
-	f.Add(lbuf.Bytes()[:lbuf.Len()-containerTrailerLen+3]) // truncated trailer
+	f.Add(lbuf[:len(lbuf)-containerTrailerLen+3]) // truncated trailer
 	flip := func(src []byte, at int) []byte {
 		m := append([]byte{}, src...)
 		m[at] ^= 0xff
 		return m
 	}
-	f.Add(flip(lbuf.Bytes(), lbuf.Len()-containerTrailerLen)) // footer offset
-	f.Add(flip(lbuf.Bytes(), containerHeaderLen+2))           // chunk frame header
-	f.Add(flip(lbuf.Bytes(), lbuf.Len()/2))                   // mid-stream
+	f.Add(flip(lbuf, len(lbuf)-containerTrailerLen)) // footer offset
+	f.Add(flip(lbuf, containerHeaderLen+2))          // chunk frame header
+	f.Add(flip(lbuf, len(lbuf)/2))                   // mid-stream
 	// A container of another inner stream kind, header and trailer alike.
-	foreign := append([]byte{}, lbuf.Bytes()...)
+	foreign := append([]byte{}, lbuf...)
 	foreign[3], foreign[len(foreign)-1] = 't', 't'
 	f.Add(foreign)
+	setProcs(f, 2) // replay through the parallel path
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := OpenContainer(bytes.NewReader(data), int64(len(data)))
@@ -93,6 +95,6 @@ func FuzzReadContainer(f *testing.F) {
 		// errors are fine (chunk damage is caught lazily).
 		_ = r.Verify()
 		sim := NewSim(cache.NewHierarchy(tinyConfig()), nil)
-		_ = r.ReplayLLC(sim, ReplayOptions{Workers: 2, Window: 2})
+		_ = r.ReplayLLC(sim)
 	})
 }

@@ -27,10 +27,10 @@ import (
 // carry the PC in the high nibble (hi = PC+1, pcEscape = explicit uvarint
 // PC; see varint.go).
 const (
-	lopAccessR byte = iota + 1 // [hi: PC+1 | escape] zigzag delta address
-	lopAccessW                 // [hi: PC+1 | escape] zigzag delta address
-	lopWB                      // zigzag delta line address
-	lopSetVertex               // zigzag delta vertex
+	lopAccessR   byte = iota + 1 // [hi: PC+1 | escape] zigzag delta address
+	lopAccessW                   // [hi: PC+1 | escape] zigzag delta address
+	lopWB                        // zigzag delta line address
+	lopSetVertex                 // zigzag delta vertex
 	lopStartIteration
 	lopSetTile // uvarint tile
 )
@@ -86,7 +86,7 @@ type LLCEncoder struct {
 func NewLLCEncoder() *LLCEncoder {
 	// chunkBytes is a sentinel no buffer reaches, so the hot per-event
 	// chunk check is one compare with no chunked/in-memory branch.
-	e := &LLCEncoder{buf: make([]byte, llcHeaderLen, 64 << 10), chunkBytes: math.MaxInt}
+	e := &LLCEncoder{buf: make([]byte, llcHeaderLen, 64<<10), chunkBytes: math.MaxInt}
 	e.buf[0], e.buf[1], e.buf[2] = magic0, magicLLC1, LLCFormatVersion
 	return e
 }
@@ -233,12 +233,31 @@ func (e *LLCEncoder) mark(m Mark) {
 	}
 }
 
+// encode re-encodes a decoded event sequence — probes with marks placed
+// among them, as llcDecoder yields it — in stream order.
+func (e *LLCEncoder) encode(probes []cache.Probe, marks []Mark) {
+	for i := 0; ; i++ {
+		for len(marks) > 0 && marks[0].At == i {
+			e.mark(marks[0])
+			marks = marks[1:]
+		}
+		if i == len(probes) {
+			return
+		}
+		if p := probes[i]; p.Kind == cache.ProbeWB {
+			e.LLCWriteback(p.Addr)
+		} else {
+			e.LLCAccess(mem.Access{Addr: p.Addr, PC: p.PC, Write: p.Kind == cache.ProbeWrite})
+		}
+	}
+}
+
 // Trace finalizes the encoder. instructions is the recording run's
 // retired-instruction total and l1, l2 its upper-level statistics; all
 // three are invariant across LLC policy setups, so replays install them
-// directly. They are also written into the reserved header slots so the
-// encoded bytes are self-contained for the on-disk corpus (DecodeLLCTrace
-// reads them back). The encoder must not be used after Trace is called.
+// directly. They are also written into the reserved header slots, so the
+// encoded bytes are self-contained. The encoder must not be used after
+// Trace is called.
 func (e *LLCEncoder) Trace(instructions uint64, l1, l2 cache.Stats) *LLCTrace {
 	if e.cw != nil {
 		panic("trace: chunked LLCEncoder has no in-memory form; finalize with Finish")
@@ -283,47 +302,73 @@ func (t *LLCTrace) Size() int { return len(t.data) }
 // Stats returns the stream's event statistics.
 func (t *LLCTrace) Stats() LLCStats { return t.stats }
 
-// BytesPerEvent returns the encoded density.
-func (t *LLCTrace) BytesPerEvent() float64 {
-	n := t.stats.Events()
-	if n == 0 {
-		return 0
-	}
-	return float64(len(t.data)) / float64(n)
-}
+// replayWindow is the number of probes, and of marks, LLCTrace.Replay
+// decodes per window: stack arrays large enough that the per-window
+// AccessBatch call amortizes over long hookless runs, small enough to
+// stay L1-resident next to the decoder's delta state.
+const replayWindow = 256
 
 // Replay drives sim's LLC with the recorded stream and installs the
 // setup-invariant totals (instructions, L1/L2 statistics), reproducing a
 // live run byte-for-byte on every counter — the replay-equivalence
-// golden in internal/bench pins this across the policy zoo. Decoded
-// demand accesses and writebacks are collected into a fixed-size probe
-// batch and issued through cache.Level.AccessBatch, which preserves
-// event order and per-event semantics exactly (see its contract) while
-// amortizing the set-mapping branch and statistics traffic; the batch
-// mirrors cache.Hierarchy.Access's LLC branches probe for probe. Hook
-// events force a flush only when the sim actually has a hook — for a
-// hookless sim (the whole baseline policy zoo) they are decode-local
-// no-ops and the batch runs long. The stream header is checked once up
-// front: a magic or format-version mismatch fails loudly (badLLCHeader)
-// instead of misdecoding bytes laid out under another version.
+// golden in internal/bench pins this across the policy zoo. The body
+// decodes one fixed window of probes and marks at a time through the
+// shared llcDecoder and each window goes to the LLC through Sim.feed;
+// because cache.Level.AccessBatch is batching-invariant, where the
+// windows fall cannot show. The stream header is checked once up front:
+// a magic or format-version mismatch fails loudly (badLLCHeader) instead
+// of misdecoding bytes laid out under another version.
+//
+//popt:hot
+func (t *LLCTrace) Replay(sim *Sim) {
+	d := llcDecoder{data: t.data, i: checkLLCHeader(t.data)}
+	var probes [replayWindow]cache.Probe
+	var marks [replayWindow]Mark
+	for d.i < len(d.data) {
+		sim.feed(d.decode(probes[:], marks[:]))
+	}
+	sim.Instructions += t.instructions
+	sim.H.L1.Stats.Add(t.l1)
+	sim.H.L2.Stats.Add(t.l2)
+}
+
+// llcDecoder is the one decoder of LLC-stream event bytes, shared by flat
+// replay, container replay and rechunk. It is resumable: the delta state
+// and the byte position persist across decode calls, so a body can be
+// decoded one window at a time. The bytes must come from this process's
+// encoder or have passed scanLLCFrom; corruption panics (badOp, badEOF).
+type llcDecoder struct {
+	data   []byte
+	i      int
+	last   [pcSlots]uint64 // previous access address per PC slot
+	lastWB uint64          // previous writeback line address
+	lastV  graph.V
+}
+
+// decode decodes events from the current position into the caller's
+// probes and marks until the bytes end or the next event does not fit,
+// and returns the filled prefixes. Each mark's At indexes the returned
+// probes, so marks right after the last probe of a full window come back
+// with At == len(probes).
 //
 //popt:hot
 //popt:codec llc dec
-func (t *LLCTrace) Replay(sim *Sim) {
-	h := sim.H
-	llc := h.LLC
-	hooked := sim.Hook != nil
-	var last [pcSlots]uint64
-	var lastWB uint64
-	var lastV graph.V
-	var batch [cache.BatchMax]cache.Probe
-	n := 0
-	data := t.data
-	i := checkLLCHeader(data)
+func (d *llcDecoder) decode(probes []cache.Probe, marks []Mark) ([]cache.Probe, []Mark) {
+	data, i := d.data, d.i
+	last := &d.last
+	lastWB, lastV := d.lastWB, d.lastV
+	n, m := 0, 0
 	for i < len(data) {
 		b := data[i]
-		i++
 		op := b & opMask
+		if n == len(probes) || m == len(marks) {
+			// A window is full: stop at the first event that needs it.
+			probe := op == lopAccessR || op == lopAccessW || op == lopWB
+			if probe && n == len(probes) || !probe && m == len(marks) {
+				break
+			}
+		}
+		i++
 		switch op {
 		case lopAccessR, lopAccessW:
 			var pc uint64
@@ -332,142 +377,86 @@ func (t *LLCTrace) Replay(sim *Sim) {
 			} else {
 				pc, i = uvarint(data, i)
 			}
-			var d int64
+			var dl int64
 			if i < len(data) && data[i] < 0x80 {
 				ux := uint64(data[i])
-				d = int64(ux>>1) ^ -int64(ux&1)
+				dl = int64(ux>>1) ^ -int64(ux&1)
 				i++
 			} else {
-				d, i = varint(data, i)
+				dl, i = varint(data, i)
 			}
 			slot := uint16(pc) & pcSlotMask
-			addr := last[slot] + uint64(d)
+			addr := last[slot] + uint64(dl)
 			last[slot] = addr
 			kind := cache.ProbeRead
 			if op == lopAccessW {
 				kind = cache.ProbeWrite
 			}
-			if n == cache.BatchMax {
-				n = flushProbes(h, llc, &batch, n)
-			}
-			// The mask is a no-op (the flush above keeps n < BatchMax) that
-			// lets the compiler drop the bounds check from the event loop.
-			batch[n&(cache.BatchMax-1)] = cache.Probe{Addr: addr, PC: uint16(pc), Kind: kind}
+			probes[n] = cache.Probe{Addr: addr, PC: uint16(pc), Kind: kind}
 			n++
 		case lopWB:
-			d, nn := varint(data, i)
+			dl, nn := varint(data, i)
 			i = nn
-			lastWB += uint64(d)
-			if n == cache.BatchMax {
-				n = flushProbes(h, llc, &batch, n)
-			}
-			batch[n&(cache.BatchMax-1)] = cache.Probe{Addr: lastWB, Kind: cache.ProbeWB}
+			lastWB += uint64(dl)
+			probes[n] = cache.Probe{Addr: lastWB, Kind: cache.ProbeWB}
 			n++
 		case lopSetVertex:
-			d, nn := varint(data, i)
+			dl, nn := varint(data, i)
 			i = nn
-			lastV = graph.V(int64(lastV) + d)
-			if hooked {
-				n = flushProbes(h, llc, &batch, n)
-				sim.SetVertex(lastV)
-			}
+			lastV = graph.V(int64(lastV) + dl)
+			marks[m] = Mark{At: n, Kind: MarkVertex, Val: int(lastV)}
+			m++
 		case lopStartIteration:
-			if hooked {
-				n = flushProbes(h, llc, &batch, n)
-				sim.StartIteration()
-			}
+			marks[m] = Mark{At: n, Kind: MarkIteration}
+			m++
 		case lopSetTile:
 			tl, nn := uvarint(data, i)
 			i = nn
-			if hooked {
-				n = flushProbes(h, llc, &batch, n)
-				sim.SetTile(int(tl))
-			}
+			marks[m] = Mark{At: n, Kind: MarkTile, Val: int(tl)}
+			m++
 		default:
 			badOp(op, i-1)
 		}
 	}
-	flushProbes(h, llc, &batch, n)
-	sim.Instructions += t.instructions
-	h.L1.Stats.Add(t.l1)
-	h.L2.Stats.Add(t.l2)
+	d.i, d.lastWB, d.lastV = i, lastWB, lastV
+	return probes[:n], marks[:m]
 }
 
-// reencodeLLCEvents decodes the event bytes of an in-memory LLC stream
-// starting at i and re-encodes each event through enc — the chunking path
-// of WriteLLCContainer and `popttrace rechunk`. The decode arms mirror
-// Replay opcode for opcode (codecpair holds them in lockstep); because
-// the chunked encoder resets its delta state at chunk boundaries, the
-// re-encoded bytes differ from the source stream's even though the event
-// sequence is identical.
+// feed issues decoded probes to the sim's LLC in order and folds their
+// DRAM traffic into the hierarchy. With a hook it runs the probes between
+// marks as one batch each and delivers every mark at its position;
+// without one the marks are no-ops and the whole slice is one batch.
 //
-//popt:codec llc dec
-func reencodeLLCEvents(data []byte, i int, enc *LLCEncoder) {
-	var last [pcSlots]uint64
-	var lastWB uint64
-	var lastV graph.V
-	for i < len(data) {
-		b := data[i]
-		i++
-		op := b & opMask
-		switch op {
-		case lopAccessR, lopAccessW:
-			var pc uint64
-			if hi := b >> 4; hi != pcEscape {
-				pc = uint64(hi - 1)
-			} else {
-				pc, i = uvarint(data, i)
-			}
-			d, nn := varint(data, i)
-			i = nn
-			slot := uint16(pc) & pcSlotMask
-			addr := last[slot] + uint64(d)
-			last[slot] = addr
-			enc.LLCAccess(mem.Access{Addr: addr, PC: uint16(pc), Write: op == lopAccessW})
-		case lopWB:
-			d, nn := varint(data, i)
-			i = nn
-			lastWB += uint64(d)
-			enc.LLCWriteback(lastWB)
-		case lopSetVertex:
-			d, nn := varint(data, i)
-			i = nn
-			lastV = graph.V(int64(lastV) + d)
-			enc.SetVertex(lastV)
-		case lopStartIteration:
-			enc.StartIteration()
-		case lopSetTile:
-			tl, nn := uvarint(data, i)
-			i = nn
-			enc.SetTile(int(tl))
-		default:
-			badOp(op, i-1)
-		}
-	}
-}
-
-// flushProbes issues the pending probe batch against the LLC and folds
-// the resulting DRAM traffic into the hierarchy's counters, returning
-// the new (empty) batch length. A plain function taking the batch array
-// by pointer — not a closure — so the batch stays on Replay's stack;
-// noinline keeps its once-per-batch bounds check from folding back into
-// the per-event decode loop.
-//
-//go:noinline
 //popt:hot
-func flushProbes(h *cache.Hierarchy, llc *cache.Level, batch *[cache.BatchMax]cache.Probe, n int) int {
-	if n > 0 {
-		dr, dw := llc.AccessBatch(batch[:n])
-		h.DRAMReads += dr
-		h.DRAMWrites += dw
+func (s *Sim) feed(probes []cache.Probe, marks []Mark) {
+	if s.Hook == nil {
+		marks = nil
 	}
-	return 0
+	at := 0
+	for _, m := range marks {
+		if at < m.At {
+			s.issue(probes[at:m.At])
+			at = m.At
+		}
+		s.hook(m)
+	}
+	s.issue(probes[at:])
+}
+
+// issue runs one batch of probes through the LLC.
+//
+//popt:hot
+func (s *Sim) issue(probes []cache.Probe) {
+	dr, dw := s.H.LLC.AccessBatch(probes)
+	s.H.DRAMReads += dr
+	s.H.DRAMWrites += dw
 }
 
 // checkLLCHeader validates the LLC-stream header and returns the index of
-// the first event byte. Mismatches panic out of line; replays of
-// untrusted bytes go through DecodeLLCTrace, which rejects them with an
-// error before this hot path ever runs.
+// the first event byte. Mismatches panic out of line: flat streams never
+// arrive from outside the process (untrusted bytes come only as container
+// chunk payloads, which scanLLCFrom validates), so a bad header here is a
+// programming error.
 //
 //popt:hot
 func checkLLCHeader(data []byte) int {

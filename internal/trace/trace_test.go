@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,12 +11,26 @@ import (
 	"popt/internal/mem"
 )
 
-// TestEncoderRoundTrip drives pseudo-random LLC event streams through the
-// encoder and checks the decoder yields the original probe sequence with
-// every hook event at its recorded position. Addresses span the full
-// uint64 range (delta encoding must survive wraparound) and PCs exceed the
-// slot count (collisions must only cost size, never correctness).
+// TestEncoderRoundTrip drives pseudo-random LLC event streams and the
+// window-boundary streams through the encoder and checks the decoder, at
+// several window sizes, yields the original probe sequence with every
+// hook event at its recorded position. Addresses span the full uint64
+// range (delta encoding must survive wraparound) and PCs exceed the slot
+// count (collisions must only cost size, never correctness).
 func TestEncoderRoundTrip(t *testing.T) {
+	check := func(name string, tr *LLCTrace, probes []cache.Probe, marks []Mark) {
+		t.Helper()
+		for _, window := range []int{1, 7, replayWindow} {
+			gotProbes, gotMarks := decodeAll(tr.Bytes()[llcHeaderLen:], window)
+			if !reflect.DeepEqual(gotProbes, probes) || !reflect.DeepEqual(gotMarks, marks) {
+				t.Fatalf("%s, window %d: round trip diverged (%d probes and %d marks in, %d and %d out)",
+					name, window, len(probes), len(marks), len(gotProbes), len(gotMarks))
+			}
+		}
+	}
+	for _, st := range boundaryStreams() {
+		check(st.name, flatTrace(st.encode), st.probes, st.marks)
+	}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		enc := NewLLCEncoder()
@@ -49,12 +64,7 @@ func TestEncoderRoundTrip(t *testing.T) {
 				probes = append(probes, cache.Probe{Addr: acc.Addr, PC: acc.PC, Kind: kind})
 			}
 		}
-		tr := enc.Trace(0, cache.Stats{}, cache.Stats{})
-		gotProbes, gotMarks := decodeLLCChunkEvents(tr.Bytes()[llcHeaderLen:], nil)
-		if !reflect.DeepEqual(gotProbes, probes) || !reflect.DeepEqual(gotMarks, marks) {
-			t.Fatalf("trial %d: round trip diverged (%d probes and %d marks in, %d and %d out)",
-				trial, len(probes), len(marks), len(gotProbes), len(gotMarks))
-		}
+		check(fmt.Sprintf("trial %d", trial), enc.Trace(0, cache.Stats{}, cache.Stats{}), probes, marks)
 	}
 }
 
@@ -66,7 +76,7 @@ func TestEncoderDeltaLocality(t *testing.T) {
 		enc.LLCAccess(mem.Access{Addr: 1<<30 + uint64(i)*64, PC: 3})
 	}
 	tr := enc.Trace(0, cache.Stats{}, cache.Stats{})
-	if bpe := tr.BytesPerEvent(); bpe > 3.5 {
+	if bpe := float64(len(tr.Bytes())) / float64(tr.Stats().Events()); bpe > 3.5 {
 		t.Errorf("sequential walk encodes at %.2f bytes/event, want <= 3.5", bpe)
 	}
 	if tr.Stats().Accesses != 10000 {
@@ -91,6 +101,145 @@ func TestTraceReplayIsRepeatable(t *testing.T) {
 	}
 	if runs[0].llc.Accesses == 0 || hooks[0].updates == 0 {
 		t.Fatalf("replay delivered nothing: %+v, %d hook updates", runs[0], hooks[0].updates)
+	}
+}
+
+// eventStream is a hand-placed LLC event sequence: probes, with marks
+// placed among them the way llcDecoder yields them.
+type eventStream struct {
+	name   string
+	probes []cache.Probe
+	marks  []Mark
+}
+
+// encode records the stream through enc.
+func (s eventStream) encode(enc *LLCEncoder) { enc.encode(s.probes, s.marks) }
+
+// boundaryStreams returns streams whose marks sit on and around the
+// replay window's edges: one before, on and after a boundary, a run of
+// back-to-back marks at one, marks with no probes at all, a stream that
+// ends in marks right at a full window, and a run of marks longer than
+// two mark windows.
+func boundaryStreams() []eventStream {
+	const w = replayWindow
+	rng := rand.New(rand.NewSource(3))
+	probes := func(n int) []cache.Probe {
+		ps := make([]cache.Probe, n)
+		for i := range ps {
+			// A small line pool in the tiny LLC, so replays hit, miss,
+			// evict dirty lines and take writeback hits alike.
+			addr := uint64(rng.Intn(96)) * mem.LineSize
+			switch rng.Intn(5) {
+			case 0:
+				ps[i] = cache.Probe{Addr: addr, Kind: cache.ProbeWB}
+			case 1:
+				ps[i] = cache.Probe{Addr: addr + 8, PC: 200, Kind: cache.ProbeWrite} // escaped PC
+			default:
+				ps[i] = cache.Probe{Addr: addr + 4, PC: uint16(rng.Intn(6)), Kind: cache.ProbeRead}
+			}
+		}
+		return ps
+	}
+	v := func(at, val int) Mark { return Mark{At: at, Kind: MarkVertex, Val: val} }
+	it := func(at int) Mark { return Mark{At: at, Kind: MarkIteration} }
+	tile := func(at, val int) Mark { return Mark{At: at, Kind: MarkTile, Val: val} }
+	var run []Mark // more back-to-back marks than one mark window holds
+	for k := 0; k <= 2*w; k++ {
+		run = append(run, v(5, k))
+	}
+	return []eventStream{
+		{"around a boundary", probes(3*w + 5), []Mark{v(0, 1), v(w-1, 5), it(w), tile(w+1, 3), v(2*w+1, 9)}},
+		{"back-to-back at a boundary", probes(2*w + 3), []Mark{v(w, 7), it(w), tile(w, 1), v(w, 8), v(2*w, 1), v(2*w, 2)}},
+		{"marks only", nil, []Mark{v(0, 1), it(0), tile(0, 2), v(0, 3)}},
+		{"ends in marks", probes(w), []Mark{v(w/2, 6), v(w, 4), tile(w, 5)}},
+		{"more marks than a window", probes(10), append(run, tile(10, 4))},
+	}
+}
+
+// logHook records every hook call with the LLC and DRAM counters at the
+// moment it fires, so a mark delivered one probe early or late shows.
+type logHook struct {
+	h   *cache.Hierarchy
+	log []string
+}
+
+func (l *logHook) note(call string) {
+	s := l.h.LLC.Stats
+	l.log = append(l.log, fmt.Sprintf("%s@%d/%d/%d/%d/%d", call, s.Accesses, s.Hits, s.Writebacks, l.h.DRAMReads, l.h.DRAMWrites))
+}
+
+func (l *logHook) UpdateIndex(v graph.V) { l.note(fmt.Sprintf("vertex %d", v)) }
+func (l *logHook) ResetEpoch()           { l.note("iteration") }
+func (l *logHook) SetTile(t int)         { l.note(fmt.Sprintf("tile %d", t)) }
+
+// replayOneByOne is the reference replay: each event of st issued alone
+// in stream order, a probe as a one-probe AccessBatch and a mark as the
+// hook call at once, then the recorded totals installed.
+func replayOneByOne(sim *Sim, st eventStream) {
+	h := sim.H
+	marks := st.marks
+	for i := 0; ; i++ {
+		for len(marks) > 0 && marks[0].At == i {
+			sim.hook(marks[0])
+			marks = marks[1:]
+		}
+		if i == len(st.probes) {
+			break
+		}
+		dr, dw := h.LLC.AccessBatch([]cache.Probe{st.probes[i]})
+		h.DRAMReads += dr
+		h.DRAMWrites += dw
+	}
+	sim.Instructions += testInstructions
+	h.L1.Stats.Add(testL1)
+	h.L2.Stats.Add(testL2)
+}
+
+// TestReplayWindowBoundaries checks flat and container replay, hooked and
+// hookless, against the event-at-a-time reference on streams whose marks
+// sit on window edges: every level's statistics, the DRAM counters, and
+// the hook call log (with the counters at each call) must match.
+func TestReplayWindowBoundaries(t *testing.T) {
+	for _, st := range boundaryStreams() {
+		for _, hooked := range []bool{false, true} {
+			run := func(replay func(*Sim)) (llcCounters, []string) {
+				sim := NewSim(cache.NewHierarchy(tinyConfig()), nil)
+				hook := &logHook{h: sim.H}
+				if hooked {
+					sim.Hook = hook
+				}
+				replay(sim)
+				return countersOf(sim), hook.log
+			}
+			want, wantLog := run(func(sim *Sim) { replayOneByOne(sim, st) })
+			if hooked && len(wantLog) != len(st.marks) {
+				t.Fatalf("%s: reference delivered %d hook calls for %d marks", st.name, len(wantLog), len(st.marks))
+			}
+			check := func(path string, got llcCounters, log []string) {
+				t.Helper()
+				if got != want || !reflect.DeepEqual(log, wantLog) {
+					t.Fatalf("%s, hooked %v, %s:\n got  %+v %q\n want %+v %q", st.name, hooked, path, got, log, want, wantLog)
+				}
+			}
+			tr := flatTrace(st.encode)
+			got, log := run(tr.Replay)
+			check("flat", got, log)
+			for _, chunkBytes := range []int{24, 64, 0} {
+				r, err := OpenContainerBytes(writeContainer(t, testMeta(), chunkBytes, st.encode))
+				if err != nil {
+					t.Fatalf("%s: OpenContainerBytes: %v", st.name, err)
+				}
+				for _, procs := range []int{1, 4} {
+					setProcs(t, procs)
+					got, log := run(func(sim *Sim) {
+						if err := r.ReplayLLC(sim); err != nil {
+							t.Fatalf("%s: ReplayLLC: %v", st.name, err)
+						}
+					})
+					check(fmt.Sprintf("container chunk %d procs %d", chunkBytes, procs), got, log)
+				}
+			}
+		}
 	}
 }
 
