@@ -19,20 +19,22 @@ func tinyConfig() cache.Config {
 	}
 }
 
-// TestScanLLCFrom holds the validating scan to its contract on headerless
-// event bytes, the form untrusted chunk payloads take: a real body is
-// accepted with the encoder's own statistics, and every corruption comes
-// back as an error naming the problem, never a panic.
-func TestScanLLCFrom(t *testing.T) {
-	enc := NewLLCEncoder()
-	enc.LLCAccess(mem.Access{Addr: 1 << 20, PC: 3})
-	enc.LLCAccess(mem.Access{Addr: 1<<20 + 64, PC: 3, Write: true})
-	enc.LLCAccess(mem.Access{Addr: 9999, PC: 200}) // escaped PC
-	enc.LLCWriteback(1 << 14)
-	enc.SetVertex(17)
-	enc.StartIteration()
-	enc.SetTile(5)
-	tr := enc.Trace(0, cache.Stats{}, cache.Stats{})
+// TestDecodeLLCTraceRoundTrip checks a hand-built stream through both
+// decoders: scanLLCFrom, the validating scan untrusted chunk payloads
+// pass through, recomputes the encoder's statistics from the headerless
+// body, and the same events recorded into a container carry the header
+// totals back out and replay exactly like the flat stream.
+func TestDecodeLLCTraceRoundTrip(t *testing.T) {
+	feed := func(enc *LLCEncoder) {
+		enc.LLCAccess(mem.Access{Addr: 1 << 20, PC: 3})
+		enc.LLCAccess(mem.Access{Addr: 1<<20 + 64, PC: 3, Write: true})
+		enc.LLCAccess(mem.Access{Addr: 9999, PC: 200}) // escaped PC
+		enc.LLCWriteback(1 << 14)
+		enc.SetVertex(17)
+		enc.StartIteration()
+		enc.SetTile(5)
+	}
+	tr := flatTrace(feed)
 	body := tr.Bytes()[llcHeaderLen:]
 	if got, err := scanLLCFrom(body, 0); err != nil || got != tr.Stats() {
 		t.Fatalf("scanLLCFrom on a real body: stats %+v, err %v; want %+v", got, err, tr.Stats())
@@ -41,6 +43,40 @@ func TestScanLLCFrom(t *testing.T) {
 		t.Fatalf("scanLLCFrom on an empty body: stats %+v, err %v", got, err)
 	}
 
+	r, err := OpenContainerBytes(writeContainer(t, testMeta(), 0, feed))
+	if err != nil {
+		t.Fatalf("OpenContainerBytes: %v", err)
+	}
+	instructions, l1, l2, stats := r.LLCTotals()
+	if instructions != testInstructions || l1 != testL1 || l2 != testL2 {
+		t.Fatalf("header totals did not round trip: instructions=%d l1=%+v l2=%+v", instructions, l1, l2)
+	}
+	if stats != tr.Stats() {
+		t.Fatalf("container stats %+v != encoder stats %+v", stats, tr.Stats())
+	}
+
+	flat := NewSim(cache.NewHierarchy(tinyConfig()), nil)
+	tr.Replay(flat)
+	chunked := NewSim(cache.NewHierarchy(tinyConfig()), nil)
+	if err := r.ReplayLLC(chunked); err != nil {
+		t.Fatalf("ReplayLLC: %v", err)
+	}
+	if countersOf(flat) != countersOf(chunked) {
+		t.Fatalf("container replay %+v differs from flat replay %+v", countersOf(chunked), countersOf(flat))
+	}
+}
+
+// TestDecodeLLCTraceRejectsCorruptInput drives the error paths: every
+// corruption of headerless event bytes, the form untrusted chunk payloads
+// take, comes back from scanLLCFrom as an error naming the problem, never
+// a panic; a bad flat-stream header, which only an encoder bug can
+// produce, panics naming the header instead of misdecoding.
+func TestDecodeLLCTraceRejectsCorruptInput(t *testing.T) {
+	enc := NewLLCEncoder()
+	enc.LLCAccess(mem.Access{Addr: 1 << 20, PC: 3})
+	enc.SetVertex(17)
+	valid := enc.Trace(1, cache.Stats{}, cache.Stats{}).Bytes()
+	body := valid[llcHeaderLen:]
 	cases := []struct {
 		name string
 		data []byte
@@ -57,6 +93,35 @@ func TestScanLLCFrom(t *testing.T) {
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+
+	header := valid[:llcHeaderLen]
+	badVersion := append([]byte{}, header...)
+	badVersion[2]++
+	headers := []struct {
+		name string
+		data []byte
+	}{
+		{"empty", nil},
+		{"header only magic", []byte{magic0, magicLLC1, LLCFormatVersion}},
+		{"bad magic", append([]byte{'q', 'q'}, header[2:]...)},
+		{"future version", badVersion},
+	}
+	for _, tc := range headers {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Errorf("%s: checkLLCHeader accepted a bad header", tc.name)
+				} else if msg, _ := r.(string); !strings.Contains(msg, "header") {
+					t.Errorf("%s: panic %v does not mention the header", tc.name, r)
+				}
+			}()
+			checkLLCHeader(tc.data)
+		}()
+	}
+	if got := checkLLCHeader(valid); got != llcHeaderLen {
+		t.Fatalf("checkLLCHeader on a valid stream returned %d, want %d", got, llcHeaderLen)
 	}
 }
 
