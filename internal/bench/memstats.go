@@ -23,7 +23,7 @@ func MemStats(c Config) *Report {
 		Notes: []string{
 			"adjacency = resident Out+In bytes under the resolved layout;",
 			"plain-equiv = the same adjacencies as plain CSR (8(n+1)+4m per direction);",
-			"reref = Rereference Matrix table at the paper's 8-bit default;",
+			"reref = Rereference Matrix table at the paper's 8-bit default (one byte per entry);",
 			"linerefs = merged transpose for 4 B irregular elements (T-OPT artifact).",
 			fmt.Sprintf("Corpus replay windows are bounded separately at window x chunk = %s on this host (%d workers, 2x window, %s chunks).",
 				HumanBytes(uint64(2*workers*trace.DefaultChunkBytes)), workers, HumanBytes(trace.DefaultChunkBytes)),
@@ -35,7 +35,7 @@ func MemStats(c Config) *Report {
 		n, m := g.NumVertices(), g.NumEdges()
 		adj := g.Out.MemBytes() + g.In.MemBytes()
 		plain := 2 * (8*uint64(n+1) + 4*uint64(m))
-		rr := rerefTableBytes(n)
+		rr := rerefTableBytes(n, 8)
 		lr := lineRefsBytes(n, m)
 		adjTotal += adj
 		plainTotal += plain
@@ -54,18 +54,22 @@ func MemStats(c Config) *Report {
 	return rep
 }
 
-// rerefTableBytes is the analytic size of core.BuildTable's entry matrix
-// at the paper's 8-bit default for a 4 B-element irregular array: one
-// uint16 per (cache line of the array) x (epoch), with min(256, n)
-// epochs.
-func rerefTableBytes(n int) uint64 {
+// rerefTableBytes is the analytic host size of core.BuildTable's entry
+// matrix at the given quantization width for a 4 B-element irregular
+// array: one entry per (cache line of the array) x (epoch), with
+// min(2^bits, n) epochs, each entry a byte up to 8 bits and two above.
+func rerefTableBytes(n int, bits uint) uint64 {
 	epl := mem.LineSize / 4
 	lines := (n + epl - 1) / epl
-	epochs := 256
+	epochs := 1 << bits
 	if epochs > n {
 		epochs = n
 	}
-	return 2 * uint64(lines) * uint64(epochs)
+	width := uint64(1)
+	if bits > 8 {
+		width = 2
+	}
+	return width * uint64(lines) * uint64(epochs)
 }
 
 // lineRefsBytes is the analytic size of core.BuildLineRefs' product for a

@@ -16,9 +16,11 @@ func TestMemStatsAnalyticSizes(t *testing.T) {
 	for _, g := range graph.Suite(graph.ScaleTiny, 42) {
 		n := g.NumVertices()
 		epl := mem.LineSize / 4
-		tab := core.BuildTable(&g.In, n, epl, core.InterIntra, 8)
-		if got, want := tab.MemBytes(), rerefTableBytes(n); got != want {
-			t.Errorf("%s: Table.MemBytes() = %d, analytic %d", g.Name, got, want)
+		for _, bits := range []uint{8, 16} {
+			tab := core.BuildTable(&g.In, n, epl, core.InterIntra, bits)
+			if got, want := tab.MemBytes(), rerefTableBytes(n, bits); got != want {
+				t.Errorf("%s: %d-bit Table.MemBytes() = %d, analytic %d", g.Name, bits, got, want)
+			}
 		}
 		lr := core.BuildLineRefs(&g.In, epl)
 		if got, want := lr.MemBytes(), lineRefsBytes(n, g.NumEdges()); got != want {

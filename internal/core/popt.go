@@ -18,11 +18,15 @@ type Stream struct {
 // LLC capacity and an epoch-boundary column stream — and breaks
 // next-reference ties with DRRIP.
 type POPT struct {
-	g       cache.Geometry
-	streams []Stream
-	cur     graph.V
-	epoch   int
-	tie     *cache.DRRIP
+	g cache.Geometry
+	// regs holds each stream's address registers, in stream order, and
+	// tables the distinct Rereference Matrices behind the streams (the
+	// first stream's first); both are fixed at construction.
+	regs   []irregRegs
+	tables []*Matrix
+	cur    graph.V
+	epoch  int
+	tie    *cache.DRRIP
 	// TieFirst disables the DRRIP tie-breaker (Section V-C) and keeps the
 	// first candidate instead; an ablation knob for how much the
 	// tie-breaking policy matters at a given quantization width.
@@ -55,12 +59,39 @@ func NewPOPT(streams ...Stream) *POPT {
 			panic("core: P-OPT streams must share epoch geometry")
 		}
 	}
-	return &POPT{streams: streams, tie: cache.NewDRRIP(1)}
+	p := &POPT{regs: make([]irregRegs, len(streams)), tie: cache.NewDRRIP(1)}
+	for i, s := range streams {
+		p.regs[i] = irregRegs{base: s.Arr.Base, size: s.Arr.SizeBytes(), m: s.M}
+		p.tables = appendDistinct(p.tables, s.M)
+	}
+	return p
+}
+
+// irregRegs is one stream's irreg_base/irreg_bound register pair (Section
+// V-B) with the matrix it selects: a line at addr belongs to the stream
+// iff addr-base < size, one unsigned compare (an address below base wraps
+// around to a huge offset).
+type irregRegs struct {
+	base, size uint64
+	m          *Matrix
+}
+
+// appendDistinct appends m to ms unless a matrix there already shares its
+// immutable Table (streams with identical line geometry share one table;
+// see BuildPOPT): the streaming engine moves each encoded table's column
+// once however many views exist.
+func appendDistinct(ms []*Matrix, m *Matrix) []*Matrix {
+	for _, x := range ms {
+		if x.Table == m.Table {
+			return ms
+		}
+	}
+	return append(ms, m)
 }
 
 // Name implements cache.Policy.
 func (p *POPT) Name() string {
-	switch p.streams[0].M.Kind {
+	switch p.tables[0].Kind {
 	case InterOnly:
 		return "P-OPT-inter-only"
 	case SingleEpoch:
@@ -76,40 +107,19 @@ func (p *POPT) Bind(g cache.Geometry) {
 	p.tie.Bind(g)
 }
 
-// matrices returns the distinct Rereference Matrices behind the streams,
-// deduplicated by their shared immutable Table (streams with identical
-// line geometry share one table; see BuildPOPT): the streaming engine
-// moves each encoded table's column once however many views exist.
-func (p *POPT) matrices() []*Matrix {
-	var ms []*Matrix
-	for _, s := range p.streams {
-		shared := false
-		for _, m := range ms {
-			if m.Table == s.M.Table {
-				shared = true
-				break
-			}
-		}
-		if !shared {
-			ms = append(ms, s.M)
-		}
-	}
-	return ms
-}
-
 // UpdateIndex models the update_index instruction. Crossing into a new
 // epoch triggers the streaming engine (stream_nextrefs): one column per
 // distinct matrix is fetched into the reserved ways.
 func (p *POPT) UpdateIndex(v graph.V) {
 	p.cur = v
-	if e := p.streams[0].M.EpochOf(v); e != p.epoch {
+	if e := p.tables[0].EpochOf(v); e != p.epoch {
 		p.epoch = e
 		p.streamColumns()
 	}
 }
 
 func (p *POPT) streamColumns() {
-	for _, m := range p.matrices() {
+	for _, m := range p.tables {
 		p.EpochStreams++
 		p.BytesStreamed += uint64(m.ColumnBytes())
 	}
@@ -127,7 +137,7 @@ func (p *POPT) ResetEpoch() {
 // resumption the streaming engine refetches the resident columns of every
 // distinct matrix into the reserved ways.
 func (p *POPT) ContextSwitch() {
-	for _, m := range p.matrices() {
+	for _, m := range p.tables {
 		p.EpochStreams++
 		p.BytesStreamed += uint64(m.ResidentBytes())
 	}
@@ -139,7 +149,7 @@ func (p *POPT) ContextSwitch() {
 // 2*numLines*1B with the default encoding).
 func (p *POPT) ReservedWays(sets int) int {
 	total := 0
-	for _, m := range p.matrices() {
+	for _, m := range p.tables {
 		total += m.ResidentBytes()
 	}
 	wayBytes := sets * mem.LineSize
@@ -155,10 +165,14 @@ func (p *POPT) OnFill(set, way int, acc mem.Access) { p.tie.OnFill(set, way, acc
 // OnEvict implements cache.Policy.
 func (p *POPT) OnEvict(set, way int) { p.tie.OnEvict(set, way) }
 
-func (p *POPT) stream(addr uint64) *Stream {
-	for i := range p.streams {
-		if p.streams[i].Arr.Contains(addr) {
-			return &p.streams[i]
+// stream returns the registers of the irregular stream holding addr, or
+// nil for streaming data.
+//
+//popt:hot
+func (p *POPT) stream(addr uint64) *irregRegs {
+	for i := range p.regs {
+		if addr-p.regs[i].base < p.regs[i].size {
+			return &p.regs[i]
 		}
 	}
 	return nil
@@ -172,7 +186,7 @@ func (p *POPT) stream(addr uint64) *Stream {
 //
 //popt:hot
 func (p *POPT) Victim(set int, lines []cache.Line, acc mem.Access) int {
-	t := p.streams[0].M.Table
+	t := p.tables[0].Table
 	e := t.EpochOf(p.cur)
 	sub := t.subEpochOf(p.cur, e)
 	best, bestDist, tied := -1, -1, false
@@ -181,7 +195,7 @@ func (p *POPT) Victim(set int, lines []cache.Line, acc mem.Access) int {
 		if s == nil {
 			return w
 		}
-		d := s.M.nextRefAt(s.Arr.LineID(lines[w].Addr), e, sub)
+		d := s.m.nextRefAt(int((lines[w].Addr-s.base)>>mem.LineShift), e, sub)
 		switch {
 		case d > bestDist:
 			best, bestDist, tied = w, d, false

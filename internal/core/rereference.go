@@ -75,8 +75,11 @@ type Table struct {
 	// the final access into SubEpochs partitions.
 	SubEpochs    int
 	SubEpochSize int
-	// entries is row-major: entries[line*NumEpochs+epoch].
-	entries []uint16
+	// entries is epoch-major, the order the hardware streams it: the
+	// entry of line l in epoch e is the (e*NumLines+l)-th, so each column
+	// is one contiguous run. An entry takes one byte up to 8 bits and two
+	// (little-endian) above; entry reads it.
+	entries []byte
 	// epochDiv/subDiv are precomputed fastdiv reciprocals for EpochSize
 	// and SubEpochSize: EpochOf and NextRef sit on P-OPT's victim-search
 	// hot path (one lookup per candidate way per replacement) and the
@@ -87,11 +90,28 @@ type Table struct {
 	subDiv   mem.Divider
 }
 
-// MemBytes returns the resident size of the table's entry matrix, for
+// MemBytes returns the host bytes of the table's entry matrix, for
 // footprint reports (-memstats); geometry fields and dividers are noise
 // beside it.
-func (t *Table) MemBytes() uint64 {
-	return 2 * uint64(len(t.entries))
+func (t *Table) MemBytes() uint64 { return uint64(len(t.entries)) }
+
+// entryBytes is the host width of one entry: a byte up to 8 bits, two
+// above (fig15's 16-bit tables).
+func (t *Table) entryBytes() int {
+	if t.Bits > 8 {
+		return 2
+	}
+	return 1
+}
+
+// entry returns the i-th entry of the epoch-major store.
+//
+//popt:hot
+func (t *Table) entry(i int) uint16 {
+	if t.Bits > 8 {
+		return binary.LittleEndian.Uint16(t.entries[2*i:])
+	}
+	return uint16(t.entries[i])
 }
 
 // initDividers precomputes the reciprocals of the epoch geometry; every
@@ -177,7 +197,6 @@ func BuildTable(refAdj *graph.Adj, numVertices, elemsPerLine int, kind Kind, bit
 	}
 	t.SubEpochSize = (t.EpochSize + t.SubEpochs - 1) / t.SubEpochs
 	t.NumLines = (refAdj.N() + elemsPerLine - 1) / elemsPerLine
-	t.entries = make([]uint16, t.NumLines*t.NumEpochs)
 	t.initDividers()
 	fillEntries(t, refAdj, numVertices)
 	return t
@@ -187,22 +206,30 @@ func BuildTable(refAdj *graph.Adj, numVertices, elemsPerLine int, kind Kind, bit
 // per worker the goroutine fan-out costs more than the column scans.
 const minLinesPerWorker = 256
 
-// fillEntries populates a Table whose geometry fields are already set,
-// partitioning rows across workers. Every row is computed from only its
-// own vertices' transpose lists and written to its own entries slice, so
-// the result is independent of the partitioning.
+// blockLines is how many rows fillLines encodes before writing them out:
+// each column then receives one contiguous run of blockLines entries (64
+// bytes at 8 bits, one host cache line) rather than one entry per row at a
+// stride of NumLines. Worker ranges start on block boundaries.
+const blockLines = 64
+
+// fillEntries allocates and populates the entries of a Table whose
+// geometry fields are already set, partitioning rows across workers.
+// Every row is computed from only its own vertices' transpose lists and
+// written only to its own entries, so the result is independent of the
+// partitioning.
 func fillEntries(t *Table, refAdj *graph.Adj, numVertices int) {
+	t.entries = make([]byte, t.NumLines*t.NumEpochs*t.entryBytes())
 	workers := runtime.GOMAXPROCS(0)
 	if max := t.NumLines / minLinesPerWorker; workers > max {
 		workers = max
 	}
 	if workers <= 1 {
-		t.fillLines(refAdj, numVertices, 0, t.NumLines,
-			make([]bool, t.NumEpochs), make([]uint16, t.NumEpochs))
+		t.fillLines(refAdj, numVertices, 0, t.NumLines)
 		return
 	}
 	var wg sync.WaitGroup
 	chunk := (t.NumLines + workers - 1) / workers
+	chunk = (chunk + blockLines - 1) / blockLines * blockLines
 	for lo := 0; lo < t.NumLines; lo += chunk {
 		hi := lo + chunk
 		if hi > t.NumLines {
@@ -211,34 +238,53 @@ func fillEntries(t *Table, refAdj *graph.Adj, numVertices int) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			t.fillLines(refAdj, numVertices, lo, hi,
-				make([]bool, t.NumEpochs), make([]uint16, t.NumEpochs))
+			t.fillLines(refAdj, numVertices, lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
 }
 
-// fillLines is the row worker of the parallel matrix build: it encodes the
-// rows [lo, hi) into t.entries. hasRef and lastSub are caller-provided
-// per-worker scratch of length NumEpochs (allocated outside so this inner
-// loop stays allocation-free).
+// fillLines is one worker of the parallel matrix build: it encodes the
+// rows [lo, hi) into t.entries, a block of blockLines rows at a time.
+func (t *Table) fillLines(refAdj *graph.Adj, numVertices, lo, hi int) {
+	hasRef := make([]bool, t.NumEpochs)
+	lastSub := make([]uint16, t.NumEpochs)
+	block := make([]byte, blockLines*t.NumEpochs*t.entryBytes())
+	n := refAdj.N()
+	vstart := lo * t.ElemsPerLine
+	if vstart > n {
+		vstart = n
+	}
+	it := refAdj.IterFrom(graph.V(vstart))
+	for b := lo; b < hi; b += blockLines {
+		rows := hi - b
+		if rows > blockLines {
+			rows = blockLines
+		}
+		t.encodeBlock(&it, n, numVertices, b, rows, block, hasRef, lastSub)
+		t.storeBlock(b, rows, block)
+	}
+}
+
+// encodeBlock encodes the rows [lo, lo+rows) into block, which holds them
+// epoch-major at the store's entry width: the entry of row lo+j in epoch e
+// goes to index e*blockLines+j. it iterates the n-vertex transpose; it must
+// stand at row lo's first vertex and is left at the next block's. hasRef and lastSub are per-worker scratch
+// of length NumEpochs (allocated outside so this inner loop stays
+// allocation-free).
 //
 //popt:hot
-func (t *Table) fillLines(refAdj *graph.Adj, numVertices, lo, hi int, hasRef []bool, lastSub []uint16) {
+func (t *Table) encodeBlock(it *graph.NeighborIter, n, numVertices, lo, rows int, block []byte, hasRef []bool, lastSub []uint16) {
 	kind, bits, elemsPerLine := t.Kind, t.Bits, t.ElemsPerLine
+	wide := t.entryBytes() == 2
 	maxDist := uint16(t.MaxDist())
 	msbMask := uint16(1) << (bits - 1)
 	nextBitMask := uint16(0)
 	if kind == SingleEpoch {
 		nextBitMask = 1 << (bits - 2)
 	}
-	n := refAdj.N()
-	vstart := lo * elemsPerLine
-	if vstart > n {
-		vstart = n
-	}
-	it := refAdj.IterFrom(graph.V(vstart))
-	for line := lo; line < hi; line++ {
+	for j := 0; j < rows; j++ {
+		line := lo + j
 		for e := range hasRef {
 			hasRef[e] = false
 			lastSub[e] = 0
@@ -271,7 +317,6 @@ func (t *Table) fillLines(refAdj *graph.Adj, numVertices, lo, hi int, hasRef []b
 		}
 		// Walk epochs backward, tracking the next referencing epoch.
 		next := -1 // -1 = no further reference
-		row := t.entries[line*t.NumEpochs : (line+1)*t.NumEpochs]
 		for e := t.NumEpochs - 1; e >= 0; e-- {
 			dist := int(maxDist)
 			if hasRef[e] {
@@ -281,24 +326,30 @@ func (t *Table) fillLines(refAdj *graph.Adj, numVertices, lo, hi int, hasRef []b
 					dist = d
 				}
 			}
+			var x uint16
 			switch kind {
 			case InterOnly:
-				row[e] = uint16(dist)
+				x = uint16(dist)
 			case InterIntra:
 				if hasRef[e] {
-					row[e] = lastSub[e] // MSB 0: intra info
+					x = lastSub[e] // MSB 0: intra info
 				} else {
-					row[e] = msbMask | uint16(dist)
+					x = msbMask | uint16(dist)
 				}
 			case SingleEpoch:
 				if hasRef[e] {
-					row[e] = lastSub[e]
+					x = lastSub[e]
 					if e+1 < t.NumEpochs && hasRef[e+1] {
-						row[e] |= nextBitMask
+						x |= nextBitMask
 					}
 				} else {
-					row[e] = msbMask | uint16(dist)
+					x = msbMask | uint16(dist)
 				}
+			}
+			if i := e*blockLines + j; wide {
+				binary.LittleEndian.PutUint16(block[2*i:], x)
+			} else {
+				block[i] = byte(x)
 			}
 			if hasRef[e] {
 				next = e
@@ -307,8 +358,18 @@ func (t *Table) fillLines(refAdj *graph.Adj, numVertices, lo, hi int, hasRef []b
 	}
 }
 
+// storeBlock writes the first rows rows of an encoded block into the
+// store at rows [lo, lo+rows): one contiguous copy per column.
+func (t *Table) storeBlock(lo, rows int, block []byte) {
+	w := t.entryBytes()
+	for e := 0; e < t.NumEpochs; e++ {
+		src := block[e*blockLines*w : (e*blockLines+rows)*w]
+		copy(t.entries[(e*t.NumLines+lo)*w:], src)
+	}
+}
+
 // Entry exposes the raw encoded entry for tests and diagnostics.
-func (t *Table) Entry(line, epoch int) uint16 { return t.entries[line*t.NumEpochs+epoch] }
+func (t *Table) Entry(line, epoch int) uint16 { return t.entry(epoch*t.NumLines + line) }
 
 // Checksum returns an FNV-1a hash of the table's geometry and entries.
 // Tests use it to assert that tables shared across concurrent sweep cells
@@ -323,10 +384,7 @@ func (t *Table) Checksum() uint64 {
 		binary.LittleEndian.PutUint64(buf[:], x)
 		h.Write(buf[:])
 	}
-	for _, e := range t.entries {
-		binary.LittleEndian.PutUint16(buf[:2], e)
-		h.Write(buf[:2])
-	}
+	h.Write(t.entries)
 	return h.Sum64()
 }
 
@@ -366,7 +424,7 @@ func (m *Matrix) NextRef(line int, cur graph.V) int {
 //
 //popt:hot
 func (m *Matrix) nextRefAt(line, e, sub int) int {
-	curr := m.entries[line*m.NumEpochs+e]
+	curr := m.entry(e*m.NumLines + line)
 	msbMask := uint16(1) << (m.Bits - 1)
 	lowMask := msbMask - 1
 
@@ -403,7 +461,7 @@ func (m *Matrix) nextRefAt(line, e, sub int) int {
 	if e+1 >= m.NumEpochs {
 		return m.MaxDist() + 1
 	}
-	next := m.entries[line*m.NumEpochs+e+1]
+	next := m.entry((e+1)*m.NumLines + line)
 	if next&msbMask != 0 {
 		return 1 + int(next&lowMask)
 	}
@@ -426,5 +484,6 @@ func (t *Table) ResidentColumns() int {
 // ResidentBytes returns the LLC footprint of the pinned columns.
 func (t *Table) ResidentBytes() int { return t.ResidentColumns() * t.ColumnBytes() }
 
-// TotalBytes returns the full Rereference Matrix size in memory.
-func (t *Table) TotalBytes() int { return (len(t.entries)*int(t.Bits) + 7) / 8 }
+// TotalBytes returns the full Rereference Matrix size in memory at the
+// encoded width (the host store may be wider; see MemBytes).
+func (t *Table) TotalBytes() int { return (t.NumLines*t.NumEpochs*int(t.Bits) + 7) / 8 }

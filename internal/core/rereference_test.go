@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -44,7 +46,6 @@ func rebuildWithEpochSize(ref *graph.Adj, numVertices, epl int, kind Kind, bits 
 	}
 	tt.SubEpochSize = (epochSize + tt.SubEpochs - 1) / tt.SubEpochs
 	tt.NumLines = (ref.N() + epl - 1) / epl
-	tt.entries = make([]uint16, tt.NumLines*tt.NumEpochs)
 	tt.initDividers()
 	fillEntries(tt, ref, numVertices)
 	return tt.NewMatrix()
@@ -226,79 +227,161 @@ func TestMatrixQuantizationWidths(t *testing.T) {
 	}
 }
 
-// TestNextRefAgainstOracle is the central property test: for random graphs
-// and positions, the quantized next reference must agree with the exact
-// transpose oracle at epoch granularity. InterIntra's value is exact when
-// the oracle distance is expressed in epochs (up to saturation), except for
-// the documented sub-epoch rounding inside the current epoch.
-func TestNextRefAgainstOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	g := graph.Uniform(2048, 16384, 21)
-	n := 2048
-	m := BuildMatrix(&g.Out, n, 16, InterIntra, 8)
-	for trial := 0; trial < 5000; trial++ {
-		line := rng.Intn(m.NumLines)
-		cur := graph.V(rng.Intn(n))
-		got := m.NextRef(line, cur)
+// tableKinds lists every (Kind, width) pair BuildTable accepts among the
+// widths the experiments use: SingleEpoch needs at least 5 bits.
+func tableKinds() (out []struct {
+	kind Kind
+	bits uint
+}) {
+	for _, kind := range []Kind{InterOnly, InterIntra, SingleEpoch} {
+		for _, bits := range []uint{4, 5, 8, 16} {
+			if kind == SingleEpoch && bits < 5 {
+				continue
+			}
+			out = append(out, struct {
+				kind Kind
+				bits uint
+			}{kind, bits})
+		}
+	}
+	return out
+}
 
-		// Oracle: exact next reference over the line's vertices, plus
-		// whether any reference (past or future) lands in the current
-		// epoch at a sub-epoch >= cur's — in that case Algorithm 2
-		// legitimately answers 0 (sub-epoch granularity; a reference at
-		// cur itself keeps lastSub >= currSub).
-		lo, hi := line*16, (line+1)*16
-		if hi > n {
-			hi = n
-		}
-		curEpoch := int(cur) / m.EpochSize
-		currSub := (int(cur) - curEpoch*m.EpochSize) / m.SubEpochSize
-		oracle := -1
-		zeroAllowed := false
-		for v := lo; v < hi; v++ {
-			if next, ok := g.Out.NextAfter(graph.V(v), cur); ok {
-				if oracle == -1 || int(next) < oracle {
-					oracle = int(next)
-				}
+// lineEpochs reads a line's exact per-epoch reference data straight off
+// the transpose: the epochs that reference it, each mapped to the
+// sub-epoch of its last reference there.
+func lineEpochs(m *Matrix, ref *graph.Adj, n, line int) map[int]int {
+	last := make(map[int]int)
+	for v := line * m.ElemsPerLine; v < (line+1)*m.ElemsPerLine && v < ref.N(); v++ {
+		for _, d := range ref.Neighs(graph.V(v)) {
+			if int(d) >= n {
+				continue
 			}
-			for _, d := range g.Out.Neighs(graph.V(v)) {
-				if int(d)/m.EpochSize == curEpoch {
-					sub := (int(d) - curEpoch*m.EpochSize) / m.SubEpochSize
-					if sub >= m.SubEpochs {
-						sub = m.SubEpochs - 1
+			e := int(d) / m.EpochSize
+			sub := (int(d) - e*m.EpochSize) / m.SubEpochSize
+			if sub >= m.SubEpochs {
+				sub = m.SubEpochs - 1
+			}
+			if l, ok := last[e]; !ok || sub > l {
+				last[e] = sub
+			}
+		}
+	}
+	return last
+}
+
+// wantNextRef evaluates Algorithm 2 for a line with the given lineEpochs
+// at outer-loop vertex cur. It shares no code with the table build, its
+// encoding or its storage, only the epoch geometry.
+func wantNextRef(m *Matrix, last map[int]int, cur graph.V) int {
+	maxD := m.MaxDist()
+	// dist is the saturated distance from epoch from to the first epoch at
+	// or after it that references the line.
+	dist := func(from int) int {
+		for e := from; e < m.NumEpochs && e-from < maxD; e++ {
+			if _, ok := last[e]; ok {
+				return e - from
+			}
+		}
+		return maxD
+	}
+	e := int(cur) / m.EpochSize
+	sub := (int(cur) - e*m.EpochSize) / m.SubEpochSize
+	l, hit := last[e]
+	switch {
+	case m.Kind == InterOnly || !hit:
+		return dist(e)
+	case sub <= l:
+		return 0
+	case m.Kind == SingleEpoch:
+		if _, ok := last[e+1]; ok {
+			return 1
+		}
+		return 2
+	case e+1 >= m.NumEpochs:
+		return maxD + 1
+	}
+	return 1 + dist(e+1)
+}
+
+// TestNextRefAgainstOracle is the central property test: for every
+// encoding and width, at line widths of 4 B elements and of bit
+// frontiers, NextRef must equal Algorithm 2 evaluated on the transpose
+// (lineEpochs, wantNextRef). That covers the 1- and 2-byte stores and the column
+// boundary: every fourth query sits in the last epoch, where Algorithm 2
+// has no next column, and every eighth asks for the last line. NextRef
+// must also never place a line further away than its exact next
+// reference, unless that reference is beyond the encodable distance.
+func TestNextRefAgainstOracle(t *testing.T) {
+	const n = 2048
+	g := graph.Uniform(n, 16384, 21)
+	for _, kb := range tableKinds() {
+		for _, epl := range []int{16, 512} {
+			t.Run(fmt.Sprintf("%v/%d-bit/%d-per-line", kb.kind, kb.bits, epl), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(17))
+				m := BuildMatrix(&g.Out, n, epl, kb.kind, kb.bits)
+				lastEpoch := (m.NumEpochs - 1) * m.EpochSize
+				epochs := make(map[int]map[int]int) // lineEpochs by line
+				for trial := 0; trial < 2000; trial++ {
+					line := rng.Intn(m.NumLines)
+					if trial%8 == 0 {
+						line = m.NumLines - 1
 					}
-					if sub >= currSub {
-						zeroAllowed = true
+					cur := graph.V(rng.Intn(n))
+					if trial%4 == 0 {
+						cur = graph.V(lastEpoch + rng.Intn(n-lastEpoch))
+					}
+					if epochs[line] == nil {
+						epochs[line] = lineEpochs(m, &g.Out, n, line)
+					}
+					got := m.NextRef(line, cur)
+					if want := wantNextRef(m, epochs[line], cur); got != want {
+						t.Fatalf("line %d cur %d: NextRef=%d, Algorithm 2 on the transpose gives %d", line, cur, got, want)
+					}
+					next := -1 // exact next reference after cur, if any
+					for v := line * epl; v < (line+1)*epl && v < n; v++ {
+						if x, ok := g.Out.NextAfter(graph.V(v), cur); ok && (next < 0 || int(x) < next) {
+							next = int(x)
+						}
+					}
+					if next >= 0 {
+						d := next/m.EpochSize - int(cur)/m.EpochSize
+						if d <= m.MaxDist() && got > d {
+							t.Fatalf("line %d cur %d: NextRef=%d beyond the next reference %d epochs away", line, cur, got, d)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestBuildTableWorkerInvariant holds BuildTable to its promise that the
+// entries are bit-identical at every worker count. Workers of the
+// epoch-major build write neighbouring runs of the same columns, so a
+// slipped chunk or block boundary shows here. 1000 lines is no multiple of
+// the 3-worker chunk (or of blockLines); 100 lines is below
+// minLinesPerWorker, so that build stays on one worker.
+func TestBuildTableWorkerInvariant(t *testing.T) {
+	const n = 4000
+	g := graph.Uniform(n, 32000, 5)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, kb := range tableKinds() {
+		for _, epl := range []int{4, 40} {
+			runtime.GOMAXPROCS(1)
+			serial := BuildTable(&g.Out, n, epl, kb.kind, kb.bits)
+			runtime.GOMAXPROCS(3)
+			par := BuildTable(&g.Out, n, epl, kb.kind, kb.bits)
+			if par.Checksum() != serial.Checksum() {
+				t.Errorf("%v %d-bit, %d lines: checksum differs between 1 and 3 workers", kb.kind, kb.bits, serial.NumLines)
+			}
+			for line := 0; line < serial.NumLines; line++ {
+				for e := 0; e < serial.NumEpochs; e++ {
+					if a, b := serial.Entry(line, e), par.Entry(line, e); a != b {
+						t.Fatalf("%v %d-bit: Entry(%d, %d) = %#x on 1 worker, %#x on 3", kb.kind, kb.bits, line, e, a, b)
 					}
 				}
 			}
-		}
-		if oracle == -1 {
-			// No future use: must report at least the current-epoch
-			// boundary; exact value depends on stale intra bits only when
-			// a past use exists in this epoch before cur — Algorithm 2
-			// handles that with the sub-epoch check, which can be off by
-			// at most the sub-epoch rounding. Distances must still be
-			// large unless rounding hides it.
-			if got == 0 {
-				// Permitted only if the final access shares cur's
-				// sub-epoch (rounding).
-				e := m.Entry(line, curEpoch)
-				if e>>(m.Bits-1) != 0 {
-					t.Fatalf("no future use but NextRef=0 with inter entry")
-				}
-			}
-			continue
-		}
-		oracleEpochDist := oracle/m.EpochSize - curEpoch
-		maxD := m.MaxDist()
-		wantMin, wantMax := oracleEpochDist, oracleEpochDist
-		if oracleEpochDist > maxD {
-			wantMin, wantMax = maxD, maxD+1 // saturated
-		}
-		ok := got >= wantMin && got <= wantMax || got == 0 && zeroAllowed
-		if !ok {
-			t.Fatalf("line %d cur %d: NextRef=%d oracle epoch dist=%d (allowed [%d,%d], zeroAllowed=%v)",
-				line, cur, got, oracleEpochDist, wantMin, wantMax, zeroAllowed)
 		}
 	}
 }
@@ -358,13 +441,13 @@ func TestEpochStreamAccounting(t *testing.T) {
 	if p.EpochStreams != 1 {
 		t.Fatalf("ResetEpoch should stream one column, got %d", p.EpochStreams)
 	}
-	es := p.streams[0].M.EpochSize
+	es := p.regs[0].m.EpochSize
 	p.UpdateIndex(graph.V(es)) // cross into epoch 1
 	p.UpdateIndex(graph.V(es + 1))
 	if p.EpochStreams != 2 {
 		t.Fatalf("EpochStreams = %d, want 2 (no re-stream within epoch)", p.EpochStreams)
 	}
-	wantBytes := uint64(2 * p.streams[0].M.ColumnBytes())
+	wantBytes := uint64(2 * p.regs[0].m.ColumnBytes())
 	if p.BytesStreamed != wantBytes {
 		t.Fatalf("BytesStreamed = %d, want %d", p.BytesStreamed, wantBytes)
 	}
@@ -384,10 +467,10 @@ func TestMatrixSharingBetweenSameGeometryStreams(t *testing.T) {
 	b := sp.AllocBytes("b", g.NumVertices(), 4, true) // same elems/line as a
 	fr := sp.Alloc("fr", g.NumVertices(), 1, true)    // different geometry
 	p := BuildPOPT(&g.Out, g.NumVertices(), InterIntra, 8, a, b, fr)
-	if p.streams[0].M != p.streams[1].M {
+	if p.regs[0].m != p.regs[1].m {
 		t.Error("same-geometry streams must share one matrix (Section V-F)")
 	}
-	if p.streams[0].M == p.streams[2].M {
+	if p.regs[0].m == p.regs[2].m {
 		t.Error("bit-vector stream cannot share the 4B stream's matrix")
 	}
 	// Reservation counts the shared matrix once: equal to a P-OPT with
@@ -409,7 +492,7 @@ func TestContextSwitchRefetchesColumns(t *testing.T) {
 	a := sp.AllocBytes("a", g.NumVertices(), 4, true)
 	p := BuildPOPT(&g.Out, g.NumVertices(), InterIntra, 8, a)
 	p.ContextSwitch()
-	want := uint64(p.streams[0].M.ResidentBytes())
+	want := uint64(p.regs[0].m.ResidentBytes())
 	if p.BytesStreamed != want {
 		t.Errorf("context switch streamed %d bytes, want resident %d", p.BytesStreamed, want)
 	}

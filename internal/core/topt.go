@@ -315,11 +315,13 @@ type memoEntry struct {
 	gen  uint32
 }
 
-// oracle is one irregular stream of a TOPT run: the caller's OracleStream
-// plus this run's next-reference memo, one entry per line.
+// oracle is one irregular stream of a TOPT run: the caller's OracleStream,
+// its address registers copied out of Arr (see irregRegs), and this run's
+// next-reference memo, one entry per line.
 type oracle struct {
 	OracleStream
-	memo []memoEntry
+	base, size uint64
+	memo       []memoEntry
 }
 
 // TOPT is transpose-based optimal replacement (Section III): at eviction
@@ -354,7 +356,8 @@ func NewTOPT(streams ...OracleStream) *TOPT {
 		if s.LR == nil {
 			s.LR = BuildLineRefs(s.Ref, s.Arr.ElemsPerLine())
 		}
-		p.streams[i] = oracle{OracleStream: s, memo: make([]memoEntry, len(s.LR.oa)-1)}
+		p.streams[i] = oracle{OracleStream: s, base: s.Arr.Base, size: s.Arr.SizeBytes(),
+			memo: make([]memoEntry, len(s.LR.oa)-1)}
 	}
 	return p
 }
@@ -406,9 +409,11 @@ func (p *TOPT) OnEvict(set, way int) { p.tie.OnEvict(set, way) }
 
 // stream returns the irregular stream containing addr, or nil (streaming
 // data), i.e. the irreg_base/irreg_bound register comparison.
+//
+//popt:hot
 func (p *TOPT) stream(addr uint64) *oracle {
 	for i := range p.streams {
-		if p.streams[i].Arr.Contains(addr) {
+		if addr-p.streams[i].base < p.streams[i].size {
 			return &p.streams[i]
 		}
 	}
@@ -429,7 +434,7 @@ func (p *TOPT) stream(addr uint64) *oracle {
 //
 //popt:hot
 func (p *TOPT) nextRef(s *oracle, addr uint64) int64 {
-	l := s.Arr.LineID(addr)
+	l := int((addr - s.base) >> mem.LineShift)
 	m := &s.memo[l]
 	if m.gen != p.gen {
 		m.pos, m.next = s.LR.seek(l, s.LR.oa[l], p.cur)
