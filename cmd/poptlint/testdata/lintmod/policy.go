@@ -4,17 +4,11 @@
 // It contains no //popt:hot functions, which the -hotpath tests rely on.
 package lintmod
 
-type Line struct {
-	Valid bool
-	Dirty bool
-	Addr  uint64
-}
-
 type Geometry struct{ Sets, Ways, ReservedWays int }
 
 type Access struct{ Addr uint64 }
 
-var leaked []Line
+var leaked []uint64
 
 type Leaky struct{ g Geometry }
 
@@ -24,7 +18,7 @@ func (p *Leaky) OnEvict(set, way int) {}
 func (p *Leaky) OnHit(set, way int)   {}
 func (p *Leaky) OnFill(set, way int)  {}
 
-func (p *Leaky) Victim(set int, lines []Line, acc Access) int {
-	leaked = lines
+func (p *Leaky) Victim(set int, tags []uint64, acc Access) int {
+	leaked = tags
 	return p.g.ReservedWays
 }

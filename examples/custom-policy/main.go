@@ -39,7 +39,7 @@ func (p *FIFO) OnFill(set, way int, acc mem.Access) {}
 func (p *FIFO) OnEvict(set, way int) {}
 
 // Victim implements cache.Policy: strict rotation over the usable ways.
-func (p *FIFO) Victim(set int, lines []cache.Line, acc mem.Access) int {
+func (p *FIFO) Victim(set int, tags []uint64, acc mem.Access) int {
 	usable := p.g.Ways - p.g.ReservedWays
 	w := p.g.ReservedWays + p.next[set]%usable
 	p.next[set]++

@@ -19,7 +19,7 @@ import (
 // callback, fill, eviction and counter lands exactly as the
 // one-event-at-a-time path would, whatever the batch size. The probe
 // slice is the caller's; AccessBatch borrows it for the call and retains
-// nothing, so it never aliases policy-borrowed line storage.
+// nothing, so it never aliases the policy-borrowed tag rows.
 
 // ProbeKind distinguishes the three event shapes a cache level sees
 // during LLC-trace replay.
@@ -100,7 +100,6 @@ func (l *Level) AccessBatch(ps []Probe) (dramReads, dramWrites uint64) {
 			if way < 0 {
 				dramWrites++
 			} else {
-				l.lines[base+way].Dirty = true
 				l.dirty[set] |= 1 << uint(way)
 				wbHits++
 			}
@@ -111,7 +110,6 @@ func (l *Level) AccessBatch(ps []Probe) (dramReads, dramWrites uint64) {
 		if way >= 0 {
 			hits++
 			if acc.Write {
-				l.lines[base+way].Dirty = true
 				l.dirty[set] |= 1 << uint(way)
 			}
 			if l.plru != nil {
@@ -146,20 +144,20 @@ func (l *Level) fillAt(set int, la uint64, acc mem.Access) (evicted Line, wasEvi
 	if free := ^l.valid[set] & l.demand; free != 0 {
 		way = bits.TrailingZeros64(free)
 	} else {
-		ws := l.lines[base : base+l.ways]
+		tags := l.tags[base : base+l.ways]
 		if l.plru != nil {
-			way = l.plru.Victim(set, ws, acc)
+			way = l.plru.Victim(set, tags, acc)
 		} else {
-			way = l.pol.Victim(set, ws, acc)
+			way = l.pol.Victim(set, tags, acc)
 		}
 		if way < l.resvd || way >= l.ways {
 			l.badVictim(way)
 		}
-		evicted, wasEvicted = ws[way], true
+		evicted = Line{Valid: true, Dirty: l.dirty[set]&(1<<uint(way)) != 0, Addr: tags[way]}
+		wasEvicted = true
 		l.Stats.Evictions++
 		l.pol.OnEvict(set, way)
 	}
-	l.lines[base+way] = Line{Valid: true, Dirty: acc.Write, Addr: la, PC: acc.PC}
 	l.tags[base+way] = la
 	bit := uint64(1) << uint(way)
 	l.valid[set] |= bit

@@ -49,8 +49,7 @@ func applySequential(l *Level, p Probe) (dramReads, dramWrites uint64) {
 }
 
 // levelStateEqual compares the complete replacement-visible state of two
-// levels: statistics, SoA tag index, valid/dirty masks, and the
-// canonical line storage.
+// levels: statistics, tags and valid/dirty masks.
 func levelStateEqual(t *testing.T, a, b *Level) {
 	t.Helper()
 	if a.Stats != b.Stats {
@@ -59,9 +58,6 @@ func levelStateEqual(t *testing.T, a, b *Level) {
 	for i := range a.tags {
 		if a.tags[i] != b.tags[i] {
 			t.Fatalf("tag %d diverges: %#x vs %#x", i, a.tags[i], b.tags[i])
-		}
-		if a.lines[i] != b.lines[i] {
-			t.Fatalf("line %d diverges: %+v vs %+v", i, a.lines[i], b.lines[i])
 		}
 	}
 	for s := range a.valid {
@@ -75,7 +71,7 @@ func levelStateEqual(t *testing.T, a, b *Level) {
 // TestAccessBatchMatchesSequential is the batch-probe equivalence
 // property: for mixed demand/writeback streams, every batch partition of
 // the stream leaves the level in exactly the state — counters, tags,
-// dirty bits, policy-visible line storage — that per-event
+// valid and dirty bits — that per-event
 // Access/Fill/MarkDirty calls produce, and reports the same DRAM
 // traffic. Covered across the set-mapping split (power-of-two mask vs
 // fastmod), policy dispatch split (devirtualized BitPLRU vs interface),

@@ -67,10 +67,10 @@ func (p *BeladyMIN) OnFill(set, way int, acc mem.Access) { p.step(acc.LineAddr()
 func (p *BeladyMIN) OnEvict(set, way int) {}
 
 // Victim implements Policy: furthest next use wins.
-func (p *BeladyMIN) Victim(set int, lines []Line, _ mem.Access) int {
+func (p *BeladyMIN) Victim(set int, tags []uint64, _ mem.Access) int {
 	best, bestNext := p.g.ReservedWays, -1
 	for w := p.g.ReservedWays; w < p.g.Ways; w++ {
-		next, ok := p.lineNext[lines[w].Addr]
+		next, ok := p.lineNext[tags[w]]
 		if !ok {
 			next = len(p.trace) // never primed: treat as dead
 		}

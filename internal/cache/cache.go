@@ -17,13 +17,14 @@ import (
 	"popt/internal/mem"
 )
 
-// Line is one cache line's bookkeeping. Addr is the full line-aligned
-// address (a simulator convenience standing in for tag+index).
+// Line describes one cache line handed back by a level: the victim Fill
+// displaced, or a dirty line Reserve pushed out. Addr is the full
+// line-aligned address (a simulator convenience standing in for
+// tag+index).
 type Line struct {
 	Valid bool
 	Dirty bool
 	Addr  uint64
-	PC    uint16
 }
 
 // Geometry describes a cache level to a policy at bind time.
@@ -47,9 +48,11 @@ type Policy interface {
 	// OnEvict is called just before a valid line at (set, way) is replaced.
 	OnEvict(set, way int)
 	// Victim selects the way to replace in set; every way in
-	// [ReservedWays, Ways) holds a valid line when called. lines aliases
-	// the set's storage and must not be modified.
-	Victim(set int, lines []Line, acc mem.Access) int
+	// [ReservedWays, Ways) holds a valid line when called. tags is the
+	// set's tag row: tags[w] is the line-aligned address in way w. It
+	// aliases the level's storage and must be neither modified nor
+	// retained.
+	Victim(set int, tags []uint64, acc mem.Access) int
 }
 
 // Stats accumulates per-level counters.
@@ -78,7 +81,7 @@ func (s *Stats) Add(other Stats) {
 	s.Writebacks += other.Writebacks
 }
 
-// tagSentinel marks an invalid or reserved way in the SoA tag index. Every
+// tagSentinel marks an invalid or reserved way in the tag store. Every
 // probe key is a line-aligned address (low LineShift bits zero), so the
 // all-ones pattern can never equal a real tag and Lookup's scan needs no
 // separate validity branch.
@@ -86,23 +89,19 @@ const tagSentinel = ^uint64(0)
 
 // Level is one set-associative cache level.
 //
-// Storage is kept in two synchronized forms. The canonical form is lines,
-// an array-of-structs that policies borrow in Victim (the borrow contract
-// enforced by policycontract/borrowflow/NewCheckedPolicy is expressed over
-// []Line and is untouched by the datapath layout). The probe path never
-// reads it: a structure-of-arrays index — tags, holding each way's
-// line-aligned address or tagSentinel, plus per-set valid/dirty bitmasks —
-// serves Lookup with a single-compare scan over a contiguous uint64 slice,
-// Fill's free-way pick with one TrailingZeros64, and Occupancy/Reserve
-// scans with popcounts. Every mutation (Fill, Invalidate, Reserve, Flush,
-// dirty-bit updates) writes both forms.
+// Its lines are held once, structure-of-arrays: tags, holding each way's
+// line-aligned address or tagSentinel, plus per-set valid/dirty bitmasks.
+// Lookup is a single-compare scan over a set's contiguous tag row, Fill's
+// free-way pick one TrailingZeros64, and Occupancy/Reserve scans
+// popcounts. Victim borrows the set's tag row read-only (the contract
+// policycontract, borrowflow and NewCheckedPolicy enforce); the Lines
+// Fill and Reserve hand back are values built from the three arrays.
 type Level struct {
 	Name  string
 	sets  int
 	ways  int
 	resvd int
-	lines []Line   // canonical AoS storage, sets*ways, row-major by set
-	tags  []uint64 // SoA index: Addr of valid demand ways, else tagSentinel
+	tags  []uint64 // sets*ways, row-major by set: Addr of valid ways, else tagSentinel
 	valid []uint64 // per-set way bitmask: bit w set iff way w holds a line
 	dirty []uint64 // per-set way bitmask: bit w set iff way w is dirty
 	// demand masks ways [resvd, ways): the ways Fill may allocate into.
@@ -141,7 +140,6 @@ func NewLevel(name string, sizeBytes, ways int, pol Policy) *Level {
 		Name:    name,
 		sets:    sets,
 		ways:    ways,
-		lines:   make([]Line, sets*ways),
 		tags:    make([]uint64, sets*ways),
 		valid:   make([]uint64, sets),
 		dirty:   make([]uint64, sets),
@@ -191,11 +189,10 @@ func (l *Level) Reserve(n int) (dirty []Line) {
 		l.Stats.Evictions += uint64(bits.OnesCount64(occupied))
 		for m := l.dirty[s] & occupied; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros64(m)
-			dirty = append(dirty, l.lines[s*l.ways+w])
+			dirty = append(dirty, Line{Valid: true, Dirty: true, Addr: l.tags[s*l.ways+w]})
 			l.Stats.Writebacks++
 		}
 		for w := 0; w < n; w++ {
-			l.lines[s*l.ways+w] = Line{}
 			l.tags[s*l.ways+w] = tagSentinel
 		}
 		l.valid[s] &^= resMask
@@ -219,9 +216,6 @@ func (l *Level) SetIndex(lineAddr uint64) int {
 	}
 	return int(l.setDiv.Mod(lineAddr >> mem.LineShift))
 }
-
-// set returns the slice of ways for set s.
-func (l *Level) set(s int) []Line { return l.lines[s*l.ways : (s+1)*l.ways] }
 
 // probe scans set's tag row for lineAddr, returning the way or -1. The
 // scan covers the whole row: reserved and invalid ways hold tagSentinel,
@@ -261,7 +255,6 @@ func (l *Level) Access(acc mem.Access) bool {
 	if way := l.probe(set, la); way >= 0 {
 		l.Stats.Hits++
 		if acc.Write {
-			l.lines[set*l.ways+way].Dirty = true
 			l.dirty[set] |= 1 << uint(way)
 		}
 		if l.plru != nil {
@@ -307,7 +300,6 @@ func (l *Level) MarkDirty(lineAddr uint64) bool {
 	if way < 0 {
 		return false
 	}
-	l.lines[set*l.ways+way].Dirty = true
 	l.dirty[set] |= 1 << uint(way)
 	l.Stats.Writebacks++
 	return true
@@ -321,7 +313,6 @@ func (l *Level) Invalidate(lineAddr uint64) (dirty, present bool) {
 		return false, false
 	}
 	dirty = l.dirty[set]&(1<<uint(way)) != 0
-	l.lines[set*l.ways+way] = Line{}
 	l.tags[set*l.ways+way] = tagSentinel
 	l.valid[set] &^= 1 << uint(way)
 	l.dirty[set] &^= 1 << uint(way)
@@ -329,8 +320,7 @@ func (l *Level) Invalidate(lineAddr uint64) (dirty, present bool) {
 }
 
 // Occupancy returns the number of valid demand lines (diagnostics/tests):
-// a popcount over the per-set valid masks rather than a walk of the line
-// array.
+// a popcount over the per-set valid masks.
 func (l *Level) Occupancy() int {
 	n := 0
 	for _, v := range l.valid {
@@ -345,9 +335,6 @@ func (l *Level) Occupancy() int {
 // re-bind a post-flush fill could inherit the flushed working set's
 // recency state.
 func (l *Level) Flush() {
-	for i := range l.lines {
-		l.lines[i] = Line{}
-	}
 	for i := range l.tags {
 		l.tags[i] = tagSentinel
 	}

@@ -175,9 +175,9 @@ func TestReserveReturnsDisplacedDirtyLines(t *testing.T) {
 	if len(dirty) != l.Sets() {
 		t.Fatalf("Reserve returned %d dirty lines, want %d", len(dirty), l.Sets())
 	}
-	for _, ln := range dirty {
-		if !ln.Valid || !ln.Dirty {
-			t.Fatalf("Reserve returned a non-dirty line: %+v", ln)
+	for s, ln := range dirty {
+		if !ln.Valid || !ln.Dirty || ln.Addr != lineInSet(l, s, 0) {
+			t.Fatalf("Reserve returned %+v for set %d, want its dirty way-0 line %#x", ln, s, lineInSet(l, s, 0))
 		}
 	}
 	if got := l.Stats.Evictions - evBefore; got != uint64(2*l.Sets()) {

@@ -9,7 +9,7 @@ import (
 // CheckedPolicy is a runtime complement to the static policycontract
 // analyzer: it wraps any Policy and panics on the contract violations the
 // analyzer cannot prove — a Victim outside [ReservedWays, Ways), mutation
-// of the borrowed lines slice, use before Bind, or callbacks arriving out
+// of the borrowed tag row, use before Bind, or callbacks arriving out
 // of protocol order (Victim → OnEvict → OnFill on an evicting miss,
 // OnFill alone on a free-way fill, OnHit only when no eviction is in
 // flight).
@@ -32,7 +32,7 @@ type CheckedPolicy struct {
 	pSet     int
 	pWay     int
 
-	snap []Line // scratch copy of lines for the mutation check
+	snap []uint64 // scratch copy of the tag row for the mutation check
 }
 
 // NewCheckedPolicy wraps p with runtime contract assertions. Name is
@@ -104,29 +104,29 @@ func (c *CheckedPolicy) OnHit(set, way int, acc mem.Access) {
 }
 
 // Victim forwards victim selection, asserting the returned way is legal
-// and the borrowed lines slice comes back byte-identical.
-func (c *CheckedPolicy) Victim(set int, lines []Line, acc mem.Access) int {
+// and the borrowed tag row comes back unchanged.
+func (c *CheckedPolicy) Victim(set int, tags []uint64, acc mem.Access) int {
 	c.requireBound("Victim")
 	if set < 0 || set >= c.g.Sets {
 		c.violatef("Victim with set %d outside [0, %d)", set, c.g.Sets)
 	}
-	if len(lines) != c.g.Ways {
-		c.violatef("Victim with %d lines for %d ways", len(lines), c.g.Ways)
+	if len(tags) != c.g.Ways {
+		c.violatef("Victim with %d tags for %d ways", len(tags), c.g.Ways)
 	}
 	if c.pending {
 		c.violatef("Victim(set=%d) while eviction of (set=%d, way=%d) is in flight", set, c.pSet, c.pWay)
 	}
-	for w := c.g.ReservedWays; w < len(lines); w++ {
-		if !lines[w].Valid {
+	for w := c.g.ReservedWays; w < len(tags); w++ {
+		if tags[w] == tagSentinel {
 			c.violatef("Victim(set=%d) with invalid line in way %d; Victim is only called on full sets", set, w)
 		}
 	}
-	c.snap = append(c.snap[:0], lines...)
-	way := c.inner.Victim(set, lines, acc)
-	for i := range lines {
-		if lines[i] != c.snap[i] {
-			c.violatef("Victim(set=%d) mutated lines[%d]: %+v -> %+v (lines aliases cache storage and is read-only)",
-				set, i, c.snap[i], lines[i])
+	c.snap = append(c.snap[:0], tags...)
+	way := c.inner.Victim(set, tags, acc)
+	for i := range tags {
+		if tags[i] != c.snap[i] {
+			c.violatef("Victim(set=%d) mutated tags[%d]: %#x -> %#x (tags aliases cache storage and is read-only)",
+				set, i, c.snap[i], tags[i])
 		}
 	}
 	if way < c.g.ReservedWays || way >= c.g.Ways {

@@ -9,11 +9,11 @@ import (
 
 // fakePolicy is a configurable misbehaving policy for exercising
 // CheckedPolicy. victim decides the returned way; mutate optionally
-// scribbles on the borrowed lines slice.
+// scribbles on the borrowed tag row.
 type fakePolicy struct {
 	g      Geometry
 	victim func(g Geometry) int
-	mutate func(lines []Line)
+	mutate func(tags []uint64)
 }
 
 func (f *fakePolicy) Name() string { return "fake" }
@@ -24,10 +24,10 @@ func (f *fakePolicy) OnHit(set, way int, a mem.Access)  {}
 func (f *fakePolicy) OnFill(set, way int, a mem.Access) {}
 func (f *fakePolicy) OnEvict(set, way int)              {}
 
-func (f *fakePolicy) Victim(set int, lines []Line, a mem.Access) int {
+func (f *fakePolicy) Victim(set int, tags []uint64, a mem.Access) int {
 	if f.mutate != nil {
 		//lint:allow policycontract,borrowflow (deliberately misbehaving test fake)
-		f.mutate(lines)
+		f.mutate(tags)
 	}
 	return f.victim(f.g)
 }
@@ -54,20 +54,18 @@ func mustViolate(t *testing.T, substr string, fn func()) {
 }
 
 // boundChecked returns a checker bound to a small geometry with two
-// reserved ways, plus a full set of valid lines for Victim calls.
-func boundChecked(f *fakePolicy) (*CheckedPolicy, []Line) {
+// reserved ways, plus the tag row of a full set for Victim calls: the
+// reserved ways hold the sentinel, as in a Level.
+func boundChecked(f *fakePolicy) (*CheckedPolicy, []uint64) {
 	c := NewCheckedPolicy(f)
 	c.Bind(Geometry{Sets: 4, Ways: 4, ReservedWays: 2})
-	lines := make([]Line, 4)
-	for i := range lines {
-		lines[i] = Line{Valid: true, Addr: uint64(i) * mem.LineSize}
-	}
-	return c, lines
+	tags := []uint64{tagSentinel, tagSentinel, 2 * mem.LineSize, 3 * mem.LineSize}
+	return c, tags
 }
 
 func TestCheckedPolicyPassthrough(t *testing.T) {
 	f := &fakePolicy{victim: func(g Geometry) int { return g.ReservedWays }}
-	c, lines := boundChecked(f)
+	c, tags := boundChecked(f)
 	if c.Name() != "fake" {
 		t.Fatalf("Name() = %q, want passthrough", c.Name())
 	}
@@ -81,7 +79,7 @@ func TestCheckedPolicyPassthrough(t *testing.T) {
 	// Free-way fill, hit, then a full eviction transaction: all legal.
 	c.OnFill(1, 2, a)
 	c.OnHit(1, 2, a)
-	w := c.Victim(0, lines, a)
+	w := c.Victim(0, tags, a)
 	if w != 2 {
 		t.Fatalf("Victim = %d, want 2", w)
 	}
@@ -93,28 +91,28 @@ func TestCheckedPolicyPassthrough(t *testing.T) {
 
 func TestCheckedPolicyVictimOutOfRange(t *testing.T) {
 	f := &fakePolicy{victim: func(g Geometry) int { return g.Ways }}
-	c, lines := boundChecked(f)
+	c, tags := boundChecked(f)
 	mustViolate(t, "outside [ReservedWays=2, Ways=4)", func() {
-		c.Victim(0, lines, mem.Access{})
+		c.Victim(0, tags, mem.Access{})
 	})
 }
 
 func TestCheckedPolicyVictimInReservedWay(t *testing.T) {
 	f := &fakePolicy{victim: func(g Geometry) int { return 0 }}
-	c, lines := boundChecked(f)
+	c, tags := boundChecked(f)
 	mustViolate(t, "outside [ReservedWays=2, Ways=4)", func() {
-		c.Victim(0, lines, mem.Access{})
+		c.Victim(0, tags, mem.Access{})
 	})
 }
 
 func TestCheckedPolicyVictimMutatesLines(t *testing.T) {
 	f := &fakePolicy{
 		victim: func(g Geometry) int { return g.ReservedWays },
-		mutate: func(lines []Line) { lines[3].Dirty = true },
+		mutate: func(tags []uint64) { tags[3] ^= mem.LineSize },
 	}
-	c, lines := boundChecked(f)
-	mustViolate(t, "mutated lines[3]", func() {
-		c.Victim(0, lines, mem.Access{})
+	c, tags := boundChecked(f)
+	mustViolate(t, "mutated tags[3]", func() {
+		c.Victim(0, tags, mem.Access{})
 	})
 }
 
@@ -122,7 +120,7 @@ func TestCheckedPolicyUseBeforeBind(t *testing.T) {
 	f := &fakePolicy{victim: func(g Geometry) int { return 0 }}
 	c := NewCheckedPolicy(f)
 	mustViolate(t, "Victim before Bind", func() {
-		c.Victim(0, make([]Line, 4), mem.Access{})
+		c.Victim(0, make([]uint64, 4), mem.Access{})
 	})
 	mustViolate(t, "OnHit before Bind", func() {
 		c.OnHit(0, 0, mem.Access{})
@@ -140,7 +138,7 @@ func TestCheckedPolicyBadGeometry(t *testing.T) {
 }
 
 func TestCheckedPolicyCallbackOrder(t *testing.T) {
-	mk := func() (*CheckedPolicy, []Line) {
+	mk := func() (*CheckedPolicy, []uint64) {
 		return boundChecked(&fakePolicy{victim: func(g Geometry) int { return g.ReservedWays }})
 	}
 	a := mem.Access{}
@@ -150,49 +148,49 @@ func TestCheckedPolicyCallbackOrder(t *testing.T) {
 		mustViolate(t, "no preceding Victim", func() { c.OnEvict(0, 2) })
 	})
 	t.Run("FillBeforeEvict", func(t *testing.T) {
-		c, lines := mk()
-		w := c.Victim(0, lines, a)
+		c, tags := mk()
+		w := c.Victim(0, tags, a)
 		mustViolate(t, "before OnEvict", func() { c.OnFill(0, w, a) })
 	})
 	t.Run("EvictWrongWay", func(t *testing.T) {
-		c, lines := mk()
-		c.Victim(0, lines, a)
+		c, tags := mk()
+		c.Victim(0, tags, a)
 		mustViolate(t, "does not match Victim's choice", func() { c.OnEvict(0, 3) })
 	})
 	t.Run("DuplicateEvict", func(t *testing.T) {
-		c, lines := mk()
-		w := c.Victim(0, lines, a)
+		c, tags := mk()
+		w := c.Victim(0, tags, a)
 		c.OnEvict(0, w)
 		mustViolate(t, "duplicate OnEvict", func() { c.OnEvict(0, w) })
 	})
 	t.Run("HitDuringEviction", func(t *testing.T) {
-		c, lines := mk()
-		c.Victim(0, lines, a)
+		c, tags := mk()
+		c.Victim(0, tags, a)
 		mustViolate(t, "while eviction", func() { c.OnHit(1, 2, a) })
 	})
 	t.Run("VictimDuringEviction", func(t *testing.T) {
-		c, lines := mk()
-		c.Victim(0, lines, a)
-		mustViolate(t, "while eviction", func() { c.Victim(1, lines, a) })
+		c, tags := mk()
+		c.Victim(0, tags, a)
+		mustViolate(t, "while eviction", func() { c.Victim(1, tags, a) })
 	})
 	t.Run("FillWrongWay", func(t *testing.T) {
-		c, lines := mk()
-		w := c.Victim(0, lines, a)
+		c, tags := mk()
+		w := c.Victim(0, tags, a)
 		c.OnEvict(0, w)
 		mustViolate(t, "does not match Victim's choice", func() { c.OnFill(0, 3, a) })
 	})
 	t.Run("VictimOnPartialSet", func(t *testing.T) {
-		c, lines := mk()
-		lines[3].Valid = false
-		mustViolate(t, "invalid line in way 3", func() { c.Victim(0, lines, a) })
+		c, tags := mk()
+		tags[3] = tagSentinel
+		mustViolate(t, "invalid line in way 3", func() { c.Victim(0, tags, a) })
 	})
 	t.Run("FillReservedWay", func(t *testing.T) {
 		c, _ := mk()
 		mustViolate(t, "reserved way 1", func() { c.OnFill(0, 1, a) })
 	})
 	t.Run("RebindAbortsTransaction", func(t *testing.T) {
-		c, lines := mk()
-		c.Victim(0, lines, a)
+		c, tags := mk()
+		c.Victim(0, tags, a)
 		c.Bind(Geometry{Sets: 4, Ways: 4, ReservedWays: 2}) // Reserve re-binds
 		c.OnHit(0, 2, a)                                    // legal again: the transaction was dropped
 	})

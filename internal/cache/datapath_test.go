@@ -7,42 +7,30 @@ import (
 	"popt/internal/mem"
 )
 
-// checkSoACoherence asserts the invariants tying the SoA index to the
-// canonical line array: tags mirror Addr exactly where a line is valid
-// (tagSentinel everywhere else), the valid/dirty bitmasks mirror the
-// per-line flags (dirty is a subset of valid), reserved ways never hold
-// lines, and Occupancy's popcount agrees with a direct walk.
+// checkSoACoherence asserts the invariants that tie a Level's line store
+// together: a way's valid bit is set exactly when its tag is not
+// tagSentinel, a valid tag maps to the set holding it, reserved ways never
+// hold lines, dirty is a subset of valid, and Occupancy's popcount agrees
+// with a walk of the tags.
 func checkSoACoherence(t *testing.T, l *Level) {
 	t.Helper()
 	walked := 0
 	for s := 0; s < l.sets; s++ {
 		for w := 0; w < l.ways; w++ {
-			ln := l.lines[s*l.ways+w]
-			bit := uint64(1) << uint(w)
-			if ln.Valid {
-				walked++
-				if w < l.resvd {
-					t.Fatalf("set %d way %d: valid line in reserved way (resvd=%d)", s, w, l.resvd)
-				}
-				if got := l.tags[s*l.ways+w]; got != ln.Addr {
-					t.Fatalf("set %d way %d: tag %#x != line addr %#x", s, w, got, ln.Addr)
-				}
-				if l.valid[s]&bit == 0 {
-					t.Fatalf("set %d way %d: valid line but valid bit clear", s, w)
-				}
-			} else {
-				if got := l.tags[s*l.ways+w]; got != tagSentinel {
-					t.Fatalf("set %d way %d: invalid line but tag %#x != sentinel", s, w, got)
-				}
-				if l.valid[s]&bit != 0 {
-					t.Fatalf("set %d way %d: invalid line but valid bit set", s, w)
-				}
-				if ln != (Line{}) {
-					t.Fatalf("set %d way %d: invalid line not zeroed: %+v", s, w, ln)
-				}
+			tag := l.tags[s*l.ways+w]
+			valid := l.valid[s]&(1<<uint(w)) != 0
+			if valid != (tag != tagSentinel) {
+				t.Fatalf("set %d way %d: valid bit %v but tag %#x", s, w, valid, tag)
 			}
-			if dirtyBit := l.dirty[s]&bit != 0; dirtyBit != ln.Dirty {
-				t.Fatalf("set %d way %d: dirty bit %v != line dirty %v", s, w, dirtyBit, ln.Dirty)
+			if !valid {
+				continue
+			}
+			walked++
+			if w < l.resvd {
+				t.Fatalf("set %d way %d: valid line in reserved way (resvd=%d)", s, w, l.resvd)
+			}
+			if got := l.SetIndex(tag); got != s {
+				t.Fatalf("set %d way %d: tag %#x maps to set %d", s, w, tag, got)
 			}
 		}
 		if l.dirty[s]&^l.valid[s] != 0 {
@@ -54,10 +42,10 @@ func checkSoACoherence(t *testing.T, l *Level) {
 	}
 }
 
-// TestSoAAoSCoherence drives every mutating entry point of a Level with a
-// randomized operation mix and cross-checks the SoA index (tags, bitmasks,
-// Occupancy) against the canonical []Line array after every step.
-func TestSoAAoSCoherence(t *testing.T) {
+// TestLineStoreCoherence drives every mutating entry point of a Level with
+// a randomized operation mix and checks the line store's invariants
+// (checkSoACoherence) after every step.
+func TestLineStoreCoherence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	// 12 sets x 4 ways (non-power-of-two set count) with a 3x-capacity
 	// address pool so fills, evictions and misses all occur constantly.

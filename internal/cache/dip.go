@@ -89,7 +89,7 @@ func (p *DIP) OnFill(set, way int, _ mem.Access) {
 func (p *DIP) OnEvict(int, int) {}
 
 // Victim implements Policy: oldest timestamp.
-func (p *DIP) Victim(set int, _ []Line, _ mem.Access) int {
+func (p *DIP) Victim(set int, _ []uint64, _ mem.Access) int {
 	base := set * p.g.Ways
 	best, bestTS := p.g.ReservedWays, p.ts[base+p.g.ReservedWays]
 	for w := p.g.ReservedWays + 1; w < p.g.Ways; w++ {

@@ -74,4 +74,4 @@ func (p *GRASP) OnFill(set, way int, acc mem.Access) {
 func (p *GRASP) OnEvict(int, int) {}
 
 // Victim implements Policy.
-func (p *GRASP) Victim(set int, _ []Line, _ mem.Access) int { return p.victim(set) }
+func (p *GRASP) Victim(set int, _ []uint64, _ mem.Access) int { return p.victim(set) }

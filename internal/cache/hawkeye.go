@@ -183,7 +183,7 @@ func (p *Hawkeye) OnEvict(set, way int) {
 
 // Victim implements Policy: prefer an averse (distant) line; otherwise the
 // oldest friendly line.
-func (p *Hawkeye) Victim(set int, _ []Line, _ mem.Access) int {
+func (p *Hawkeye) Victim(set int, _ []uint64, _ mem.Access) int {
 	base := set * p.g.Ways
 	best, bestRRPV := -1, -1
 	for w := p.g.ReservedWays; w < p.g.Ways; w++ {

@@ -159,7 +159,6 @@ func (h *Hierarchy) Run(accs []mem.Access) {
 		// Level.Access's hit arm, spelled out so the loop keeps it inline.
 		hits++
 		if acc.Write {
-			l1.lines[set*l1.ways+way].Dirty = true
 			l1.dirty[set] |= 1 << uint(way)
 		}
 		if plru != nil {

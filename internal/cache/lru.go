@@ -46,7 +46,7 @@ func (p *LRU) OnEvict(set, way int) {}
 // compare-and-branch scan mispredicts on nearly every eviction.
 //
 //popt:hot
-func (p *LRU) Victim(set int, _ []Line, _ mem.Access) int {
+func (p *LRU) Victim(set int, _ []uint64, _ mem.Access) int {
 	base := set * p.g.Ways
 	ts := p.ts[base+p.g.ReservedWays : base+p.g.Ways]
 	oldest := ts[0]
@@ -86,7 +86,7 @@ func (p *Random) OnFill(int, int, mem.Access) {}
 func (p *Random) OnEvict(int, int) {}
 
 // Victim implements Policy.
-func (p *Random) Victim(int, []Line, mem.Access) int {
+func (p *Random) Victim(int, []uint64, mem.Access) int {
 	return p.g.ReservedWays + p.rng.Intn(p.g.Ways-p.g.ReservedWays)
 }
 
@@ -152,7 +152,7 @@ func (p *BitPLRU) OnEvict(int, int) {}
 // never-touched set only).
 //
 //popt:hot
-func (p *BitPLRU) Victim(set int, _ []Line, _ mem.Access) int {
+func (p *BitPLRU) Victim(set int, _ []uint64, _ mem.Access) int {
 	if free := ^p.mru[set] & p.demand; free != 0 {
 		return bits.TrailingZeros64(free)
 	}

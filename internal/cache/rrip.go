@@ -74,7 +74,7 @@ func (p *SRRIP) OnFill(set, way int, _ mem.Access) { p.insert(set, way, p.max-1)
 func (p *SRRIP) OnEvict(int, int) {}
 
 // Victim implements Policy.
-func (p *SRRIP) Victim(set int, _ []Line, _ mem.Access) int { return p.victim(set) }
+func (p *SRRIP) Victim(set int, _ []uint64, _ mem.Access) int { return p.victim(set) }
 
 // BRRIP inserts at distant RRPV most of the time and long RRPV with
 // probability 1/32, giving thrash resistance.
@@ -109,7 +109,7 @@ func (p *BRRIP) OnFill(set, way int, _ mem.Access) {
 func (p *BRRIP) OnEvict(int, int) {}
 
 // Victim implements Policy.
-func (p *BRRIP) Victim(set int, _ []Line, _ mem.Access) int { return p.victim(set) }
+func (p *BRRIP) Victim(set int, _ []uint64, _ mem.Access) int { return p.victim(set) }
 
 // DRRIP set-duels SRRIP against BRRIP: a handful of leader sets are pinned
 // to each policy and a saturating PSEL counter steers follower sets to
@@ -187,7 +187,7 @@ func (p *DRRIP) OnFill(set, way int, _ mem.Access) {
 func (p *DRRIP) OnEvict(int, int) {}
 
 // Victim implements Policy.
-func (p *DRRIP) Victim(set int, _ []Line, _ mem.Access) int { return p.victim(set) }
+func (p *DRRIP) Victim(set int, _ []uint64, _ mem.Access) int { return p.victim(set) }
 
 // RRPV exposes a line's re-reference prediction value so higher-level
 // policies (P-OPT, T-OPT) can use DRRIP state to settle next-reference

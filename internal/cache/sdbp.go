@@ -157,12 +157,12 @@ func (p *SDBP) OnFill(set, way int, acc mem.Access) {
 func (p *SDBP) OnEvict(set, way int) { p.lru.OnEvict(set, way) }
 
 // Victim implements Policy: predicted-dead lines first, then LRU.
-func (p *SDBP) Victim(set int, lines []Line, acc mem.Access) int {
+func (p *SDBP) Victim(set int, tags []uint64, acc mem.Access) int {
 	base := set * p.g.Ways
 	for w := p.g.ReservedWays; w < p.g.Ways; w++ {
 		if p.dead[base+w] {
 			return w
 		}
 	}
-	return p.lru.Victim(set, lines, acc)
+	return p.lru.Victim(set, tags, acc)
 }

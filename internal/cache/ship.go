@@ -105,4 +105,4 @@ func (p *SHiP) OnEvict(set, way int) {
 }
 
 // Victim implements Policy.
-func (p *SHiP) Victim(set int, _ []Line, _ mem.Access) int { return p.victim(set) }
+func (p *SHiP) Victim(set int, _ []uint64, _ mem.Access) int { return p.victim(set) }

@@ -20,9 +20,8 @@ func fig3Setup(t *testing.T) (*graph.Graph, *mem.Array) {
 	return g, src
 }
 
-func lineFor(a *mem.Array, v int) cache.Line {
-	return cache.Line{Valid: true, Addr: a.Addr(v)}
-}
+// lineFor returns the tag of the line holding element v of a.
+func lineFor(a *mem.Array, v int) uint64 { return a.Addr(v) }
 
 func TestTOPTReplacementScenarioA(t *testing.T) {
 	// Scenario A (Fig. 3, center): processing D0, cache holds
@@ -32,8 +31,8 @@ func TestTOPTReplacementScenarioA(t *testing.T) {
 	p := BuildTOPT(&g.Out, src)
 	p.Bind(cache.Geometry{Sets: 1, Ways: 2})
 	p.UpdateIndex(0) // processing D0
-	lines := []cache.Line{lineFor(src, 1), lineFor(src, 2)}
-	victim := p.Victim(0, lines, mem.Access{Addr: src.Addr(4)})
+	tags := []uint64{lineFor(src, 1), lineFor(src, 2)}
+	victim := p.Victim(0, tags, mem.Access{Addr: src.Addr(4)})
 	if victim != 0 {
 		t.Errorf("scenario A: evicted way %d (S%d), want way 0 (S1)", victim, victim+1)
 	}
@@ -47,8 +46,8 @@ func TestTOPTReplacementScenarioB(t *testing.T) {
 	p := BuildTOPT(&g.Out, src)
 	p.Bind(cache.Geometry{Sets: 1, Ways: 2})
 	p.UpdateIndex(1) // processing D1
-	lines := []cache.Line{lineFor(src, 4), lineFor(src, 2)}
-	victim := p.Victim(0, lines, mem.Access{Addr: src.Addr(3)})
+	tags := []uint64{lineFor(src, 4), lineFor(src, 2)}
+	victim := p.Victim(0, tags, mem.Access{Addr: src.Addr(3)})
 	if victim != 1 {
 		t.Errorf("scenario B: evicted way %d, want way 1 (S2)", victim)
 	}
@@ -61,12 +60,12 @@ func TestTOPTPrefersStreamingData(t *testing.T) {
 	p := BuildTOPT(&g.Out, src)
 	p.Bind(cache.Geometry{Sets: 1, Ways: 3})
 	p.UpdateIndex(0)
-	lines := []cache.Line{
+	tags := []uint64{
 		lineFor(src, 1),
-		{Valid: true, Addr: 0x10}, // outside srcData: streaming
+		0x10, // outside srcData: streaming
 		lineFor(src, 2),
 	}
-	if victim := p.Victim(0, lines, mem.Access{Addr: src.Addr(4)}); victim != 1 {
+	if victim := p.Victim(0, tags, mem.Access{Addr: src.Addr(4)}); victim != 1 {
 		t.Errorf("victim = %d, want the streaming way 1", victim)
 	}
 }
@@ -78,8 +77,8 @@ func TestTOPTEvictsNoFutureUseFirst(t *testing.T) {
 	p := BuildTOPT(&g.Out, src)
 	p.Bind(cache.Geometry{Sets: 1, Ways: 2})
 	p.UpdateIndex(2)                                        // past D2's processing start; S0 next ref gone after D2
-	lines := []cache.Line{lineFor(src, 0), lineFor(src, 2)} // S2 referenced at D3
-	if victim := p.Victim(0, lines, mem.Access{Addr: src.Addr(4)}); victim != 0 {
+	tags := []uint64{lineFor(src, 0), lineFor(src, 2)} // S2 referenced at D3
+	if victim := p.Victim(0, tags, mem.Access{Addr: src.Addr(4)}); victim != 0 {
 		t.Errorf("victim = %d, want dead S0 at way 0", victim)
 	}
 }
@@ -91,8 +90,8 @@ func TestPOPTReplacementMatchesScenarios(t *testing.T) {
 	p := BuildPOPT(&g.Out, g.NumVertices(), InterIntra, 8, src)
 	p.Bind(cache.Geometry{Sets: 1, Ways: 2})
 	p.UpdateIndex(0)
-	lines := []cache.Line{lineFor(src, 1), lineFor(src, 2)}
-	if victim := p.Victim(0, lines, mem.Access{Addr: src.Addr(4)}); victim != 0 {
+	tags := []uint64{lineFor(src, 1), lineFor(src, 2)}
+	if victim := p.Victim(0, tags, mem.Access{Addr: src.Addr(4)}); victim != 0 {
 		t.Errorf("scenario A under P-OPT: victim %d, want 0 (S1)", victim)
 	}
 	// Scenario B exhibits the documented quantization boundary: with one
@@ -102,8 +101,8 @@ func TestPOPTReplacementMatchesScenarios(t *testing.T) {
 	// T-OPT (strictly-future references) would evict S2. Assert the
 	// Algorithm 2 semantics.
 	p.UpdateIndex(1)
-	lines = []cache.Line{lineFor(src, 4), lineFor(src, 2)}
-	if victim := p.Victim(0, lines, mem.Access{Addr: src.Addr(3)}); victim != 0 {
+	tags = []uint64{lineFor(src, 4), lineFor(src, 2)}
+	if victim := p.Victim(0, tags, mem.Access{Addr: src.Addr(3)}); victim != 0 {
 		t.Errorf("scenario B under P-OPT: victim %d, want 0 (S4, quantized view)", victim)
 	}
 }
@@ -113,8 +112,8 @@ func TestPOPTPrefersStreamingData(t *testing.T) {
 	p := BuildPOPT(&g.Out, g.NumVertices(), InterIntra, 8, src)
 	p.Bind(cache.Geometry{Sets: 1, Ways: 2})
 	p.UpdateIndex(0)
-	lines := []cache.Line{{Valid: true, Addr: 0x40}, lineFor(src, 1)}
-	if victim := p.Victim(0, lines, mem.Access{Addr: src.Addr(4)}); victim != 0 {
+	tags := []uint64{0x40, lineFor(src, 1)}
+	if victim := p.Victim(0, tags, mem.Access{Addr: src.Addr(4)}); victim != 0 {
 		t.Errorf("victim = %d, want streaming way 0", victim)
 	}
 }
@@ -124,13 +123,13 @@ func TestPOPTRespectsReservedWaysInVictim(t *testing.T) {
 	p := BuildPOPT(&g.Out, g.NumVertices(), InterIntra, 8, src)
 	p.Bind(cache.Geometry{Sets: 1, Ways: 3, ReservedWays: 1})
 	p.UpdateIndex(0)
-	lines := []cache.Line{
-		{Valid: true, Addr: 0x40}, // reserved way: must never be chosen
+	tags := []uint64{
+		0x40, // reserved way: must never be chosen
 		lineFor(src, 1),
 		lineFor(src, 2),
 	}
 	for i := 0; i < 4; i++ {
-		if victim := p.Victim(0, lines, mem.Access{Addr: src.Addr(4)}); victim == 0 {
+		if victim := p.Victim(0, tags, mem.Access{Addr: src.Addr(4)}); victim == 0 {
 			t.Fatal("P-OPT chose a reserved way")
 		}
 	}
@@ -146,13 +145,13 @@ func TestPOPTMultipleStreams(t *testing.T) {
 	p := BuildPOPT(&g.Out, 2048, InterIntra, 8, src, fr)
 	p.Bind(cache.Geometry{Sets: 1, Ways: 2})
 	p.UpdateIndex(0)
-	lines := []cache.Line{
-		{Valid: true, Addr: src.Addr(16)},
-		{Valid: true, Addr: fr.Addr(1024)},
+	tags := []uint64{
+		src.Addr(16),
+		fr.Addr(1024),
 	}
 	// Just exercise the path; the assertion is absence of panics plus a
 	// valid way.
-	if v := p.Victim(0, lines, mem.Access{Addr: src.Addr(512)}); v != 0 && v != 1 {
+	if v := p.Victim(0, tags, mem.Access{Addr: src.Addr(512)}); v != 0 && v != 1 {
 		t.Fatalf("invalid victim %d", v)
 	}
 	if p.Lookups != 1 {
@@ -180,13 +179,13 @@ func TestTiledPOPTSwitchesTiles(t *testing.T) {
 	tp.SetTile(0)
 	tp.UpdateIndex(0)
 	lo3 := int(seg.Tiles[3].SrcLo)
-	lines := []cache.Line{
-		{Valid: true, Addr: irr.Addr(lo3)}, // belongs to tile 3, dead now
-		{Valid: true, Addr: irr.Addr(0)},
-		{Valid: true, Addr: irr.Addr(16)},
-		{Valid: true, Addr: irr.Addr(32)},
+	tags := []uint64{
+		irr.Addr(lo3), // belongs to tile 3, dead now
+		irr.Addr(0),
+		irr.Addr(16),
+		irr.Addr(32),
 	}
-	if v := tp.Victim(0, lines, mem.Access{Addr: irr.Addr(48)}); v != 0 {
+	if v := tp.Victim(0, tags, mem.Access{Addr: irr.Addr(48)}); v != 0 {
 		t.Errorf("victim = %d, want the out-of-tile way 0", v)
 	}
 }
@@ -233,8 +232,8 @@ func TestTOPTTieCounting(t *testing.T) {
 	p := BuildTOPT(&g.Out, src)
 	p.Bind(cache.Geometry{Sets: 1, Ways: 2})
 	p.UpdateIndex(0)
-	lines := []cache.Line{lineFor(src, 0), lineFor(src, 1)}
-	v := p.Victim(0, lines, mem.Access{Addr: src.Addr(2)})
+	tags := []uint64{lineFor(src, 0), lineFor(src, 1)}
+	v := p.Victim(0, tags, mem.Access{Addr: src.Addr(2)})
 	if v != 0 && v != 1 {
 		t.Fatalf("invalid victim %d", v)
 	}

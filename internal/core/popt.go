@@ -185,17 +185,17 @@ func (p *POPT) stream(addr uint64) *irregRegs {
 // and sub-epoch are decoded once, since every stream shares that geometry.
 //
 //popt:hot
-func (p *POPT) Victim(set int, lines []cache.Line, acc mem.Access) int {
+func (p *POPT) Victim(set int, tags []uint64, acc mem.Access) int {
 	t := p.tables[0].Table
 	e := t.EpochOf(p.cur)
 	sub := t.subEpochOf(p.cur, e)
 	best, bestDist, tied := -1, -1, false
 	for w := p.g.ReservedWays; w < p.g.Ways; w++ {
-		s := p.stream(lines[w].Addr)
+		s := p.stream(tags[w])
 		if s == nil {
 			return w
 		}
-		d := s.m.nextRefAt(int((lines[w].Addr-s.base)>>mem.LineShift), e, sub)
+		d := s.m.nextRefAt(int((tags[w]-s.base)>>mem.LineShift), e, sub)
 		switch {
 		case d > bestDist:
 			best, bestDist, tied = w, d, false

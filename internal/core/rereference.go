@@ -268,10 +268,10 @@ func (t *Table) fillLines(refAdj *graph.Adj, numVertices, lo, hi int) {
 
 // encodeBlock encodes the rows [lo, lo+rows) into block, which holds them
 // epoch-major at the store's entry width: the entry of row lo+j in epoch e
-// goes to index e*blockLines+j. it iterates the n-vertex transpose; it must
-// stand at row lo's first vertex and is left at the next block's. hasRef and lastSub are per-worker scratch
-// of length NumEpochs (allocated outside so this inner loop stays
-// allocation-free).
+// goes to index e*blockLines+j. it walks the n-vertex transpose from row
+// lo's first vertex and is left at the next block's. hasRef and lastSub
+// are per-worker scratch of length NumEpochs (allocated outside so this
+// inner loop stays allocation-free).
 //
 //popt:hot
 func (t *Table) encodeBlock(it *graph.NeighborIter, n, numVertices, lo, rows int, block []byte, hasRef []bool, lastSub []uint16) {

@@ -120,8 +120,8 @@ func (tp *TilePolicy) OnFill(set, way int, acc mem.Access) {
 func (tp *TilePolicy) OnEvict(set, way int) { tp.tiles[tp.active].OnEvict(set, way) }
 
 // Victim implements cache.Policy.
-func (tp *TilePolicy) Victim(set int, lines []cache.Line, acc mem.Access) int {
-	return tp.tiles[tp.active].Victim(set, lines, acc)
+func (tp *TilePolicy) Victim(set int, tags []uint64, acc mem.Access) int {
+	return tp.tiles[tp.active].Victim(set, tags, acc)
 }
 
 // UpdateIndex implements VertexIndexed.

@@ -454,14 +454,14 @@ func (p *TOPT) nextRef(s *oracle, addr uint64) int64 {
 // DRRIP.
 //
 //popt:hot
-func (p *TOPT) Victim(set int, lines []cache.Line, acc mem.Access) int {
+func (p *TOPT) Victim(set int, tags []uint64, acc mem.Access) int {
 	best, bestDist, tied := -1, int64(-1), false
 	for w := p.g.ReservedWays; w < p.g.Ways; w++ {
-		s := p.stream(lines[w].Addr)
+		s := p.stream(tags[w])
 		if s == nil {
 			return w // streaming data has re-reference distance infinity
 		}
-		d := p.nextRef(s, lines[w].Addr)
+		d := p.nextRef(s, tags[w])
 		switch {
 		case d > bestDist:
 			best, bestDist, tied = w, d, false

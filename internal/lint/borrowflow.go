@@ -8,10 +8,10 @@ import (
 
 // BorrowFlow is the dataflow half of the Policy borrow contract. The
 // syntactic policycontract analyzer catches direct writes through and
-// stores of the `lines` slice inside Victim; BorrowFlow goes further with
+// stores of the `tags` row inside Victim; BorrowFlow goes further with
 // a reaching-definitions pass that follows aliases of the borrowed slice
 //
-//   - through local assignments, with kills on reassignment (x := lines;
+//   - through local assignments, with kills on reassignment (x := tags;
 //     x = nil; p.f = x is clean — the alias no longer reaches the store),
 //   - into struct-field stores, composite literals, closures, channel
 //     sends, and goroutines, flagging any path where borrowed storage
@@ -29,7 +29,7 @@ import (
 // see is flagged — copy the needed data out instead.
 var BorrowFlow = &Analyzer{
 	Name: "borrowflow",
-	Doc: "reaching-definitions analysis of the borrowed lines slice in " +
+	Doc: "reaching-definitions analysis of the borrowed tag row in " +
 		"Policy.Victim/Touch: follows aliases through locals, struct fields, " +
 		"and helper calls, flagging writes to and retention of the borrow",
 	Run: runBorrowFlow,
@@ -41,7 +41,7 @@ type aliasKind int
 const (
 	notAlias aliasKind = iota
 	// storageAlias values point directly into the borrowed backing array:
-	// the lines slice itself, re-slices, and &lines[i] pointers. Writing
+	// the tags slice itself, re-slices, and &tags[i] pointers. Writing
 	// through one corrupts simulator state.
 	storageAlias
 	// containerAlias values (structs, nested slices, maps, closures) hold
@@ -90,7 +90,7 @@ func runBorrowFlow(pass *Pass) error {
 	return nil
 }
 
-// borrowedParams returns the objects of every []Line parameter of fd.
+// borrowedParams returns the objects of every []uint64 parameter of fd.
 func borrowedParams(pass *Pass, fd *ast.FuncDecl) []types.Object {
 	var out []types.Object
 	for _, field := range fd.Type.Params.List {
@@ -99,7 +99,7 @@ func borrowedParams(pass *Pass, fd *ast.FuncDecl) []types.Object {
 			if obj == nil || name.Name == "_" {
 				continue
 			}
-			if sl, ok := obj.Type().(*types.Slice); ok && isNamedStruct(sl.Elem(), "Line") {
+			if isTagRow(obj.Type()) {
 				out = append(out, obj)
 			}
 		}
@@ -245,7 +245,7 @@ func (w *borrowWalker) walkStmt(s ast.Stmt) {
 	case *ast.IncDecStmt:
 		if root, deref := w.rootOf(s.X); deref && root != nil && w.storage[root] {
 			w.problem(problemWrite, s.X.Pos(),
-				"%s writes the borrowed lines storage through %s; lines aliases the level's set array and must not be modified",
+				"%s writes the borrowed tag storage through %s; tags aliases the level's tag store and must not be modified",
 				w.fd.Name.Name, exprString(s.X))
 		}
 	case *ast.ExprStmt:
@@ -260,7 +260,7 @@ func (w *borrowWalker) walkStmt(s ast.Stmt) {
 		w.eval(s.Chan)
 		if w.eval(s.Value) != notAlias {
 			w.problem(problemRetain, s.Value.Pos(),
-				"%s sends an alias of the borrowed lines slice on a channel; the receiver outlives the call's read-only borrow",
+				"%s sends an alias of the borrowed tag row on a channel; the receiver outlives the call's read-only borrow",
 				w.fd.Name.Name)
 		}
 	case *ast.GoStmt:
@@ -301,7 +301,7 @@ func (w *borrowWalker) walkStmt(s ast.Stmt) {
 			it.bindRangeVar(s.Key, notAlias)
 			// The value variable copies one element; the copy is only an
 			// alias when the element itself is indirect borrowed storage
-			// (e.g. ranging over [][]Line).
+			// (e.g. ranging over [][]uint64).
 			vk := notAlias
 			if xKind != notAlias && s.Value != nil {
 				if tv, ok := w.an.pass.TypesInfo.Types[s.Value]; ok && borrowStorageType(tv.Type) {
@@ -477,7 +477,7 @@ func (w *borrowWalker) assignTo(lhs ast.Expr, kind aliasKind, as *ast.AssignStmt
 		}
 		if kind != notAlias && isPackageLevel(obj) {
 			w.problem(problemRetain, lhs.Pos(),
-				"%s stores an alias of the borrowed lines slice in package variable %s; lines is borrowed for the duration of the call",
+				"%s stores an alias of the borrowed tag row in package variable %s; tags is borrowed for the duration of the call",
 				w.fd.Name.Name, id.Name)
 			return
 		}
@@ -491,13 +491,13 @@ func (w *borrowWalker) assignTo(lhs ast.Expr, kind aliasKind, as *ast.AssignStmt
 		// Any write through a storage alias mutates borrowed memory,
 		// whatever is being stored.
 		w.problem(problemWrite, lhs.Pos(),
-			"%s writes the borrowed lines storage through %s; lines aliases the level's set array and must not be modified",
+			"%s writes the borrowed tag storage through %s; tags aliases the level's tag store and must not be modified",
 			w.fd.Name.Name, exprString(lhs))
 	case kind == notAlias:
 		// Storing a non-alias somewhere: nothing to track.
 	case root == nil || isPackageLevel(root) || outlivesCall(root):
 		w.problem(problemRetain, lhs.Pos(),
-			"%s stores an alias of the borrowed lines slice in %s, which outlives the call; copy the data instead of retaining the borrow",
+			"%s stores an alias of the borrowed tag row in %s, which outlives the call; copy the data instead of retaining the borrow",
 			w.fd.Name.Name, exprString(lhs))
 	default:
 		// Alias stored into a body-local composite (struct field, map or
@@ -599,7 +599,7 @@ func (w *borrowWalker) eval(e ast.Expr) aliasKind {
 		if base == notAlias {
 			return notAlias
 		}
-		// lines[i] copies a Line value (safe); container[i] may hand back
+		// tags[i] copies a tag (safe); container[i] may hand back
 		// the stored slice.
 		return w.kindByType(e, base)
 	case *ast.SelectorExpr:
@@ -619,7 +619,7 @@ func (w *borrowWalker) eval(e ast.Expr) aliasKind {
 			root, _ := w.rootOf(x.X)
 			switch {
 			case root != nil && w.storage[root]:
-				return storageAlias // &lines[i]: pointer into borrowed storage
+				return storageAlias // &tags[i]: pointer into borrowed storage
 			case root != nil && w.contain[root]:
 				return containerAlias
 			}
@@ -678,27 +678,21 @@ func (w *borrowWalker) kindByType(e ast.Expr, base aliasKind) aliasKind {
 	return notAlias
 }
 
-// borrowStorageType reports whether t directly aliases Line storage:
-// []Line, *Line, *[]Line, or [][]Line.
+// borrowStorageType reports whether t directly aliases tag storage:
+// []uint64, *uint64, *[]uint64, or [][]uint64.
 func borrowStorageType(t types.Type) bool {
 	switch u := t.Underlying().(type) {
 	case *types.Slice:
-		if isNamedStruct(u.Elem(), "Line") {
-			return true
-		}
-		return borrowStorageType(u.Elem())
+		return isTag(u.Elem()) || borrowStorageType(u.Elem())
 	case *types.Pointer:
-		if isNamedStruct(u.Elem(), "Line") {
-			return true
-		}
-		return borrowStorageType(u.Elem())
+		return isTag(u.Elem()) || borrowStorageType(u.Elem())
 	}
 	return false
 }
 
 // mayHoldStorage reports whether t could transitively contain borrowed
 // storage (structs, maps, slices, funcs, interfaces — anything but plain
-// scalars and Line values themselves).
+// scalars, tags among them).
 func mayHoldStorage(t types.Type) bool {
 	switch t.Underlying().(type) {
 	case *types.Basic:
@@ -776,12 +770,10 @@ func (w *borrowWalker) evalCall(call *ast.CallExpr) aliasKind {
 		if kind == notAlias {
 			continue
 		}
-		// A spread `lines...` into a variadic copies Line values: safe.
+		// A spread `tags...` into a variadic copies tag values: safe.
 		if call.Ellipsis.IsValid() && i == len(call.Args)-1 && kind == storageAlias {
-			if sl, ok := pass.TypesInfo.Types[arg]; ok {
-				if s, ok2 := sl.Type.Underlying().(*types.Slice); ok2 && isNamedStruct(s.Elem(), "Line") {
-					continue
-				}
+			if tv, ok := pass.TypesInfo.Types[arg]; ok && isTagRow(tv.Type.Underlying()) {
+				continue
 			}
 		}
 		switch {
@@ -790,12 +782,12 @@ func (w *borrowWalker) evalCall(call *ast.CallExpr) aliasKind {
 			s := w.an.summaryFor(callee, i)
 			if s.writes && kind == storageAlias {
 				w.problem(problemWrite, arg.Pos(),
-					"%s passes the borrowed lines slice to %s, which writes through it; lines aliases the level's set array and must not be modified",
+					"%s passes the borrowed tag row to %s, which writes through it; tags aliases the level's tag store and must not be modified",
 					w.fd.Name.Name, callee.Name())
 			}
 			if s.retains {
 				w.problem(problemRetain, arg.Pos(),
-					"%s passes the borrowed lines slice to %s, which retains it beyond the call; copy the data instead of storing the borrow",
+					"%s passes the borrowed tag row to %s, which retains it beyond the call; copy the data instead of storing the borrow",
 					w.fd.Name.Name, callee.Name())
 			}
 			if s.returnsAlias && result == notAlias {
@@ -806,7 +798,7 @@ func (w *borrowWalker) evalCall(call *ast.CallExpr) aliasKind {
 			// the obligation; the delegate is analyzed in its own package.
 		default:
 			w.problem(problemRetain, arg.Pos(),
-				"%s passes an alias of the borrowed lines slice to %s, which poptlint cannot analyze; copy the needed data out of lines instead",
+				"%s passes an alias of the borrowed tag row to %s, which poptlint cannot analyze; copy the needed data out of tags instead",
 				w.fd.Name.Name, calleeName(call.Fun, callee))
 		}
 	}
@@ -827,7 +819,7 @@ func (w *borrowWalker) goCall(call *ast.CallExpr) {
 	}
 	if escapes {
 		w.problem(problemRetain, call.Pos(),
-			"%s hands an alias of the borrowed lines slice to a goroutine; the goroutine outlives the call's read-only borrow",
+			"%s hands an alias of the borrowed tag row to a goroutine; the goroutine outlives the call's read-only borrow",
 			w.fd.Name.Name)
 	}
 }
@@ -845,13 +837,13 @@ func (w *borrowWalker) evalBuiltin(name string, call *ast.CallExpr) aliasKind {
 			}
 			if i == 0 && kind == storageAlias {
 				w.problem(problemWrite, arg.Pos(),
-					"%s appends to the borrowed lines slice; append may write the level's backing array in place",
+					"%s appends to the borrowed tag row; append may write the level's backing array in place",
 					w.fd.Name.Name)
 				result = storageAlias
 				continue
 			}
 			if call.Ellipsis.IsValid() && i == len(call.Args)-1 && kind == storageAlias {
-				continue // spread copies Line values out: safe
+				continue // spread copies tag values out: safe
 			}
 			if result == notAlias {
 				result = containerAlias
@@ -862,7 +854,7 @@ func (w *borrowWalker) evalBuiltin(name string, call *ast.CallExpr) aliasKind {
 		if len(call.Args) == 2 {
 			if w.eval(call.Args[0]) == storageAlias {
 				w.problem(problemWrite, call.Args[0].Pos(),
-					"%s copies into the borrowed lines slice; lines aliases the level's set array and must not be modified",
+					"%s copies into the borrowed tag row; tags aliases the level's tag store and must not be modified",
 					w.fd.Name.Name)
 			}
 			w.eval(call.Args[1]) // reading out of the borrow is fine

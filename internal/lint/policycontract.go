@@ -9,10 +9,10 @@ import (
 // PolicyContract enforces the statically checkable half of the
 // cache.Policy contract (the dynamic half lives in cache.NewCheckedPolicy):
 //
-//   - Victim(set int, lines []Line, acc ...) int must treat lines as
-//     read-only borrowed storage: it aliases the Level's set array, so a
-//     write corrupts simulator state and a retained reference lets later
-//     fills mutate policy-held data. The analyzer flags writes through
+//   - Victim(set int, tags []uint64, acc ...) int must treat tags as
+//     read-only borrowed storage: it aliases the Level's tag row for the
+//     set, so a write corrupts simulator state and a retained reference
+//     lets later fills mutate policy-held data. The analyzer flags writes through
 //     the parameter (including via local aliases) and stores of the
 //     parameter into anything that outlives the call.
 //   - Every type implementing the Policy method set must consult
@@ -21,13 +21,13 @@ import (
 //     that never reads ReservedWays will hand out reserved ways the
 //     moment a P-OPT configuration pins Rereference Matrix columns.
 //
-// Matching is structural (parameter/receiver shapes and the type names
-// Line and Geometry), so the analyzer works identically on the real
+// Matching is structural (parameter/receiver shapes and the type name
+// Geometry), so the analyzer works identically on the real
 // internal/cache types and on self-contained test fixtures.
 var PolicyContract = &Analyzer{
 	Name: "policycontract",
 	Doc: "flags Policy.Victim implementations that write to or retain the " +
-		"borrowed lines slice, and Policy implementations that never consult " +
+		"borrowed tag row, and Policy implementations that never consult " +
 		"Geometry.ReservedWays",
 	Run: runPolicyContract,
 }
@@ -85,8 +85,7 @@ func recvTypeName(e ast.Expr) string {
 	}
 }
 
-// isVictimSig reports whether fd is func(int, []Line, T) int for a named
-// struct type called Line.
+// isVictimSig reports whether fd is func(int, []uint64, T) int.
 func isVictimSig(pass *Pass, fd *ast.FuncDecl) bool {
 	fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
 	if !ok {
@@ -102,11 +101,19 @@ func isVictimSig(pass *Pass, fd *ast.FuncDecl) bool {
 	if b, ok := sig.Results().At(0).Type().(*types.Basic); !ok || b.Kind() != types.Int {
 		return false
 	}
-	sl, ok := sig.Params().At(1).Type().(*types.Slice)
-	if !ok {
-		return false
-	}
-	return isNamedStruct(sl.Elem(), "Line")
+	return isTagRow(sig.Params().At(1).Type())
+}
+
+// isTagRow reports whether t is []uint64, the tag row Victim borrows.
+func isTagRow(t types.Type) bool {
+	sl, ok := t.(*types.Slice)
+	return ok && isTag(sl.Elem())
+}
+
+// isTag reports whether t is uint64, one borrowed tag.
+func isTag(t types.Type) bool {
+	b, ok := t.(*types.Basic)
+	return ok && b.Kind() == types.Uint64
 }
 
 // isBindSig reports whether fd is func(Geometry) for a named struct type
@@ -129,13 +136,13 @@ func isNamedStruct(t types.Type, name string) bool {
 	return isStruct
 }
 
-// checkVictimBody flags writes through (or stores of) the lines parameter,
+// checkVictimBody flags writes through (or stores of) the tags parameter,
 // tracking local slice aliases conservatively.
 func checkVictimBody(pass *Pass, fd *ast.FuncDecl) {
 	if fd.Body == nil {
 		return
 	}
-	param := victimLinesParam(pass, fd)
+	param := victimTagsParam(pass, fd)
 	if param == nil {
 		return // unnamed or blank parameter: nothing can be misused
 	}
@@ -173,25 +180,25 @@ func checkVictimBody(pass *Pass, fd *ast.FuncDecl) {
 				}
 				if isAliasRooted(lhs) {
 					pass.Reportf(lhs.Pos(),
-						"Victim writes through the lines parameter (%s); lines aliases the level's set storage and must not be modified",
+						"Victim writes through the tags parameter (%s); tags aliases the level's tag store and must not be modified",
 						exprString(lhs))
 				}
 				if i < len(n.Rhs) && isAliasValue(pass, n.Rhs[i], aliases) && !isLocalTarget(pass, lhs, aliases) {
 					pass.Reportf(n.Rhs[i].Pos(),
-						"Victim stores the lines parameter in %s; lines is borrowed for the duration of the call and must not be retained",
+						"Victim stores the tags parameter in %s; tags is borrowed for the duration of the call and must not be retained",
 						exprString(lhs))
 				}
 			}
 		case *ast.IncDecStmt:
 			if isAliasRooted(n.X) {
 				pass.Reportf(n.X.Pos(),
-					"Victim writes through the lines parameter (%s); lines aliases the level's set storage and must not be modified",
+					"Victim writes through the tags parameter (%s); tags aliases the level's tag store and must not be modified",
 					exprString(n.X))
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.AND && isAliasRooted(n.X) {
 				pass.Reportf(n.Pos(),
-					"Victim takes the address of %s inside the borrowed lines slice; the pointer outlives the contract's read-only borrow",
+					"Victim takes the address of %s inside the borrowed tag row; the pointer outlives the contract's read-only borrow",
 					exprString(n.X))
 			}
 		}
@@ -199,8 +206,8 @@ func checkVictimBody(pass *Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// victimLinesParam returns the types.Object of Victim's second parameter.
-func victimLinesParam(pass *Pass, fd *ast.FuncDecl) types.Object {
+// victimTagsParam returns the types.Object of Victim's second parameter.
+func victimTagsParam(pass *Pass, fd *ast.FuncDecl) types.Object {
 	count := 0
 	for _, field := range fd.Type.Params.List {
 		for _, name := range field.Names {

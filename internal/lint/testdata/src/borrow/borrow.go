@@ -1,13 +1,7 @@
 // Package borrow exercises the borrowflow analyzer: dataflow tracking of
-// the borrowed lines slice through locals, helpers, embedding, closures,
+// the borrowed tag row through locals, helpers, embedding, closures,
 // and goroutines.
 package borrow
-
-type Line struct {
-	Valid bool
-	Dirty bool
-	Addr  uint64
-}
 
 type Geometry struct {
 	Sets, Ways, ReservedWays int
@@ -19,25 +13,25 @@ type Access struct{ Addr uint64 }
 
 type Keeper struct {
 	g     Geometry
-	saved []Line
+	saved []uint64
 }
 
 func (k *Keeper) Bind(g Geometry) { k.g = g }
 
-func (k *Keeper) stash(ls []Line) { k.saved = ls }
+func (k *Keeper) stash(ls []uint64) { k.saved = ls }
 
-func (k *Keeper) Victim(set int, lines []Line, acc Access) int {
-	k.stash(lines) // want `passes the borrowed lines slice to stash, which retains it beyond the call`
+func (k *Keeper) Victim(set int, tags []uint64, acc Access) int {
+	k.stash(tags) // want `passes the borrowed tag row to stash, which retains it beyond the call`
 	return k.g.ReservedWays
 }
 
 // --- embedding: the retaining helper lives on an embedded type ---------
 
 type stashBase struct {
-	kept []Line
+	kept []uint64
 }
 
-func (s *stashBase) keep(ls []Line) { s.kept = ls }
+func (s *stashBase) keep(ls []uint64) { s.kept = ls }
 
 type Embedder struct {
 	stashBase
@@ -46,8 +40,8 @@ type Embedder struct {
 
 func (e *Embedder) Bind(g Geometry) { e.g = g }
 
-func (e *Embedder) Victim(set int, lines []Line, acc Access) int {
-	e.keep(lines) // want `passes the borrowed lines slice to keep, which retains it beyond the call`
+func (e *Embedder) Victim(set int, tags []uint64, acc Access) int {
+	e.keep(tags) // want `passes the borrowed tag row to keep, which retains it beyond the call`
 	return e.g.ReservedWays
 }
 
@@ -59,14 +53,14 @@ type Scrubber struct {
 
 func (s *Scrubber) Bind(g Geometry) { s.g = g }
 
-func scrub(ls []Line) {
+func scrub(ls []uint64) {
 	for i := range ls {
-		ls[i].Dirty = false
+		ls[i] = 0
 	}
 }
 
-func (s *Scrubber) Victim(set int, lines []Line, acc Access) int {
-	scrub(lines) // want `passes the borrowed lines slice to scrub, which writes through it`
+func (s *Scrubber) Victim(set int, tags []uint64, acc Access) int {
+	scrub(tags) // want `passes the borrowed tag row to scrub, which writes through it`
 	return s.g.ReservedWays
 }
 
@@ -74,16 +68,16 @@ func (s *Scrubber) Victim(set int, lines []Line, acc Access) int {
 
 type Identity struct {
 	g    Geometry
-	held []Line
+	held []uint64
 }
 
 func (p *Identity) Bind(g Geometry) { p.g = g }
 
-func tail(ls []Line) []Line { return ls[1:] }
+func tail(ls []uint64) []uint64 { return ls[1:] }
 
-func (p *Identity) Victim(set int, lines []Line, acc Access) int {
-	t := tail(lines)
-	p.held = t // want `stores an alias of the borrowed lines slice in p.held`
+func (p *Identity) Victim(set int, tags []uint64, acc Access) int {
+	t := tail(tags)
+	p.held = t // want `stores an alias of the borrowed tag row in p.held`
 	return p.g.ReservedWays
 }
 
@@ -91,13 +85,13 @@ func (p *Identity) Victim(set int, lines []Line, acc Access) int {
 
 type Killer struct {
 	g    Geometry
-	held []Line
+	held []uint64
 }
 
 func (p *Killer) Bind(g Geometry) { p.g = g }
 
-func (p *Killer) Victim(set int, lines []Line, acc Access) int {
-	x := lines
+func (p *Killer) Victim(set int, tags []uint64, acc Access) int {
+	x := tags
 	x = nil
 	p.held = x // clean: x was rebound before the store
 	return p.g.ReservedWays
@@ -111,10 +105,10 @@ type ChainWriter struct {
 
 func (p *ChainWriter) Bind(g Geometry) { p.g = g }
 
-func (p *ChainWriter) Victim(set int, lines []Line, acc Access) int {
-	a := lines[p.g.ReservedWays:]
+func (p *ChainWriter) Victim(set int, tags []uint64, acc Access) int {
+	a := tags[p.g.ReservedWays:]
 	b := a
-	b[0].Dirty = true // want `writes the borrowed lines storage through b`
+	b[0] = 0 // want `writes the borrowed tag storage through b`
 	return p.g.ReservedWays
 }
 
@@ -126,11 +120,11 @@ type Appender struct {
 
 func (p *Appender) Bind(g Geometry) { p.g = g }
 
-func (p *Appender) Victim(set int, lines []Line, acc Access) int {
-	_ = append(lines[:0], Line{}) // want `appends to the borrowed lines slice`
-	scratch := make([]Line, len(lines))
-	copy(scratch, lines) // clean: reading the borrow out is fine
-	copy(lines, scratch) // want `copies into the borrowed lines slice`
+func (p *Appender) Victim(set int, tags []uint64, acc Access) int {
+	_ = append(tags[:0], 0) // want `appends to the borrowed tag row`
+	scratch := make([]uint64, len(tags))
+	copy(scratch, tags) // clean: reading the borrow out is fine
+	copy(tags, scratch) // want `copies into the borrowed tag row`
 	return p.g.ReservedWays
 }
 
@@ -143,8 +137,8 @@ type Closer struct {
 
 func (p *Closer) Bind(g Geometry) { p.g = g }
 
-func (p *Closer) Victim(set int, lines []Line, acc Access) int {
-	p.cb = func() int { return len(lines) } // want `stores an alias of the borrowed lines slice in p.cb`
+func (p *Closer) Victim(set int, tags []uint64, acc Access) int {
+	p.cb = func() int { return len(tags) } // want `stores an alias of the borrowed tag row in p.cb`
 	return p.g.ReservedWays
 }
 
@@ -156,10 +150,10 @@ type GoRunner struct {
 
 func (p *GoRunner) Bind(g Geometry) { p.g = g }
 
-func (p *GoRunner) Victim(set int, lines []Line, acc Access) int {
-	go func() { // want `hands an alias of the borrowed lines slice to a goroutine`
-		for i := range lines {
-			_ = lines[i].Addr
+func (p *GoRunner) Victim(set int, tags []uint64, acc Access) int {
+	go func() { // want `hands an alias of the borrowed tag row to a goroutine`
+		for i := range tags {
+			_ = tags[i]
 		}
 	}()
 	return p.g.ReservedWays
@@ -167,7 +161,7 @@ func (p *GoRunner) Victim(set int, lines []Line, acc Access) int {
 
 // --- package-level retention ---------------------------------------------
 
-var leaked []Line
+var leaked []uint64
 
 type GlobalLeaker struct {
 	g Geometry
@@ -175,15 +169,15 @@ type GlobalLeaker struct {
 
 func (p *GlobalLeaker) Bind(g Geometry) { p.g = g }
 
-func (p *GlobalLeaker) Victim(set int, lines []Line, acc Access) int {
-	leaked = lines // want `stores an alias of the borrowed lines slice in package variable leaked`
+func (p *GlobalLeaker) Victim(set int, tags []uint64, acc Access) int {
+	leaked = tags // want `stores an alias of the borrowed tag row in package variable leaked`
 	return p.g.ReservedWays
 }
 
 // --- interface delegation transfers the obligation (clean) ---------------
 
 type Policy interface {
-	Victim(set int, lines []Line, acc Access) int
+	Victim(set int, tags []uint64, acc Access) int
 }
 
 type Delegator struct {
@@ -193,8 +187,8 @@ type Delegator struct {
 
 func (p *Delegator) Bind(g Geometry) { p.g = g }
 
-func (p *Delegator) Victim(set int, lines []Line, acc Access) int {
-	return p.inner.Victim(set, lines, acc) // clean: the delegate inherits the borrow contract
+func (p *Delegator) Victim(set int, tags []uint64, acc Access) int {
+	return p.inner.Victim(set, tags, acc) // clean: the delegate inherits the borrow contract
 }
 
 // --- value reads and copies are clean ------------------------------------
@@ -206,18 +200,18 @@ type Reader struct {
 
 func (p *Reader) Bind(g Geometry) { p.g = g }
 
-func degree(ls []Line) int { return len(ls) } // reads only: clean helper
+func degree(ls []uint64) int { return len(ls) } // reads only: clean helper
 
-func (p *Reader) Victim(set int, lines []Line, acc Access) int {
+func (p *Reader) Victim(set int, tags []uint64, acc Access) int {
 	best := p.g.ReservedWays
 	for w := p.g.ReservedWays; w < p.g.Ways; w++ {
-		ln := lines[w] // value copy, safe
-		if !ln.Dirty {
+		tag := tags[w] // value copy, safe
+		if tag < tags[best] {
 			best = w
 		}
 	}
-	p.last = lines[best].Addr // scalar copy out of the borrow, safe
-	_ = degree(lines)
+	p.last = tags[best] // scalar copy out of the borrow, safe
+	_ = degree(tags)
 	return best
 }
 
@@ -225,16 +219,16 @@ func (p *Reader) Victim(set int, lines []Line, acc Access) int {
 
 type DeepKeeper struct {
 	g    Geometry
-	pile [][]Line
+	pile [][]uint64
 }
 
 func (p *DeepKeeper) Bind(g Geometry) { p.g = g }
 
-func (p *DeepKeeper) hoard(ls []Line) { p.pile = append(p.pile, ls) }
+func (p *DeepKeeper) hoard(ls []uint64) { p.pile = append(p.pile, ls) }
 
-func (p *DeepKeeper) relay(ls []Line) { p.hoard(ls) }
+func (p *DeepKeeper) relay(ls []uint64) { p.hoard(ls) }
 
-func (p *DeepKeeper) Victim(set int, lines []Line, acc Access) int {
-	p.relay(lines) // want `passes the borrowed lines slice to relay, which retains it beyond the call`
+func (p *DeepKeeper) Victim(set int, tags []uint64, acc Access) int {
+	p.relay(tags) // want `passes the borrowed tag row to relay, which retains it beyond the call`
 	return p.g.ReservedWays
 }

@@ -2,13 +2,6 @@
 // self-contained replicas of the cache package's contract types.
 package contract
 
-// Line mirrors cache.Line.
-type Line struct {
-	Valid bool
-	Dirty bool
-	Addr  uint64
-}
-
 // Geometry mirrors cache.Geometry.
 type Geometry struct {
 	Sets         int
@@ -20,26 +13,26 @@ type Geometry struct {
 type Access struct{ Addr uint64 }
 
 // Good is a contract-abiding policy: reads ReservedWays, never touches
-// lines.
+// tags.
 type Good struct{ g Geometry }
 
 func (p *Good) Bind(g Geometry) { p.g = g }
-func (p *Good) Victim(set int, lines []Line, acc Access) int {
+func (p *Good) Victim(set int, tags []uint64, acc Access) int {
 	for w := p.g.ReservedWays; w < p.g.Ways; w++ {
-		if !lines[w].Dirty { // reading lines is fine
+		if tags[w] != 0 { // reading tags is fine
 			return w
 		}
 	}
 	return p.g.ReservedWays
 }
 
-// Mutator writes through the lines parameter.
+// Mutator writes through the tags parameter.
 type Mutator struct{ g Geometry }
 
 func (p *Mutator) Bind(g Geometry) { p.g = g }
-func (p *Mutator) Victim(set int, lines []Line, acc Access) int {
-	lines[0].Dirty = false // want "Victim writes through the lines parameter"
-	lines[1] = Line{}      // want "Victim writes through the lines parameter"
+func (p *Mutator) Victim(set int, tags []uint64, acc Access) int {
+	tags[0] = 0 // want "Victim writes through the tags parameter"
+	tags[1]++   // want "Victim writes through the tags parameter"
 	return p.g.ReservedWays
 }
 
@@ -47,23 +40,23 @@ func (p *Mutator) Victim(set int, lines []Line, acc Access) int {
 type AliasMutator struct{ g Geometry }
 
 func (p *AliasMutator) Bind(g Geometry) { p.g = g }
-func (p *AliasMutator) Victim(set int, lines []Line, acc Access) int {
-	ls := lines
-	ls[0] = Line{} // want "Victim writes through the lines parameter"
-	sub := lines[1:]
-	sub[0].Valid = false // want "Victim writes through the lines parameter"
+func (p *AliasMutator) Victim(set int, tags []uint64, acc Access) int {
+	ls := tags
+	ls[0] = 0 // want "Victim writes through the tags parameter"
+	sub := tags[1:]
+	sub[0] |= 1 // want "Victim writes through the tags parameter"
 	return p.g.ReservedWays
 }
 
 // Retainer stores the borrowed slice past the call.
 type Retainer struct {
 	g     Geometry
-	saved []Line
+	saved []uint64
 }
 
 func (p *Retainer) Bind(g Geometry) { p.g = g }
-func (p *Retainer) Victim(set int, lines []Line, acc Access) int {
-	p.saved = lines // want "Victim stores the lines parameter"
+func (p *Retainer) Victim(set int, tags []uint64, acc Access) int {
+	p.saved = tags // want "Victim stores the tags parameter"
 	return p.g.ReservedWays
 }
 
@@ -71,8 +64,8 @@ func (p *Retainer) Victim(set int, lines []Line, acc Access) int {
 type PtrTaker struct{ g Geometry }
 
 func (p *PtrTaker) Bind(g Geometry) { p.g = g }
-func (p *PtrTaker) Victim(set int, lines []Line, acc Access) int {
-	q := &lines[0] // want "Victim takes the address"
+func (p *PtrTaker) Victim(set int, tags []uint64, acc Access) int {
+	q := &tags[0] // want "Victim takes the address"
 	_ = q
 	return p.g.ReservedWays
 }
@@ -81,7 +74,7 @@ func (p *PtrTaker) Victim(set int, lines []Line, acc Access) int {
 type Oblivious struct{ n int }
 
 func (p *Oblivious) Bind(g Geometry) { p.n = g.Ways } // want "no method reads Geometry.ReservedWays"
-func (p *Oblivious) Victim(set int, lines []Line, acc Access) int {
+func (p *Oblivious) Victim(set int, tags []uint64, acc Access) int {
 	return 0
 }
 
@@ -94,7 +87,7 @@ func (b *base) pick() int       { return b.g.ReservedWays }
 // Embedder satisfies the ReservedWays obligation via its embedded base.
 type Embedder struct{ base }
 
-func (p *Embedder) Victim(set int, lines []Line, acc Access) int { return p.pick() }
+func (p *Embedder) Victim(set int, tags []uint64, acc Access) int { return p.pick() }
 
 // Delegator forwards victim selection; the delegate carries the
 // obligation.
@@ -104,16 +97,16 @@ type Delegator struct {
 }
 
 func (p *Delegator) Bind(g Geometry) { p.n = g.Ways; p.inner.Bind(g) }
-func (p *Delegator) Victim(set int, lines []Line, acc Access) int {
-	return p.inner.Victim(set, lines, acc)
+func (p *Delegator) Victim(set int, tags []uint64, acc Access) int {
+	return p.inner.Victim(set, tags, acc)
 }
 
-// NotAPolicy has a Victim-shaped method but no Bind; only the lines
+// NotAPolicy has a Victim-shaped method but no Bind; only the tags
 // checks apply, not the ReservedWays obligation.
 type NotAPolicy struct{}
 
-func (p *NotAPolicy) Victim(set int, lines []Line, acc Access) int {
-	lines[0].Valid = true // want "Victim writes through the lines parameter"
+func (p *NotAPolicy) Victim(set int, tags []uint64, acc Access) int {
+	tags[0] = 1 // want "Victim writes through the tags parameter"
 	return 0
 }
 
@@ -122,8 +115,8 @@ func (p *NotAPolicy) Victim(set int, lines []Line, acc Access) int {
 type Allowed struct{ g Geometry }
 
 func (p *Allowed) Bind(g Geometry) { p.g = g }
-func (p *Allowed) Victim(set int, lines []Line, acc Access) int {
+func (p *Allowed) Victim(set int, tags []uint64, acc Access) int {
 	//lint:allow policycontract
-	lines[0].Valid = true
+	tags[0] = 1
 	return p.g.ReservedWays
 }
