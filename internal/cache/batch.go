@@ -153,7 +153,7 @@ func (l *Level) fillAt(set int, la uint64, acc mem.Access) (evicted Line, wasEvi
 		if way < l.resvd || way >= l.ways {
 			l.badVictim(way)
 		}
-		evicted = Line{Valid: true, Dirty: l.dirty[set]&(1<<uint(way)) != 0, Addr: tags[way]}
+		evicted = Line{Dirty: l.dirty[set]&(1<<uint(way)) != 0, Addr: tags[way]}
 		wasEvicted = true
 		l.Stats.Evictions++
 		l.pol.OnEvict(set, way)

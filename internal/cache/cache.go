@@ -17,12 +17,11 @@ import (
 	"popt/internal/mem"
 )
 
-// Line describes one cache line handed back by a level: the victim Fill
+// Line describes a valid line a level hands back: the victim Fill
 // displaced, or a dirty line Reserve pushed out. Addr is the full
 // line-aligned address (a simulator convenience standing in for
 // tag+index).
 type Line struct {
-	Valid bool
 	Dirty bool
 	Addr  uint64
 }
@@ -189,7 +188,7 @@ func (l *Level) Reserve(n int) (dirty []Line) {
 		l.Stats.Evictions += uint64(bits.OnesCount64(occupied))
 		for m := l.dirty[s] & occupied; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros64(m)
-			dirty = append(dirty, Line{Valid: true, Dirty: true, Addr: l.tags[s*l.ways+w]})
+			dirty = append(dirty, Line{Dirty: true, Addr: l.tags[s*l.ways+w]})
 			l.Stats.Writebacks++
 		}
 		for w := 0; w < n; w++ {
@@ -271,7 +270,7 @@ func (l *Level) Access(acc mem.Access) bool {
 // Fill installs the line of acc, returning the evicted line if a valid one
 // was displaced. A free way, when one exists, is found with a single
 // TrailingZeros64 over the set's inverted valid mask (lowest free demand
-// way first, matching the AoS scan this replaced).
+// way first).
 //
 //popt:hot
 func (l *Level) Fill(acc mem.Access) (evicted Line, wasEvicted bool) {

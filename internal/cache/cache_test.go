@@ -176,7 +176,7 @@ func TestReserveReturnsDisplacedDirtyLines(t *testing.T) {
 		t.Fatalf("Reserve returned %d dirty lines, want %d", len(dirty), l.Sets())
 	}
 	for s, ln := range dirty {
-		if !ln.Valid || !ln.Dirty || ln.Addr != lineInSet(l, s, 0) {
+		if !ln.Dirty || ln.Addr != lineInSet(l, s, 0) {
 			t.Fatalf("Reserve returned %+v for set %d, want its dirty way-0 line %#x", ln, s, lineInSet(l, s, 0))
 		}
 	}

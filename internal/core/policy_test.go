@@ -76,7 +76,7 @@ func TestTOPTEvictsNoFutureUseFirst(t *testing.T) {
 	g, src := fig3Setup(t)
 	p := BuildTOPT(&g.Out, src)
 	p.Bind(cache.Geometry{Sets: 1, Ways: 2})
-	p.UpdateIndex(2)                                        // past D2's processing start; S0 next ref gone after D2
+	p.UpdateIndex(2)                                   // past D2's processing start; S0 next ref gone after D2
 	tags := []uint64{lineFor(src, 0), lineFor(src, 2)} // S2 referenced at D3
 	if victim := p.Victim(0, tags, mem.Access{Addr: src.Addr(4)}); victim != 0 {
 		t.Errorf("victim = %d, want dead S0 at way 0", victim)

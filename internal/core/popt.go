@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"popt/internal/cache"
 	"popt/internal/graph"
 	"popt/internal/mem"
@@ -19,14 +21,14 @@ type Stream struct {
 // next-reference ties with DRRIP.
 type POPT struct {
 	g cache.Geometry
-	// regs holds each stream's address registers, in stream order, and
-	// tables the distinct Rereference Matrices behind the streams (the
-	// first stream's first); both are fixed at construction.
-	regs   []irregRegs
-	tables []*Matrix
-	cur    graph.V
-	epoch  int
-	tie    *cache.DRRIP
+	// streams holds each stream's registers and matrix, in stream order,
+	// and tables the distinct Rereference Matrices behind them (the first
+	// stream's first); both are fixed at construction.
+	streams []poptStream
+	tables  []*Matrix
+	cur     graph.V
+	epoch   int
+	tie     *cache.DRRIP
 	// TieFirst disables the DRRIP tie-breaker (Section V-C) and keeps the
 	// first candidate instead; an ablation knob for how much the
 	// tie-breaking policy matters at a given quantization width.
@@ -59,34 +61,36 @@ func NewPOPT(streams ...Stream) *POPT {
 			panic("core: P-OPT streams must share epoch geometry")
 		}
 	}
-	p := &POPT{regs: make([]irregRegs, len(streams)), tie: cache.NewDRRIP(1)}
+	p := &POPT{streams: make([]poptStream, len(streams)), tie: cache.NewDRRIP(1)}
 	for i, s := range streams {
-		p.regs[i] = irregRegs{base: s.Arr.Base, size: s.Arr.SizeBytes(), m: s.M}
-		p.tables = appendDistinct(p.tables, s.M)
+		p.streams[i] = poptStream{irregRegs: newIrregRegs(s.Arr), m: s.M}
+		// Streams with identical line geometry share one Table (see
+		// BuildPOPT), whose columns the streaming engine moves once.
+		if !slices.ContainsFunc(p.tables, func(m *Matrix) bool { return m.Table == s.M.Table }) {
+			p.tables = append(p.tables, s.M)
+		}
 	}
 	return p
 }
 
-// irregRegs is one stream's irreg_base/irreg_bound register pair (Section
-// V-B) with the matrix it selects: a line at addr belongs to the stream
-// iff addr-base < size, one unsigned compare (an address below base wraps
-// around to a huge offset).
-type irregRegs struct {
-	base, size uint64
-	m          *Matrix
-}
+// irregRegs is an irregular array's irreg_base/irreg_bound register pair
+// (Section V-B), copied out of the array when a policy is built so a
+// victim search reads no pointer per candidate.
+type irregRegs struct{ base, size uint64 }
 
-// appendDistinct appends m to ms unless a matrix there already shares its
-// immutable Table (streams with identical line geometry share one table;
-// see BuildPOPT): the streaming engine moves each encoded table's column
-// once however many views exist.
-func appendDistinct(ms []*Matrix, m *Matrix) []*Matrix {
-	for _, x := range ms {
-		if x.Table == m.Table {
-			return ms
-		}
-	}
-	return append(ms, m)
+func newIrregRegs(a *mem.Array) irregRegs { return irregRegs{a.Base, a.SizeBytes()} }
+
+// contains reports whether addr lies in the array: one unsigned compare,
+// since an address below base wraps around to a huge offset.
+func (r *irregRegs) contains(addr uint64) bool { return addr-r.base < r.size }
+
+// lineID is the next-ref engine's cachelineID = (addr - irreg_base) >> 6.
+func (r *irregRegs) lineID(addr uint64) int { return int((addr - r.base) >> mem.LineShift) }
+
+// poptStream is one stream of a POPT: its registers and matrix.
+type poptStream struct {
+	irregRegs
+	m *Matrix
 }
 
 // Name implements cache.Policy.
@@ -165,14 +169,14 @@ func (p *POPT) OnFill(set, way int, acc mem.Access) { p.tie.OnFill(set, way, acc
 // OnEvict implements cache.Policy.
 func (p *POPT) OnEvict(set, way int) { p.tie.OnEvict(set, way) }
 
-// stream returns the registers of the irregular stream holding addr, or
-// nil for streaming data.
+// stream returns the irregular stream holding addr, or nil for streaming
+// data.
 //
 //popt:hot
-func (p *POPT) stream(addr uint64) *irregRegs {
-	for i := range p.regs {
-		if addr-p.regs[i].base < p.regs[i].size {
-			return &p.regs[i]
+func (p *POPT) stream(addr uint64) *poptStream {
+	for i := range p.streams {
+		if p.streams[i].contains(addr) {
+			return &p.streams[i]
 		}
 	}
 	return nil
@@ -195,7 +199,7 @@ func (p *POPT) Victim(set int, tags []uint64, acc mem.Access) int {
 		if s == nil {
 			return w
 		}
-		d := s.m.nextRefAt(int((tags[w]-s.base)>>mem.LineShift), e, sub)
+		d := s.m.nextRefAt(s.lineID(tags[w]), e, sub)
 		switch {
 		case d > bestDist:
 			best, bestDist, tied = w, d, false

@@ -218,153 +218,124 @@ const blockLines = 64
 // written only to its own entries, so the result is independent of the
 // partitioning.
 func fillEntries(t *Table, refAdj *graph.Adj, numVertices int) {
-	t.entries = make([]byte, t.NumLines*t.NumEpochs*t.entryBytes())
-	workers := runtime.GOMAXPROCS(0)
-	if max := t.NumLines / minLinesPerWorker; workers > max {
-		workers = max
-	}
-	if workers <= 1 {
-		t.fillLines(refAdj, numVertices, 0, t.NumLines)
-		return
-	}
-	var wg sync.WaitGroup
+	w := t.entryBytes()
+	t.entries = make([]byte, t.NumLines*t.NumEpochs*w)
+	workers := max(min(runtime.GOMAXPROCS(0), t.NumLines/minLinesPerWorker), 1)
 	chunk := (t.NumLines + workers - 1) / workers
 	chunk = (chunk + blockLines - 1) / blockLines * blockLines
+	var wg sync.WaitGroup
 	for lo := 0; lo < t.NumLines; lo += chunk {
-		hi := lo + chunk
-		if hi > t.NumLines {
-			hi = t.NumLines
-		}
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			t.fillLines(refAdj, numVertices, lo, hi)
-		}(lo, hi)
+			t.fillLines(refAdj, numVertices, lo, hi,
+				make([]bool, t.NumEpochs), make([]uint16, t.NumEpochs), make([]byte, blockLines*t.NumEpochs*w))
+		}(lo, min(lo+chunk, t.NumLines))
 	}
 	wg.Wait()
 }
 
 // fillLines is one worker of the parallel matrix build: it encodes the
-// rows [lo, hi) into t.entries, a block of blockLines rows at a time.
-func (t *Table) fillLines(refAdj *graph.Adj, numVertices, lo, hi int) {
-	hasRef := make([]bool, t.NumEpochs)
-	lastSub := make([]uint16, t.NumEpochs)
-	block := make([]byte, blockLines*t.NumEpochs*t.entryBytes())
-	n := refAdj.N()
-	vstart := lo * t.ElemsPerLine
-	if vstart > n {
-		vstart = n
-	}
-	it := refAdj.IterFrom(graph.V(vstart))
-	for b := lo; b < hi; b += blockLines {
-		rows := hi - b
-		if rows > blockLines {
-			rows = blockLines
-		}
-		t.encodeBlock(&it, n, numVertices, b, rows, block, hasRef, lastSub)
-		t.storeBlock(b, rows, block)
-	}
-}
-
-// encodeBlock encodes the rows [lo, lo+rows) into block, which holds them
-// epoch-major at the store's entry width: the entry of row lo+j in epoch e
-// goes to index e*blockLines+j. it walks the n-vertex transpose from row
-// lo's first vertex and is left at the next block's. hasRef and lastSub
-// are per-worker scratch of length NumEpochs (allocated outside so this
-// inner loop stays allocation-free).
+// rows [lo, hi) into t.entries. Each block of blockLines rows is encoded
+// into block, epoch-major at the store's entry width (row lo+j of epoch e
+// at index e*blockLines+j), and then copied out one column run at a time.
+// hasRef and lastSub (length NumEpochs) and block are caller-provided
+// per-worker scratch, allocated outside so this inner loop stays
+// allocation-free.
 //
 //popt:hot
-func (t *Table) encodeBlock(it *graph.NeighborIter, n, numVertices, lo, rows int, block []byte, hasRef []bool, lastSub []uint16) {
+func (t *Table) fillLines(refAdj *graph.Adj, numVertices, lo, hi int, hasRef []bool, lastSub []uint16, block []byte) {
 	kind, bits, elemsPerLine := t.Kind, t.Bits, t.ElemsPerLine
-	wide := t.entryBytes() == 2
+	w := t.entryBytes()
 	maxDist := uint16(t.MaxDist())
 	msbMask := uint16(1) << (bits - 1)
 	nextBitMask := uint16(0)
 	if kind == SingleEpoch {
 		nextBitMask = 1 << (bits - 2)
 	}
-	for j := 0; j < rows; j++ {
-		line := lo + j
-		for e := range hasRef {
-			hasRef[e] = false
-			lastSub[e] = 0
-		}
-		vlo := line * elemsPerLine
-		vhi := vlo + elemsPerLine
-		if vhi > n {
-			vhi = n
-		}
-		// A line is next referenced at the earliest outer-loop position
-		// among its vertices; for epoch bookkeeping we need, per epoch,
-		// whether any reference lands there and the sub-epoch of the LAST
-		// reference in that epoch.
-		for v := vlo; v < vhi; v++ {
-			ds, _ := it.Next()
-			for _, d := range ds {
-				if int(d) >= numVertices {
-					continue // outer loop never reaches it
-				}
-				e := int(t.epochDiv.Div(uint64(d)))
-				sub := int(t.subDiv.Div(uint64(int(d) - e*t.EpochSize)))
-				if sub >= t.SubEpochs {
-					sub = t.SubEpochs - 1
-				}
-				if !hasRef[e] || uint16(sub) > lastSub[e] {
-					lastSub[e] = uint16(sub)
-				}
-				hasRef[e] = true
-			}
-		}
-		// Walk epochs backward, tracking the next referencing epoch.
-		next := -1 // -1 = no further reference
-		for e := t.NumEpochs - 1; e >= 0; e-- {
-			dist := int(maxDist)
-			if hasRef[e] {
-				dist = 0
-			} else if next >= 0 {
-				if d := next - e; d < dist {
-					dist = d
-				}
-			}
-			var x uint16
-			switch kind {
-			case InterOnly:
-				x = uint16(dist)
-			case InterIntra:
-				if hasRef[e] {
-					x = lastSub[e] // MSB 0: intra info
-				} else {
-					x = msbMask | uint16(dist)
-				}
-			case SingleEpoch:
-				if hasRef[e] {
-					x = lastSub[e]
-					if e+1 < t.NumEpochs && hasRef[e+1] {
-						x |= nextBitMask
-					}
-				} else {
-					x = msbMask | uint16(dist)
-				}
-			}
-			if i := e*blockLines + j; wide {
-				binary.LittleEndian.PutUint16(block[2*i:], x)
-			} else {
-				block[i] = byte(x)
-			}
-			if hasRef[e] {
-				next = e
-			}
-		}
+	n := refAdj.N()
+	vstart := lo * elemsPerLine
+	if vstart > n {
+		vstart = n
 	}
-}
-
-// storeBlock writes the first rows rows of an encoded block into the
-// store at rows [lo, lo+rows): one contiguous copy per column.
-func (t *Table) storeBlock(lo, rows int, block []byte) {
-	w := t.entryBytes()
-	for e := 0; e < t.NumEpochs; e++ {
-		src := block[e*blockLines*w : (e*blockLines+rows)*w]
-		copy(t.entries[(e*t.NumLines+lo)*w:], src)
+	it := refAdj.IterFrom(graph.V(vstart))
+	for b := lo; b < hi; b += blockLines {
+		rows := min(hi-b, blockLines)
+		for j := 0; j < rows; j++ {
+			for e := range hasRef {
+				hasRef[e] = false
+				lastSub[e] = 0
+			}
+			vlo := (b + j) * elemsPerLine
+			vhi := vlo + elemsPerLine
+			if vhi > n {
+				vhi = n
+			}
+			// A line is next referenced at the earliest outer-loop position
+			// among its vertices; for epoch bookkeeping we need, per epoch,
+			// whether any reference lands there and the sub-epoch of the
+			// LAST reference in that epoch.
+			for v := vlo; v < vhi; v++ {
+				ds, _ := it.Next()
+				for _, d := range ds {
+					if int(d) >= numVertices {
+						continue // outer loop never reaches it
+					}
+					e := int(t.epochDiv.Div(uint64(d)))
+					sub := int(t.subDiv.Div(uint64(int(d) - e*t.EpochSize)))
+					if sub >= t.SubEpochs {
+						sub = t.SubEpochs - 1
+					}
+					if !hasRef[e] || uint16(sub) > lastSub[e] {
+						lastSub[e] = uint16(sub)
+					}
+					hasRef[e] = true
+				}
+			}
+			// Walk epochs backward, tracking the next referencing epoch.
+			next := -1 // -1 = no further reference
+			for e := t.NumEpochs - 1; e >= 0; e-- {
+				dist := int(maxDist)
+				if hasRef[e] {
+					dist = 0
+				} else if next >= 0 {
+					if d := next - e; d < dist {
+						dist = d
+					}
+				}
+				var x uint16
+				switch kind {
+				case InterOnly:
+					x = uint16(dist)
+				case InterIntra:
+					if hasRef[e] {
+						x = lastSub[e] // MSB 0: intra info
+					} else {
+						x = msbMask | uint16(dist)
+					}
+				case SingleEpoch:
+					if hasRef[e] {
+						x = lastSub[e]
+						if e+1 < t.NumEpochs && hasRef[e+1] {
+							x |= nextBitMask
+						}
+					} else {
+						x = msbMask | uint16(dist)
+					}
+				}
+				if i := e*blockLines + j; w == 2 {
+					binary.LittleEndian.PutUint16(block[2*i:], x)
+				} else {
+					block[i] = byte(x)
+				}
+				if hasRef[e] {
+					next = e
+				}
+			}
+		}
+		for e := 0; e < t.NumEpochs; e++ {
+			copy(t.entries[(e*t.NumLines+b)*w:], block[e*blockLines*w:(e*blockLines+rows)*w])
+		}
 	}
 }
 

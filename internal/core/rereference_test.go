@@ -441,13 +441,13 @@ func TestEpochStreamAccounting(t *testing.T) {
 	if p.EpochStreams != 1 {
 		t.Fatalf("ResetEpoch should stream one column, got %d", p.EpochStreams)
 	}
-	es := p.regs[0].m.EpochSize
+	es := p.streams[0].m.EpochSize
 	p.UpdateIndex(graph.V(es)) // cross into epoch 1
 	p.UpdateIndex(graph.V(es + 1))
 	if p.EpochStreams != 2 {
 		t.Fatalf("EpochStreams = %d, want 2 (no re-stream within epoch)", p.EpochStreams)
 	}
-	wantBytes := uint64(2 * p.regs[0].m.ColumnBytes())
+	wantBytes := uint64(2 * p.streams[0].m.ColumnBytes())
 	if p.BytesStreamed != wantBytes {
 		t.Fatalf("BytesStreamed = %d, want %d", p.BytesStreamed, wantBytes)
 	}
@@ -467,10 +467,10 @@ func TestMatrixSharingBetweenSameGeometryStreams(t *testing.T) {
 	b := sp.AllocBytes("b", g.NumVertices(), 4, true) // same elems/line as a
 	fr := sp.Alloc("fr", g.NumVertices(), 1, true)    // different geometry
 	p := BuildPOPT(&g.Out, g.NumVertices(), InterIntra, 8, a, b, fr)
-	if p.regs[0].m != p.regs[1].m {
+	if p.streams[0].m != p.streams[1].m {
 		t.Error("same-geometry streams must share one matrix (Section V-F)")
 	}
-	if p.regs[0].m == p.regs[2].m {
+	if p.streams[0].m == p.streams[2].m {
 		t.Error("bit-vector stream cannot share the 4B stream's matrix")
 	}
 	// Reservation counts the shared matrix once: equal to a P-OPT with
@@ -492,7 +492,7 @@ func TestContextSwitchRefetchesColumns(t *testing.T) {
 	a := sp.AllocBytes("a", g.NumVertices(), 4, true)
 	p := BuildPOPT(&g.Out, g.NumVertices(), InterIntra, 8, a)
 	p.ContextSwitch()
-	want := uint64(p.regs[0].m.ResidentBytes())
+	want := uint64(p.streams[0].m.ResidentBytes())
 	if p.BytesStreamed != want {
 		t.Errorf("context switch streamed %d bytes, want resident %d", p.BytesStreamed, want)
 	}

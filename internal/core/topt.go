@@ -316,12 +316,12 @@ type memoEntry struct {
 }
 
 // oracle is one irregular stream of a TOPT run: the caller's OracleStream,
-// its address registers copied out of Arr (see irregRegs), and this run's
-// next-reference memo, one entry per line.
+// its array's registers, and this run's next-reference memo, one entry per
+// line.
 type oracle struct {
 	OracleStream
-	base, size uint64
-	memo       []memoEntry
+	irregRegs
+	memo []memoEntry
 }
 
 // TOPT is transpose-based optimal replacement (Section III): at eviction
@@ -356,8 +356,7 @@ func NewTOPT(streams ...OracleStream) *TOPT {
 		if s.LR == nil {
 			s.LR = BuildLineRefs(s.Ref, s.Arr.ElemsPerLine())
 		}
-		p.streams[i] = oracle{OracleStream: s, base: s.Arr.Base, size: s.Arr.SizeBytes(),
-			memo: make([]memoEntry, len(s.LR.oa)-1)}
+		p.streams[i] = oracle{OracleStream: s, irregRegs: newIrregRegs(s.Arr), memo: make([]memoEntry, len(s.LR.oa)-1)}
 	}
 	return p
 }
@@ -413,7 +412,7 @@ func (p *TOPT) OnEvict(set, way int) { p.tie.OnEvict(set, way) }
 //popt:hot
 func (p *TOPT) stream(addr uint64) *oracle {
 	for i := range p.streams {
-		if addr-p.streams[i].base < p.streams[i].size {
+		if p.streams[i].contains(addr) {
 			return &p.streams[i]
 		}
 	}
@@ -434,7 +433,7 @@ func (p *TOPT) stream(addr uint64) *oracle {
 //
 //popt:hot
 func (p *TOPT) nextRef(s *oracle, addr uint64) int64 {
-	l := int((addr - s.base) >> mem.LineShift)
+	l := s.lineID(addr)
 	m := &s.memo[l]
 	if m.gen != p.gen {
 		m.pos, m.next = s.LR.seek(l, s.LR.oa[l], p.cur)

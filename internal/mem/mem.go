@@ -82,12 +82,6 @@ func (a *Array) Bound() uint64 { return a.Base + a.SizeBytes() }
 //popt:hot
 func (a *Array) Contains(addr uint64) bool { return addr >= a.Base && addr < a.Bound() }
 
-// LineID returns the 0-based cache line index of addr within the array:
-// cachelineID = (addr - irreg_base) >> 6 in the paper's next-ref engine.
-//
-//popt:hot
-func (a *Array) LineID(addr uint64) int { return int((addr - a.Base) >> LineShift) }
-
 // ElemsPerLine returns how many elements share one cache line.
 func (a *Array) ElemsPerLine() int { return int(LineSize * 8 / a.ElemBits) }
 
