@@ -206,11 +206,14 @@ func BuildTable(refAdj *graph.Adj, numVertices, elemsPerLine int, kind Kind, bit
 // per worker the goroutine fan-out costs more than the column scans.
 const minLinesPerWorker = 256
 
-// blockLines is how many rows fillLines encodes before writing them out:
-// each column then receives one contiguous run of blockLines entries (64
-// bytes at 8 bits, one host cache line) rather than one entry per row at a
-// stride of NumLines. Worker ranges start on block boundaries.
-const blockLines = 64
+// blockBytes bounds the scratch block in which a worker of the table
+// build encodes rows before writing them out. A block holds as many rows
+// as fit, so each column receives one contiguous run per block rather
+// than one entry per row at a stride of NumLines: 64 entries, one host
+// cache line, for the paper's 8-bit, 256-epoch tables. Bounding the bytes
+// rather than the rows keeps the scratch small for 16-bit tables, whose
+// rows hold up to 2^16 epochs.
+const blockBytes = 16 << 10
 
 // fillEntries allocates and populates the entries of a Table whose
 // geometry fields are already set, partitioning rows across workers.
@@ -220,28 +223,28 @@ const blockLines = 64
 func fillEntries(t *Table, refAdj *graph.Adj, numVertices int) {
 	w := t.entryBytes()
 	t.entries = make([]byte, t.NumLines*t.NumEpochs*w)
+	blockRows := max(blockBytes/(t.NumEpochs*w), 1)
 	workers := max(min(runtime.GOMAXPROCS(0), t.NumLines/minLinesPerWorker), 1)
 	chunk := (t.NumLines + workers - 1) / workers
-	chunk = (chunk + blockLines - 1) / blockLines * blockLines
 	var wg sync.WaitGroup
 	for lo := 0; lo < t.NumLines; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			t.fillLines(refAdj, numVertices, lo, hi,
-				make([]bool, t.NumEpochs), make([]uint16, t.NumEpochs), make([]byte, blockLines*t.NumEpochs*w))
+			t.fillLines(refAdj, numVertices, lo, hi, make([]bool, t.NumEpochs), make([]uint16, t.NumEpochs),
+				make([]byte, min(hi-lo, blockRows)*t.NumEpochs*w))
 		}(lo, min(lo+chunk, t.NumLines))
 	}
 	wg.Wait()
 }
 
 // fillLines is one worker of the parallel matrix build: it encodes the
-// rows [lo, hi) into t.entries. Each block of blockLines rows is encoded
-// into block, epoch-major at the store's entry width (row lo+j of epoch e
-// at index e*blockLines+j), and then copied out one column run at a time.
-// hasRef and lastSub (length NumEpochs) and block are caller-provided
-// per-worker scratch, allocated outside so this inner loop stays
-// allocation-free.
+// rows [lo, hi) into t.entries. Each block of rows is encoded into
+// block, epoch-major at the store's entry width (row b+j of epoch e at
+// index e*stride+j, stride being the rows block holds), and then copied
+// out one column run at a time. hasRef and lastSub (length
+// NumEpochs) and block are caller-provided per-worker scratch, allocated
+// outside so this inner loop stays allocation-free.
 //
 //popt:hot
 func (t *Table) fillLines(refAdj *graph.Adj, numVertices, lo, hi int, hasRef []bool, lastSub []uint16, block []byte) {
@@ -259,8 +262,9 @@ func (t *Table) fillLines(refAdj *graph.Adj, numVertices, lo, hi int, hasRef []b
 		vstart = n
 	}
 	it := refAdj.IterFrom(graph.V(vstart))
-	for b := lo; b < hi; b += blockLines {
-		rows := min(hi-b, blockLines)
+	stride := len(block) / (t.NumEpochs * w)
+	for b := lo; b < hi; b += stride {
+		rows := min(hi-b, stride)
 		for j := 0; j < rows; j++ {
 			for e := range hasRef {
 				hasRef[e] = false
@@ -323,7 +327,7 @@ func (t *Table) fillLines(refAdj *graph.Adj, numVertices, lo, hi int, hasRef []b
 						x = msbMask | uint16(dist)
 					}
 				}
-				if i := e*blockLines + j; w == 2 {
+				if i := e*stride + j; w == 2 {
 					binary.LittleEndian.PutUint16(block[2*i:], x)
 				} else {
 					block[i] = byte(x)
@@ -334,7 +338,7 @@ func (t *Table) fillLines(refAdj *graph.Adj, numVertices, lo, hi int, hasRef []b
 			}
 		}
 		for e := 0; e < t.NumEpochs; e++ {
-			copy(t.entries[(e*t.NumLines+b)*w:], block[e*blockLines*w:(e*blockLines+rows)*w])
+			copy(t.entries[(e*t.NumLines+b)*w:], block[e*stride*w:(e*stride+rows)*w])
 		}
 	}
 }

@@ -359,8 +359,9 @@ func TestNextRefAgainstOracle(t *testing.T) {
 // TestBuildTableWorkerInvariant holds BuildTable to its promise that the
 // entries are bit-identical at every worker count. Workers of the
 // epoch-major build write neighbouring runs of the same columns, so a
-// slipped chunk or block boundary shows here. 1000 lines is no multiple of
-// the 3-worker chunk (or of blockLines); 100 lines is below
+// slipped chunk or block boundary shows here. 1000 lines split unevenly
+// over 3 workers (334, 334, 332 lines) and, below 16 bits, end each
+// worker's range on a partial block; 100 lines is below
 // minLinesPerWorker, so that build stays on one worker.
 func TestBuildTableWorkerInvariant(t *testing.T) {
 	const n = 4000
