@@ -239,12 +239,12 @@ func fillEntries(t *Table, refAdj *graph.Adj, numVertices int) {
 }
 
 // fillLines is one worker of the parallel matrix build: it encodes the
-// rows [lo, hi) into t.entries. Each block of rows is encoded into
-// block, epoch-major at the store's entry width (row b+j of epoch e at
-// index e*stride+j, stride being the rows block holds), and then copied
-// out one column run at a time. hasRef and lastSub (length
-// NumEpochs) and block are caller-provided per-worker scratch, allocated
-// outside so this inner loop stays allocation-free.
+// rows [lo, hi) into t.entries. Each block of rows is encoded into block,
+// epoch-major at the store's entry width (row b+j of epoch e at index
+// e*stride+j, stride being the rows block holds), and then copied out one
+// column run at a time. hasRef and lastSub (length NumEpochs) and block
+// are caller-provided per-worker scratch, allocated outside so this inner
+// loop stays allocation-free.
 //
 //popt:hot
 func (t *Table) fillLines(refAdj *graph.Adj, numVertices, lo, hi int, hasRef []bool, lastSub []uint16, block []byte) {

@@ -12,9 +12,9 @@ import (
 //   - Victim(set int, tags []uint64, acc ...) int must treat tags as
 //     read-only borrowed storage: it aliases the Level's tag row for the
 //     set, so a write corrupts simulator state and a retained reference
-//     lets later fills mutate policy-held data. The analyzer flags writes through
-//     the parameter (including via local aliases) and stores of the
-//     parameter into anything that outlives the call.
+//     lets later fills mutate policy-held data. The analyzer flags writes
+//     through the parameter (including via local aliases) and stores of
+//     the parameter into anything that outlives the call.
 //   - Every type implementing the Policy method set must consult
 //     Geometry.ReservedWays somewhere in its own (or embedded) methods,
 //     or visibly delegate victim selection to another policy. A policy
@@ -22,8 +22,8 @@ import (
 //     moment a P-OPT configuration pins Rereference Matrix columns.
 //
 // Matching is structural (parameter/receiver shapes and the type name
-// Geometry), so the analyzer works identically on the real
-// internal/cache types and on self-contained test fixtures.
+// Geometry), so the analyzer works identically on the real internal/cache
+// types and on self-contained test fixtures.
 var PolicyContract = &Analyzer{
 	Name: "policycontract",
 	Doc: "flags Policy.Victim implementations that write to or retain the " +
