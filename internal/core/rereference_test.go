@@ -227,21 +227,20 @@ func TestMatrixQuantizationWidths(t *testing.T) {
 	}
 }
 
-// tableKinds lists every (Kind, width) pair BuildTable accepts among the
-// widths the experiments use: SingleEpoch needs at least 5 bits.
-func tableKinds() (out []struct {
+// kindBits is one table encoding: a Kind at a quantization width.
+type kindBits struct {
 	kind Kind
 	bits uint
-}) {
+}
+
+// tableKinds lists every (Kind, width) pair BuildTable accepts among the
+// widths the experiments use: SingleEpoch needs at least 5 bits.
+func tableKinds() (out []kindBits) {
 	for _, kind := range []Kind{InterOnly, InterIntra, SingleEpoch} {
 		for _, bits := range []uint{4, 5, 8, 16} {
-			if kind == SingleEpoch && bits < 5 {
-				continue
+			if kind != SingleEpoch || bits >= 5 {
+				out = append(out, kindBits{kind, bits})
 			}
-			out = append(out, struct {
-				kind Kind
-				bits uint
-			}{kind, bits})
 		}
 	}
 	return out
