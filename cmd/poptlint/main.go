@@ -3,18 +3,17 @@
 // cache.Policy contract (syntactic policycontract plus the borrowflow
 // dataflow analyzer), cache.Stats write discipline, the publish-safety
 // family for shared sweep artifacts (sharefreeze, lockguard,
-// loopcapture), and the wire-format family for the trace codecs
-// (codecpair, formatlock, opexhaust). It exits nonzero when any finding
-// survives the //lint directives, so it can gate CI the same way go vet
-// does.
+// loopcapture), and the wireformat analyzer for the trace codecs. It
+// exits nonzero when any finding survives the //lint directives, so it
+// can gate CI the same way go vet does.
 //
-// With -wirecheck it runs only the wire-format family: codecpair proves
-// every //popt:codec enc/dec pair encodes and decodes the same per-opcode
-// payload layout, formatlock diffs each stream's canonical fingerprint
-// against the checked-in baseline (drift without a FormatVersions bump
-// fails; -update regenerates the baseline after a deliberate bump), and
-// opexhaust requires opcode dispatch switches to cover every declared
-// opcode with a loud default.
+// With -wirecheck it runs only wireformat, which walks every
+// //popt:codec function once and checks three things: each enc/dec pair
+// encodes and decodes the same per-opcode payload layout, opcode dispatch
+// switches cover every declared opcode with a loud default, and each
+// stream's canonical fingerprint matches the checked-in baseline (drift
+// without a FormatVersions bump fails; -update regenerates the baseline
+// after a deliberate bump).
 //
 // With -hotpath it instead runs the hot-path performance gate
 // (internal/lint/hotpath): every //popt:hot function is compiled with
@@ -69,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list analyzers and exit")
 	runSel := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
 	freezeOnly := fs.Bool("sharefreeze", false, "run only the publish-safety family: sharefreeze, lockguard, loopcapture")
-	wireOnly := fs.Bool("wirecheck", false, "run only the wire-format family: codecpair, formatlock, opexhaust")
+	wireOnly := fs.Bool("wirecheck", false, "run only the wire-format analyzer, wireformat")
 	dir := fs.String("C", "", "run as if started in this directory (module root)")
 	hot := fs.Bool("hotpath", false, "run the hot-path performance gate instead of the analyzers")
 	update := fs.Bool("update", false, "with -hotpath or -wirecheck, regenerate the baseline instead of diffing")
@@ -83,6 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !filepath.IsAbs(wireBaselinePath) && *dir != "" {
 		wireBaselinePath = filepath.Join(*dir, wireBaselinePath)
 	}
+	wire := lint.NewWireFormat(wireBaselinePath, *update)
 	all := []*lint.Analyzer{
 		lint.NewDeterminism(),
 		lint.PolicyContract,
@@ -91,9 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lint.NewShareFreeze(),
 		lint.LockGuard,
 		lint.NewLoopCapture(),
-		lint.CodecPair,
-		lint.NewFormatLock(wireBaselinePath, *update),
-		lint.OpExhaust,
+		wire,
 	}
 	if *list {
 		for _, a := range all {
@@ -133,13 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *wireOnly {
-		analyzers = nil
-		for _, a := range all {
-			switch a.Name {
-			case "codecpair", "formatlock", "opexhaust":
-				analyzers = append(analyzers, a)
-			}
-		}
+		analyzers = []*lint.Analyzer{wire}
 	}
 	if *runSel != "" {
 		analyzers = nil

@@ -72,10 +72,13 @@ func TestListExitsClean(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list: exit %d, want 0", code)
 	}
-	for _, name := range []string{"determinism", "policycontract", "borrowflow", "statsdiscipline", "sharefreeze", "lockguard", "loopcapture", "codecpair", "formatlock", "opexhaust"} {
+	for _, name := range []string{"determinism", "policycontract", "borrowflow", "statsdiscipline", "sharefreeze", "lockguard", "loopcapture", "wireformat"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out)
 		}
+	}
+	if n := strings.Count(out, "\n"); n != 8 {
+		t.Errorf("-list shows %d analyzers, want 8:\n%s", n, out)
 	}
 }
 
@@ -197,20 +200,18 @@ func TestRunSingleFreezeAnalyzer(t *testing.T) {
 }
 
 func TestWirecheckFamilyFindings(t *testing.T) {
-	// wiremod seeds one violation per wire-format analyzer; the family
-	// flag must surface all three and exit 1.
+	// wiremod seeds one violation per wireformat check (parity, dispatch,
+	// fingerprint lock); -wirecheck must surface all three and exit 1.
 	code, out, errOut := runCmd(t, "-C", filepath.Join("testdata", "wiremod"), "-wirecheck", "-wirebaseline", "wireformat.baseline", "./...")
 	if code != 1 {
 		t.Fatalf("-wirecheck on wiremod: exit %d, want 1 (stdout %q, stderr %q)", code, out, errOut)
 	}
 	for _, want := range []string{
 		`asymmetric codec for opcode aopB of stream "pair"`,
-		"[codecpair]",
 		`wire fingerprint of stream "drift" changed but FormatVersions["drift"] is still 1`,
-		"[formatlock]",
 		"opcode dispatch in replaySilent does not handle bopC",
 		"default clause of the opcode dispatch in replaySilent is silent",
-		"[opexhaust]",
+		"[wireformat]",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stdout missing %q:\n%s", want, out)
@@ -232,7 +233,7 @@ func TestWirecheckExcludesOtherAnalyzers(t *testing.T) {
 
 func TestWirecheckFlagExclusions(t *testing.T) {
 	for _, args := range [][]string{
-		{"-wirecheck", "-run", "codecpair", "./..."},
+		{"-wirecheck", "-run", "wireformat", "./..."},
 		{"-wirecheck", "-sharefreeze", "./..."},
 		{"-wirecheck", "-hotpath"},
 	} {
@@ -287,11 +288,11 @@ func TestWirecheckUpdateAfterVersionBump(t *testing.T) {
 		t.Fatal(err)
 	}
 	code, out, errOut := runCmd(t, "-C", dir, "-wirecheck", "-update", "-wirebaseline", "wireformat.baseline", "./...")
-	if code != 1 { // codecpair and opexhaust seeds remain
+	if code != 1 { // the parity and dispatch seeds remain
 		t.Fatalf("-update after bump: exit %d, want 1 (stdout %q, stderr %q)", code, out, errOut)
 	}
-	if strings.Contains(out, "[formatlock]") {
-		t.Errorf("formatlock finding survived a legitimate bump + -update:\n%s", out)
+	if strings.Contains(out, `stream "drift"`) {
+		t.Errorf("drift finding survived a legitimate bump + -update:\n%s", out)
 	}
 	first, err := os.ReadFile(filepath.Join(dir, "wireformat.baseline"))
 	if err != nil {
@@ -312,8 +313,8 @@ func TestWirecheckUpdateAfterVersionBump(t *testing.T) {
 	}
 	// The now-locked stream passes check mode too.
 	code, out, _ = runCmd(t, "-C", dir, "-wirecheck", "-wirebaseline", "wireformat.baseline", "./...")
-	if code != 1 || strings.Contains(out, "[formatlock]") {
-		t.Fatalf("check after bump+update: exit %d with formatlock findings?\n%s", code, out)
+	if code != 1 || strings.Contains(out, `stream "drift"`) {
+		t.Fatalf("check after bump+update: exit %d with drift findings?\n%s", code, out)
 	}
 }
 

@@ -1,9 +1,10 @@
-// Package wiremod seeds one violation per wirecheck analyzer for the
+// Package wiremod seeds one violation per wireformat check for the
 // -wirecheck exit-code tests: stream "pair" has an asymmetric codec arm
-// (codecpair), stream "silent" has a dispatch switch whose default clause
-// swallows corrupt opcodes (opexhaust), and stream "drift" changed its
-// payload layout without bumping FormatVersions (formatlock, against the
-// checked-in wireformat.baseline next to this file).
+// (parity), stream "silent" has a dispatch switch that misses an opcode
+// and whose default clause swallows corrupt opcodes (dispatch), and
+// stream "drift" changed its payload layout without bumping
+// FormatVersions (fingerprint lock, against the checked-in
+// wireformat.baseline next to this file).
 package wiremod
 
 var FormatVersions = map[string]byte{
@@ -29,37 +30,11 @@ const (
 
 type enc struct{ buf []byte }
 
-func appendUvarint(buf []byte, x uint64) []byte {
-	for x >= 0x80 {
-		buf = append(buf, byte(x)|0x80)
-		x >>= 7
-	}
-	return append(buf, byte(x))
-}
-
-func appendVarint(buf []byte, x int64) []byte {
-	return appendUvarint(buf, uint64(x)<<1^uint64(x>>63))
-}
-
-func uvarint(data []byte, i int) (uint64, int) {
-	var x uint64
-	var shift uint
-	for i < len(data) {
-		b := data[i]
-		i++
-		x |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return x, i
-		}
-		shift += 7
-	}
-	panic("wiremod: truncated varint")
-}
-
-func varint(data []byte, i int) (int64, int) {
-	ux, n := uvarint(data, i)
-	return int64(ux>>1) ^ -int64(ux&1), n
-}
+// The varint primitives are stubs: the walk recognizes them by name.
+func appendUvarint(buf []byte, x uint64) []byte { return buf }
+func appendVarint(buf []byte, x int64) []byte   { return buf }
+func uvarint(data []byte, i int) (uint64, int)  { return 0, i + 1 }
+func varint(data []byte, i int) (int64, int)    { return 0, i + 1 }
 
 // PairA and PairB encode stream "pair"; the decoder reads aopB's payload
 // as one varint where PairB wrote two.

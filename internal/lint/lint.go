@@ -1,8 +1,15 @@
 // Package lint is a self-contained static-analysis framework plus the
 // poptlint analyzer suite that enforces this repository's simulator
-// invariants: bit-reproducible execution (the determinism analyzer), the
-// cache.Policy contract (the policycontract analyzer), and single-writer
-// statistics counters (the statsdiscipline analyzer).
+// invariants:
+//
+//   - bit-reproducible execution (determinism);
+//   - the cache.Policy contract: no writes to or retention of the borrowed
+//     tag row (policycontract, and the borrowflow dataflow analyzer);
+//   - single-writer statistics counters (statsdiscipline);
+//   - publish safety of shared sweep artifacts (sharefreeze, lockguard,
+//     loopcapture);
+//   - the hand-written trace wire codecs: enc/dec parity, loud opcode
+//     dispatch, and a version-locked layout fingerprint (wireformat).
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis —
 // Analyzer, Pass, Diagnostic, a testdata-driven test harness with

@@ -1,8 +1,14 @@
-// Package wire is a miniature of the real trace codec for the codecpair
-// analyzer: stream "w" seeds one violation of each parity rule, and the
-// clean opcodes exercise the opcode-variable, PC-nibble, merged-opcode,
-// and memoized-branch idioms the extractor must handle without noise.
+// Package wire is a miniature of the trace codecs for the wireformat
+// analyzer's parity check, locked against testdata/wire.baseline. Stream
+// "w" seeds the parity defects, and its clean opcodes use the walk's
+// idioms: an opcode local assigned from constants, both PC nibble forms,
+// and the 0x80 one-byte varint fold. The remaining functions seed the
+// extraction and annotation defects.
 package wire
+
+var FormatVersions = map[string]byte{
+	"w": 1,
+}
 
 const (
 	wopA byte = iota + 1 // uvarint payload
@@ -10,40 +16,34 @@ const (
 	wopC                 // encoded but never dispatched
 	wopD                 // dispatched but never encoded
 	wopE                 // PC nibble + varint delta
-	wopF                 // merged form of wopE: PC nibble + uvarint + varint
+	wopF                 // wopE's write form, chosen by the same encoder
+)
 
-	wopMask  byte = 0x0f
+const (
+	opMask   byte = 0x0f
 	pcEscape byte = 15
 	pcInline      = 13
 )
 
-type enc struct {
-	buf     []byte
-	pending uint64
+type enc struct{ buf []byte }
+
+// The varint primitives are stubs: the walk recognizes them by name.
+func appendUvarint(buf []byte, x uint64) []byte { return buf }
+func appendVarint(buf []byte, x int64) []byte   { return buf }
+func uvarint(data []byte, i int) (uint64, int)  { return 0, i + 1 }
+func varint(data []byte, i int) (int64, int)    { return 0, i + 1 }
+
+// bad panics out of line, like the real codec's badOp.
+func bad(op byte) {
+	panic("wire: bad opcode")
 }
 
-func appendUvarint(buf []byte, x uint64) []byte {
-	for x >= 0x80 {
-		buf = append(buf, byte(x)|0x80)
-		x >>= 7
-	}
-	return append(buf, byte(x))
-}
-
-func appendVarint(buf []byte, x int64) []byte {
-	return appendUvarint(buf, uint64(x)<<1^uint64(x>>63))
-}
-
-// A encodes a single uvarint payload; its decode arm matches.
-//
 //popt:codec w enc
 func (e *enc) A(x uint64) {
 	e.buf = append(e.buf, wopA)
 	e.buf = appendUvarint(e.buf, x)
 }
 
-// B encodes two varints, but the decoder reads only one.
-//
 //popt:codec w enc
 func (e *enc) B(a, b int64) {
 	e.buf = append(e.buf, wopB)
@@ -51,25 +51,18 @@ func (e *enc) B(a, b int64) {
 	e.buf = appendVarint(e.buf, b)
 }
 
-// C emits an opcode the decoder never dispatches.
-//
 //popt:codec w enc
 func (e *enc) C() {
 	e.buf = append(e.buf, wopC) // want `opcode wopC of stream "w" is encoded by C but never dispatched in decoder replay`
 }
 
-// E exercises the tracked opcode variable (one function emitting wopE or
-// the merged wopF), the correlated pending branches, and both PC nibble
-// forms; both decode arms match.
+// E emits wopE or wopF from one opcode local, with either PC nibble form.
 //
 //popt:codec w enc
-func (e *enc) E(pc uint16, d int64) {
-	op := wopA
-	op += wopE - wopA
-	pending := e.pending
-	if pending != 0 {
-		op += wopF - wopE
-		e.pending = 0
+func (e *enc) E(pc uint16, d int64, write bool) {
+	op := wopE
+	if write {
+		op = wopF
 	}
 	if pc <= pcInline {
 		e.buf = append(e.buf, op|byte(pc+1)<<4)
@@ -77,46 +70,38 @@ func (e *enc) E(pc uint16, d int64) {
 		e.buf = append(e.buf, op|pcEscape<<4)
 		e.buf = appendUvarint(e.buf, uint64(pc))
 	}
-	if pending != 0 {
-		e.buf = appendUvarint(e.buf, pending)
-	}
 	e.buf = appendVarint(e.buf, d)
 }
 
-func uvarint(data []byte, i int) (uint64, int) {
-	var x uint64
-	var shift uint
-	for i < len(data) {
-		b := data[i]
-		i++
-		x |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return x, i
-		}
-		shift += 7
-	}
-	panic("wire: truncated varint")
-}
-
-func varint(data []byte, i int) (int64, int) {
-	ux, n := uvarint(data, i)
-	return int64(ux>>1) ^ -int64(ux&1), n
-}
-
-// record is an opaque helper call the walker must ignore.
-func record(op byte, i int) int { return i }
-
-// replay is stream "w"'s decoder.
+// Raw appends a byte the walk cannot tie to an opcode constant.
 //
+//popt:codec w enc
+func (e *enc) Raw(b byte) {
+	e.buf = append(e.buf, b) // want `cannot determine the opcode value of this buffer append`
+}
+
+// Loop hides its payload in a loop, which the walk refuses to model.
+//
+//popt:codec w enc
+func (e *enc) Loop(xs []uint64) {
+	for _, x := range xs { // want `codec walk does not model this statement`
+		e.buf = append(e.buf, wopA)
+		e.buf = appendUvarint(e.buf, x)
+	}
+}
+
 //popt:codec w dec
 func replay(data []byte) {
 	i := 0
 	for i < len(data) {
 		b := data[i]
 		i++
-		op := b & wopMask
-		switch op {
+		op := b & opMask
+		switch op { // want `opcode dispatch in replay does not handle wopC \(declared in the wopA opcode block\)`
 		case wopA:
+			if i >= len(data) {
+				panic("wire: truncated") // a failure path, not a layout
+			}
 			_, i = uvarint(data, i)
 		case wopB: // want `asymmetric codec for opcode wopB of stream "w": B encodes \[varint varint\] but replay decodes \[varint\]`
 			_, i = varint(data, i)
@@ -126,24 +111,19 @@ func replay(data []byte) {
 			if hi := b >> 4; hi == pcEscape {
 				_, i = uvarint(data, i)
 			}
-			if op == wopF {
-				_, i = uvarint(data, i)
-			}
 			if i < len(data) && data[i] < 0x80 {
 				i++
 			} else {
 				_, i = varint(data, i)
 			}
-			i = record(op, i)
 		default:
-			panic("wire: bad opcode")
+			bad(op)
 		}
 	}
 }
 
-// X is annotated for a stream with no decoder at all.
-//
-//popt:codec x enc
-func (e *enc) X() { // want `stream "x" has encoder annotations but no //popt:codec x dec function`
-	e.buf = append(e.buf, wopA)
-}
+//popt:codec y dec
+func decodeY(data []byte) {} // want `stream "y" has decoder annotations but no //popt:codec y enc function`
+
+//popt:codec z encode // want `malformed codec annotation`
+func z() {}

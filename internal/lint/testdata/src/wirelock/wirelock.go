@@ -1,9 +1,10 @@
-// Package wirelock seeds formatlock violations against the checked-in
-// testdata/wirelock.baseline: stream "fresh" matches its baseline entry,
-// "drift" changed layout without a version bump, "stale" bumped its
-// version without regenerating the baseline, "noentry" is annotated but
-// missing from FormatVersions entirely, and "retired" is in the baseline
-// but no longer declared (reported at the registry's first entry).
+// Package wirelock is a miniature of the trace codecs for the wireformat
+// analyzer's fingerprint lock, checked against testdata/wirelock.baseline.
+// Stream "fresh" matches its baseline entry, header fields included;
+// "drift" changed layout without a version bump; "stale" bumped its
+// version without regenerating the baseline; "x" is annotated but missing
+// from FormatVersions; and "retired" is in the baseline but no longer
+// declared (reported at the registry's first entry).
 package wirelock
 
 var FormatVersions = map[string]byte{
@@ -20,31 +21,12 @@ const (
 	fopA byte = iota + 1
 )
 
-const (
-	dopA byte = iota + 1
-)
-
-const (
-	sopA byte = iota + 1
-)
-
-const (
-	nopA byte = iota + 1
-)
-
 type enc struct{ buf []byte }
 
-func appendUvarint(buf []byte, x uint64) []byte {
-	for x >= 0x80 {
-		buf = append(buf, byte(x)|0x80)
-		x >>= 7
-	}
-	return append(buf, byte(x))
-}
-
-func appendVarint(buf []byte, x int64) []byte {
-	return appendUvarint(buf, uint64(x)<<1^uint64(x>>63))
-}
+// The varint primitives are stubs: the walk recognizes them by name.
+func appendUvarint(buf []byte, x uint64) []byte { return buf }
+func appendVarint(buf []byte, x int64) []byte   { return buf }
+func uvarint(data []byte, i int) (uint64, int)  { return 0, i + 1 }
 
 // Fresh matches its baseline entry exactly.
 //
@@ -54,27 +36,38 @@ func (e *enc) Fresh(x uint64) {
 	e.buf = appendUvarint(e.buf, x)
 }
 
-// Drift changed its payload from uvarint (what the baseline records) to
-// varint without bumping FormatVersions["drift"].
-//
-//popt:codec drift enc
-func (e *enc) Drift(x int64) {
-	e.buf = append(e.buf, dopA)
-	e.buf = appendVarint(e.buf, x)
+//popt:codec fresh dec
+func decodeFresh(data []byte) {
+	for i := 0; i < len(data); {
+		op := data[i]
+		i++
+		switch op {
+		case fopA:
+			_, i = uvarint(data, i)
+		default:
+			panic("wirelock: bad opcode")
+		}
+	}
 }
 
-// Stale bumped FormatVersions["stale"] to 2, but the baseline still
-// records version 1.
+// Drift changed fopA's payload from the uvarint the baseline records to
+// a varint without bumping FormatVersions["drift"].
+//
+//popt:codec drift enc
+func (e *enc) Drift(d int64) { // want `stream "drift" has encoder annotations but no //popt:codec drift dec function`
+	e.buf = append(e.buf, fopA)
+	e.buf = appendVarint(e.buf, d)
+}
+
+// Stale bumped FormatVersions["stale"] to 2; the baseline still records 1.
 //
 //popt:codec stale enc
-func (e *enc) Stale(x uint64) {
-	e.buf = append(e.buf, sopA)
+func (e *enc) Stale(x uint64) { // want `stream "stale" has encoder annotations but no //popt:codec stale dec function`
+	e.buf = append(e.buf, fopA)
 	e.buf = appendUvarint(e.buf, x)
 }
 
-// NoEntry is annotated but has no FormatVersions entry.
-//
-//popt:codec noentry enc
-func (e *enc) NoEntry() { // want `stream "noentry" has //popt:codec annotations but no FormatVersions entry`
-	e.buf = append(e.buf, nopA)
+//popt:codec x enc
+func (e *enc) X() { // want `stream "x" has encoder annotations but no //popt:codec x dec function` `stream "x" has //popt:codec annotations but no FormatVersions entry`
+	e.buf = append(e.buf, fopA)
 }

@@ -26,8 +26,9 @@ import (
 // chunk seek index, and the identifying metadata) come last so recording
 // is a single forward pass; readers find them through the fixed trailer.
 
-// Frame markers. The block holds only the iota run: the opexhaust
-// analyzer derives the decoder's opcode universe from it.
+// Frame markers. The block holds only the markers: the wireformat
+// analyzer takes every constant of an iota block as the decoder's
+// opcode universe.
 const (
 	cfChunk byte = iota + 1 // events, firstPC, len, crc, then payload
 	cfStats                 // len, crc, then the stream-total payload

@@ -41,7 +41,7 @@ type frameHeader struct {
 // parseFrameHeader decodes the frame header at data[i:], returning the
 // header and the index of the first payload byte. The dispatch mirrors
 // the writeChunkFrame/writeStatsFrame/writeIndexFrame/writeMetaFrame
-// encoders arm for arm (codecpair holds them in lockstep), and an unknown
+// encoders arm for arm (wireformat holds them in lockstep), and an unknown
 // marker is an error, never a panic.
 //
 //popt:codec container dec

@@ -16,7 +16,7 @@ func (t *LLCTrace) Bytes() []byte { return t.data }
 
 // scanLLCFrom validates LLC-stream event bytes starting at i (a headerless
 // chunk payload) and recomputes the statistics the encoder collected. The
-// opcode dispatch mirrors llcDecoder.decode arm for arm; the codecpair
+// opcode dispatch mirrors llcDecoder.decode arm for arm; the wireformat
 // analyzer holds both decoders to the encoder's opcode payloads.
 //
 //popt:codec llc dec

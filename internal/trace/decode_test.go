@@ -69,20 +69,22 @@ func TestDecodeLLCTraceRoundTrip(t *testing.T) {
 // TestDecodeLLCTraceRejectsCorruptInput drives the error paths: every
 // corruption of headerless event bytes, the form untrusted chunk payloads
 // take, comes back from scanLLCFrom as an error naming the problem, never
-// a panic; a bad flat-stream header, which only an encoder bug can
-// produce, panics naming the header instead of misdecoding.
+// a panic; an unknown opcode reaching the hot decoder, and a bad
+// flat-stream header, which only an encoder bug can produce, panic naming
+// the opcode or the header instead of misdecoding.
 func TestDecodeLLCTraceRejectsCorruptInput(t *testing.T) {
 	enc := NewLLCEncoder()
 	enc.LLCAccess(mem.Access{Addr: 1 << 20, PC: 3})
 	enc.SetVertex(17)
 	valid := enc.Trace(1, cache.Stats{}, cache.Stats{}).Bytes()
 	body := valid[llcHeaderLen:]
+	unknownOp := append(append([]byte{}, body...), 0x07)
 	cases := []struct {
 		name string
 		data []byte
 		want string
 	}{
-		{"unknown opcode", append(append([]byte{}, body...), 0x07), "opcode 7"},
+		{"unknown opcode", unknownOp, "opcode 7"},
 		{"missing payload", []byte{lopWB}, "truncated varint"},
 		{"truncated escaped pc", []byte{lopAccessW | pcEscape<<4}, "truncated varint"},
 		{"dangling continuation", append(append([]byte{}, body...), lopSetTile, 0x80), "truncated varint"},
@@ -94,6 +96,17 @@ func TestDecodeLLCTraceRejectsCorruptInput(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "opcode 7") {
+				t.Errorf("unknown opcode: llcDecoder panic %q does not name opcode 7", msg)
+			}
+		}()
+		d := llcDecoder{data: unknownOp}
+		var probes [4]cache.Probe
+		var marks [4]Mark
+		d.decode(probes[:], marks[:])
+	}()
 
 	header := valid[:llcHeaderLen]
 	badVersion := append([]byte{}, header...)
@@ -153,7 +166,7 @@ func TestFormatVersionsRideTheHeaders(t *testing.T) {
 }
 
 // TestHeaderLayoutMatchesDeclaration pins the declarative HeaderFields
-// layout (what formatlock fingerprints) against the real header sizes
+// layout (what wireformat fingerprints) against the real header sizes
 // the encoders reserve: a field added to one side without the other is a
 // test failure here and a fingerprint drift there.
 func TestHeaderLayoutMatchesDeclaration(t *testing.T) {

@@ -9,15 +9,15 @@ import "fmt"
 // misdecoded when the layout evolves. The version constants below are the
 // single source of truth: the encoders write them into the header, the
 // replay paths and the validating decoders check them, and the poptlint
-// wirecheck family (codecpair / formatlock / opexhaust) pins the layout
-// they version — any change to an opcode's payload op sequence or a
-// header field fails `poptlint -wirecheck` until the stream's entry here
-// is bumped and the checked-in fingerprint baseline is regenerated with
+// wireformat analyzer pins the layout they version — any change to an
+// opcode's payload op sequence or a header field fails
+// `poptlint -wirecheck` until the stream's entry here is bumped and the
+// checked-in fingerprint baseline is regenerated with
 // `poptlint -wirecheck -update`.
 
 // Format versions, one per wire stream. Bump a stream's constant whenever
 // its encoded layout changes (opcodes, payload op order, header fields);
-// the formatlock analyzer refuses fingerprint drift that is not
+// the wireformat analyzer refuses fingerprint drift that is not
 // accompanied by a bump.
 const (
 	// LLCFormatVersion versions the LLC-visible stream (llc.go).
@@ -31,7 +31,7 @@ const (
 )
 
 // FormatVersions is the stream-name -> current-version registry the
-// wirecheck analyzers cross-check against the `//popt:codec <stream>`
+// wireformat analyzer cross-checks against the `//popt:codec <stream>`
 // annotations. The keys are the stream names used in those annotations.
 var FormatVersions = map[string]byte{
 	"llc":       LLCFormatVersion,
@@ -39,7 +39,7 @@ var FormatVersions = map[string]byte{
 }
 
 // HeaderFields declares each stream's fixed-width header layout in wire
-// order. The formatlock analyzer folds these lines into the stream
+// order. The wireformat analyzer folds these lines into the stream
 // fingerprint (so header changes need version bumps like opcode changes
 // do), and TestHeaderLayoutMatchesDeclaration pins the declared widths
 // against the real header sizes and offsets used by the encoders.
