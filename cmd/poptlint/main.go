@@ -1,19 +1,20 @@
 // Command poptlint runs the repository's custom static-analysis suite
 // (internal/lint) over the given packages: simulator determinism, the
-// cache.Policy contract (syntactic policycontract plus the borrowflow
-// dataflow analyzer), cache.Stats write discipline, the publish-safety
-// family for shared sweep artifacts (sharefreeze, lockguard,
-// loopcapture), and the wireformat analyzer for the trace codecs. It
-// exits nonzero when any finding survives the //lint directives, so it
-// can gate CI the same way go vet does.
+// cache.Policy contract (policycontract), cache.Stats write discipline,
+// the publish-safety family for shared sweep artifacts (sharefreeze,
+// lockguard, loopcapture), and the wireformat analyzer for the trace
+// codecs. It exits nonzero when any finding survives the //lint
+// directives, so it can gate CI the same way go vet does. -run selects a
+// subset of the analyzers by name; CI runs the publish-safety family and
+// wireformat on their own that way, to archive their reports.
 //
-// With -wirecheck it runs only wireformat, which walks every
-// //popt:codec function once and checks three things: each enc/dec pair
-// encodes and decodes the same per-opcode payload layout, opcode dispatch
-// switches cover every declared opcode with a loud default, and each
-// stream's canonical fingerprint matches the checked-in baseline (drift
-// without a FormatVersions bump fails; -update regenerates the baseline
-// after a deliberate bump).
+// wireformat walks every //popt:codec function once and checks three
+// things: each enc/dec pair encodes and decodes the same per-opcode
+// payload layout, opcode dispatch switches cover every declared opcode
+// with a loud default, and each stream's canonical fingerprint matches
+// the checked-in baseline (drift without a FormatVersions bump fails;
+// -update with -run wireformat regenerates the baseline after a
+// deliberate bump).
 //
 // With -hotpath it instead runs the hot-path performance gate
 // (internal/lint/hotpath): every //popt:hot function is compiled with
@@ -27,9 +28,9 @@
 //	go run ./cmd/poptlint ./...
 //	go run ./cmd/poptlint -list
 //	go run ./cmd/poptlint -run determinism ./internal/cache/...
-//	go run ./cmd/poptlint -sharefreeze ./...
-//	go run ./cmd/poptlint -wirecheck ./...
-//	go run ./cmd/poptlint -wirecheck -update ./...
+//	go run ./cmd/poptlint -run sharefreeze,lockguard,loopcapture ./...
+//	go run ./cmd/poptlint -run wireformat ./...
+//	go run ./cmd/poptlint -run wireformat -update ./...
 //	go run ./cmd/poptlint -hotpath
 //	go run ./cmd/poptlint -hotpath -update
 //
@@ -67,13 +68,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")
 	runSel := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
-	freezeOnly := fs.Bool("sharefreeze", false, "run only the publish-safety family: sharefreeze, lockguard, loopcapture")
-	wireOnly := fs.Bool("wirecheck", false, "run only the wire-format analyzer, wireformat")
 	dir := fs.String("C", "", "run as if started in this directory (module root)")
 	hot := fs.Bool("hotpath", false, "run the hot-path performance gate instead of the analyzers")
-	update := fs.Bool("update", false, "with -hotpath or -wirecheck, regenerate the baseline instead of diffing")
+	update := fs.Bool("update", false, "with -hotpath or -run wireformat, regenerate the baseline instead of diffing")
 	baseline := fs.String("baseline", DefaultBaseline, "with -hotpath, baseline file (relative to -C dir)")
-	wireBaseline := fs.String("wirebaseline", DefaultWireBaseline, "with -wirecheck, wire-format baseline file (relative to -C dir)")
+	wireBaseline := fs.String("wirebaseline", DefaultWireBaseline, "wire-format baseline file whenever wireformat runs (relative to -C dir)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -82,16 +81,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !filepath.IsAbs(wireBaselinePath) && *dir != "" {
 		wireBaselinePath = filepath.Join(*dir, wireBaselinePath)
 	}
-	wire := lint.NewWireFormat(wireBaselinePath, *update)
 	all := []*lint.Analyzer{
 		lint.NewDeterminism(),
 		lint.PolicyContract,
-		lint.BorrowFlow,
 		lint.StatsDiscipline,
 		lint.NewShareFreeze(),
 		lint.LockGuard,
 		lint.NewLoopCapture(),
-		wire,
+		lint.NewWireFormat(wireBaselinePath, *update),
 	}
 	if *list {
 		for _, a := range all {
@@ -99,40 +96,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-
-	if *hot && *wireOnly {
-		fmt.Fprintln(stderr, "poptlint: -hotpath and -wirecheck are mutually exclusive")
-		return 2
-	}
 	if *hot {
 		return runHotpath(*dir, *baseline, *update, fs.Args(), stdout, stderr)
 	}
-	if *update && !*wireOnly {
-		fmt.Fprintln(stderr, "poptlint: -update only applies with -hotpath or -wirecheck")
-		return 2
-	}
 
-	if *freezeOnly && *runSel != "" {
-		fmt.Fprintln(stderr, "poptlint: -sharefreeze and -run are mutually exclusive")
-		return 2
-	}
-	if *wireOnly && (*runSel != "" || *freezeOnly) {
-		fmt.Fprintln(stderr, "poptlint: -wirecheck is mutually exclusive with -run and -sharefreeze")
-		return 2
-	}
 	analyzers := all
-	if *freezeOnly {
-		analyzers = nil
-		for _, a := range all {
-			switch a.Name {
-			case "sharefreeze", "lockguard", "loopcapture":
-				analyzers = append(analyzers, a)
-			}
-		}
-	}
-	if *wireOnly {
-		analyzers = []*lint.Analyzer{wire}
-	}
 	if *runSel != "" {
 		analyzers = nil
 		for _, name := range strings.Split(*runSel, ",") {
@@ -149,6 +117,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 2
 			}
 		}
+	}
+	if *update && (len(analyzers) != 1 || analyzers[0].Name != "wireformat") {
+		fmt.Fprintln(stderr, "poptlint: -update only applies with -hotpath or -run wireformat")
+		return 2
 	}
 
 	patterns := fs.Args()

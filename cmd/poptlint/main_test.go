@@ -72,13 +72,13 @@ func TestListExitsClean(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list: exit %d, want 0", code)
 	}
-	for _, name := range []string{"determinism", "policycontract", "borrowflow", "statsdiscipline", "sharefreeze", "lockguard", "loopcapture", "wireformat"} {
+	for _, name := range []string{"determinism", "policycontract", "statsdiscipline", "sharefreeze", "lockguard", "loopcapture", "wireformat"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out)
 		}
 	}
-	if n := strings.Count(out, "\n"); n != 8 {
-		t.Errorf("-list shows %d analyzers, want 8:\n%s", n, out)
+	if n := strings.Count(out, "\n"); n != 7 {
+		t.Errorf("-list shows %d analyzers, want 7:\n%s", n, out)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestUpdateWithoutGateIsUsageError(t *testing.T) {
 	if code != 2 {
 		t.Fatalf("-update alone: exit %d, want 2", code)
 	}
-	if !strings.Contains(errOut, "-update only applies with -hotpath or -wirecheck") {
+	if !strings.Contains(errOut, "-update only applies with -hotpath or -run wireformat") {
 		t.Errorf("stderr missing usage hint: %s", errOut)
 	}
 }
@@ -119,8 +119,8 @@ func TestFindingsExitOneWithFormattedDiagnostics(t *testing.T) {
 		t.Fatalf("lintmod: exit %d, want 1 (stdout %q, stderr %q)", code, out, errOut)
 	}
 	// Diagnostics are file:line:col: message [analyzer].
-	if !strings.Contains(out, "policy.go:") || !strings.Contains(out, "[borrowflow]") {
-		t.Errorf("stdout missing formatted borrowflow finding:\n%s", out)
+	if !strings.Contains(out, "policy.go:") || !strings.Contains(out, "[policycontract]") {
+		t.Errorf("stdout missing formatted policycontract finding:\n%s", out)
 	}
 	if !strings.Contains(out, "leaked") {
 		t.Errorf("stdout does not name the leaking variable:\n%s", out)
@@ -140,11 +140,11 @@ func TestRunSelectionSkipsAnalyzer(t *testing.T) {
 }
 
 func TestShareFreezeFamilyFindings(t *testing.T) {
-	// freezemod seeds one violation per publish-safety analyzer; the
-	// family flag must surface all three and exit 1.
-	code, out, errOut := runCmd(t, "-C", filepath.Join("testdata", "freezemod"), "-sharefreeze", "./...")
+	// freezemod seeds one violation per publish-safety analyzer; running
+	// the family must surface all three and exit 1.
+	code, out, errOut := runCmd(t, "-C", filepath.Join("testdata", "freezemod"), "-run", "sharefreeze,lockguard,loopcapture", "./...")
 	if code != 1 {
-		t.Fatalf("-sharefreeze on freezemod: exit %d, want 1 (stdout %q, stderr %q)", code, out, errOut)
+		t.Fatalf("publish-safety family on freezemod: exit %d, want 1 (stdout %q, stderr %q)", code, out, errOut)
 	}
 	for _, want := range []string{
 		"mutating frozen Table after publication",
@@ -164,21 +164,11 @@ func TestShareFreezeFamilyFindings(t *testing.T) {
 }
 
 func TestShareFreezeExcludesOtherAnalyzers(t *testing.T) {
-	// The family flag must not drag the rest of the suite along: lintmod's
-	// borrowflow violation is invisible to -sharefreeze.
-	code, out, errOut := runCmd(t, "-C", filepath.Join("testdata", "lintmod"), "-sharefreeze", "./...")
+	// Selecting the family must not drag the rest of the suite along:
+	// lintmod's policycontract violation is invisible to it.
+	code, out, errOut := runCmd(t, "-C", filepath.Join("testdata", "lintmod"), "-run", "sharefreeze,lockguard,loopcapture", "./...")
 	if code != 0 {
-		t.Fatalf("-sharefreeze on lintmod: exit %d, want 0 (stdout %q, stderr %q)", code, out, errOut)
-	}
-}
-
-func TestShareFreezeAndRunAreMutuallyExclusive(t *testing.T) {
-	code, _, errOut := runCmd(t, "-sharefreeze", "-run", "lockguard", "./...")
-	if code != 2 {
-		t.Fatalf("-sharefreeze -run: exit %d, want 2", code)
-	}
-	if !strings.Contains(errOut, "mutually exclusive") {
-		t.Errorf("stderr missing mutual-exclusion message: %s", errOut)
+		t.Fatalf("publish-safety family on lintmod: exit %d, want 0 (stdout %q, stderr %q)", code, out, errOut)
 	}
 }
 
@@ -201,10 +191,10 @@ func TestRunSingleFreezeAnalyzer(t *testing.T) {
 
 func TestWirecheckFamilyFindings(t *testing.T) {
 	// wiremod seeds one violation per wireformat check (parity, dispatch,
-	// fingerprint lock); -wirecheck must surface all three and exit 1.
-	code, out, errOut := runCmd(t, "-C", filepath.Join("testdata", "wiremod"), "-wirecheck", "-wirebaseline", "wireformat.baseline", "./...")
+	// fingerprint lock); -run wireformat must surface all three and exit 1.
+	code, out, errOut := runCmd(t, "-C", filepath.Join("testdata", "wiremod"), "-run", "wireformat", "-wirebaseline", "wireformat.baseline", "./...")
 	if code != 1 {
-		t.Fatalf("-wirecheck on wiremod: exit %d, want 1 (stdout %q, stderr %q)", code, out, errOut)
+		t.Fatalf("-run wireformat on wiremod: exit %d, want 1 (stdout %q, stderr %q)", code, out, errOut)
 	}
 	for _, want := range []string{
 		`asymmetric codec for opcode aopB of stream "pair"`,
@@ -223,26 +213,27 @@ func TestWirecheckFamilyFindings(t *testing.T) {
 }
 
 func TestWirecheckExcludesOtherAnalyzers(t *testing.T) {
-	// lintmod's borrowflow violation is invisible to -wirecheck, and a
-	// module with no //popt:codec annotations is vacuously clean.
-	code, out, errOut := runCmd(t, "-C", filepath.Join("testdata", "lintmod"), "-wirecheck", "./...")
+	// lintmod's policycontract violation is invisible to -run wireformat,
+	// and a module with no //popt:codec annotations is vacuously clean.
+	code, out, errOut := runCmd(t, "-C", filepath.Join("testdata", "lintmod"), "-run", "wireformat", "./...")
 	if code != 0 {
-		t.Fatalf("-wirecheck on lintmod: exit %d, want 0 (stdout %q, stderr %q)", code, out, errOut)
+		t.Fatalf("-run wireformat on lintmod: exit %d, want 0 (stdout %q, stderr %q)", code, out, errOut)
 	}
 }
 
 func TestWirecheckFlagExclusions(t *testing.T) {
+	// -update regenerates the wire-format baseline only when wireformat
+	// is the one analyzer selected; alongside others it is a usage error.
 	for _, args := range [][]string{
-		{"-wirecheck", "-run", "wireformat", "./..."},
-		{"-wirecheck", "-sharefreeze", "./..."},
-		{"-wirecheck", "-hotpath"},
+		{"-update", "-run", "sharefreeze", "./..."},
+		{"-update", "-run", "wireformat,determinism", "./..."},
 	} {
 		code, _, errOut := runCmd(t, args...)
 		if code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)
 		}
-		if !strings.Contains(errOut, "mutually exclusive") {
-			t.Errorf("%v: stderr missing mutual-exclusion message: %s", args, errOut)
+		if !strings.Contains(errOut, "-update only applies with -hotpath or -run wireformat") {
+			t.Errorf("%v: stderr missing usage hint: %s", args, errOut)
 		}
 	}
 }
@@ -255,9 +246,9 @@ func TestWirecheckUpdateRefusesDriftWithoutBump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, out, errOut := runCmd(t, "-C", dir, "-wirecheck", "-update", "-wirebaseline", "wireformat.baseline", "./...")
+	code, out, errOut := runCmd(t, "-C", dir, "-run", "wireformat", "-update", "-wirebaseline", "wireformat.baseline", "./...")
 	if code != 1 {
-		t.Fatalf("-wirecheck -update on drifted wiremod: exit %d, want 1 (stdout %q, stderr %q)", code, out, errOut)
+		t.Fatalf("-run wireformat -update on drifted wiremod: exit %d, want 1 (stdout %q, stderr %q)", code, out, errOut)
 	}
 	if !strings.Contains(out, `wire fingerprint of stream "drift" changed`) {
 		t.Errorf("stdout missing surviving drift finding:\n%s", out)
@@ -287,7 +278,7 @@ func TestWirecheckUpdateAfterVersionBump(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "wire.go"), []byte(bumped), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, out, errOut := runCmd(t, "-C", dir, "-wirecheck", "-update", "-wirebaseline", "wireformat.baseline", "./...")
+	code, out, errOut := runCmd(t, "-C", dir, "-run", "wireformat", "-update", "-wirebaseline", "wireformat.baseline", "./...")
 	if code != 1 { // the parity and dispatch seeds remain
 		t.Fatalf("-update after bump: exit %d, want 1 (stdout %q, stderr %q)", code, out, errOut)
 	}
@@ -301,7 +292,7 @@ func TestWirecheckUpdateAfterVersionBump(t *testing.T) {
 	if !strings.Contains(string(first), "stream drift version 2") || !strings.Contains(string(first), "op 1 copA varint") {
 		t.Errorf("baseline not rewritten for the bumped stream:\n%s", first)
 	}
-	if code, _, errOut = runCmd(t, "-C", dir, "-wirecheck", "-update", "-wirebaseline", "wireformat.baseline", "./..."); code != 1 {
+	if code, _, errOut = runCmd(t, "-C", dir, "-run", "wireformat", "-update", "-wirebaseline", "wireformat.baseline", "./..."); code != 1 {
 		t.Fatalf("second -update: exit %d, want 1 (stderr %q)", code, errOut)
 	}
 	second, err := os.ReadFile(filepath.Join(dir, "wireformat.baseline"))
@@ -312,7 +303,7 @@ func TestWirecheckUpdateAfterVersionBump(t *testing.T) {
 		t.Errorf("-update is not idempotent:\n%s\nvs\n%s", first, second)
 	}
 	// The now-locked stream passes check mode too.
-	code, out, _ = runCmd(t, "-C", dir, "-wirecheck", "-wirebaseline", "wireformat.baseline", "./...")
+	code, out, _ = runCmd(t, "-C", dir, "-run", "wireformat", "-wirebaseline", "wireformat.baseline", "./...")
 	if code != 1 || strings.Contains(out, `stream "drift"`) {
 		t.Fatalf("check after bump+update: exit %d with drift findings?\n%s", code, out)
 	}

@@ -1,6 +1,6 @@
 // Package bench is a miniature sweep-shaped module with one deliberate
 // violation per publish-safety analyzer, used by the poptlint command
-// tests to exercise the -sharefreeze family selection and exit code. The
+// tests to exercise selecting that family with -run and its exit code. The
 // module is named popt and the package lives under internal/bench so the
 // scoped analyzers (loopcapture, determinism) treat it as simulator code.
 package bench

@@ -1,9 +1,9 @@
 // Package wiremod seeds one violation per wireformat check for the
-// -wirecheck exit-code tests: stream "pair" has an asymmetric codec arm
-// (parity), stream "silent" has a dispatch switch that misses an opcode
-// and whose default clause swallows corrupt opcodes (dispatch), and
-// stream "drift" changed its payload layout without bumping
-// FormatVersions (fingerprint lock, against the checked-in
+// `-run wireformat` exit-code tests: stream "pair" has an asymmetric
+// codec arm (parity), stream "silent" has a dispatch switch that misses
+// an opcode and whose default clause swallows corrupt opcodes
+// (dispatch), and stream "drift" changed its payload layout without
+// bumping FormatVersions (fingerprint lock, against the checked-in
 // wireformat.baseline next to this file).
 package wiremod
 

@@ -93,7 +93,7 @@ const tagSentinel = ^uint64(0)
 // Lookup is a single-compare scan over a set's contiguous tag row, Fill's
 // free-way pick one TrailingZeros64, and Occupancy/Reserve scans
 // popcounts. Victim borrows the set's tag row read-only (the contract
-// policycontract, borrowflow and NewCheckedPolicy enforce); the Lines
+// policycontract and NewCheckedPolicy enforce); the Lines
 // Fill and Reserve hand back are values built from the three arrays.
 type Level struct {
 	Name  string

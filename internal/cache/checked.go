@@ -9,10 +9,11 @@ import (
 // CheckedPolicy is a runtime complement to the static policycontract
 // analyzer: it wraps any Policy and panics on the contract violations the
 // analyzer cannot prove — a Victim outside [ReservedWays, Ways), mutation
-// of the borrowed tag row, use before Bind, or callbacks arriving out
-// of protocol order (Victim → OnEvict → OnFill on an evicting miss,
-// OnFill alone on a free-way fill, OnHit only when no eviction is in
-// flight).
+// of the borrowed tag row where the static borrow check is suppressed
+// (a //lint:allow site) or blind (unsafe), use before Bind, or callbacks
+// arriving out of protocol order (Victim → OnEvict → OnFill on an
+// evicting miss, OnFill alone on a free-way fill, OnHit only when no
+// eviction is in flight).
 //
 // CheckedPolicy deliberately implements only the core Policy interface.
 // Optional hook interfaces (epoch resets, tile switches, index updates)

@@ -26,7 +26,7 @@ func (f *fakePolicy) OnEvict(set, way int)              {}
 
 func (f *fakePolicy) Victim(set int, tags []uint64, a mem.Access) int {
 	if f.mutate != nil {
-		//lint:allow policycontract,borrowflow (deliberately misbehaving test fake)
+		//lint:allow policycontract (deliberately misbehaving test fake)
 		f.mutate(tags)
 	}
 	return f.victim(f.g)

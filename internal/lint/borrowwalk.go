@@ -6,34 +6,24 @@ import (
 	"go/types"
 )
 
-// BorrowFlow is the dataflow half of the Policy borrow contract. The
-// syntactic policycontract analyzer catches direct writes through and
-// stores of the `tags` row inside Victim; BorrowFlow goes further with
-// a reaching-definitions pass that follows aliases of the borrowed slice
+// This file is policycontract's borrow check: a flow-sensitive
+// reaching-definitions walk over Victim that follows aliases of the
+// borrowed tag row
 //
 //   - through local assignments, with kills on reassignment (x := tags;
-//     x = nil; p.f = x is clean — the alias no longer reaches the store),
+//     x = nil; p.f = x is clean: the alias no longer reaches the store),
 //   - into struct-field stores, composite literals, closures, channel
 //     sends, and goroutines, flagging any path where borrowed storage
 //     outlives the call,
 //   - and across same-package helper calls: every helper reachable from
-//     Victim/Touch gets a per-parameter summary (writes through it /
-//     retains it / returns an alias of it), so delegation and embedding
-//     shapes the syntactic checker cannot see through are still caught at
-//     the Victim call site.
+//     Victim gets a per-parameter summary (writes through it / retains it
+//     / returns an alias of it), so delegation and embedding shapes are
+//     still caught at the Victim call site.
 //
-// Delegating the borrow to another Policy's Victim (an interface call to
-// a method named Victim with the same shape) is allowed: the borrow
+// Delegating the borrow to another policy's Victim is allowed: the borrow
 // obligation transfers to the delegate, which is itself analyzed when its
 // package is. Passing an alias to any other function the analyzer cannot
-// see is flagged — copy the needed data out instead.
-var BorrowFlow = &Analyzer{
-	Name: "borrowflow",
-	Doc: "reaching-definitions analysis of the borrowed tag row in " +
-		"Policy.Victim/Touch: follows aliases through locals, struct fields, " +
-		"and helper calls, flagging writes to and retention of the borrow",
-	Run: runBorrowFlow,
-}
+// see is flagged; copy the needed data out instead.
 
 // aliasKind classifies how an expression relates to the borrowed storage.
 type aliasKind int
@@ -50,65 +40,9 @@ const (
 	containerAlias
 )
 
-func runBorrowFlow(pass *Pass) error {
-	an := &borrowAnalysis{
-		pass:       pass,
-		decls:      make(map[*types.Func]*ast.FuncDecl),
-		summaries:  make(map[summaryKey]paramSummary),
-		inProgress: make(map[summaryKey]bool),
-	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok {
-				if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-					an.decls[fn] = fd
-				}
-			}
-		}
-	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil {
-				continue
-			}
-			if fd.Name.Name != "Victim" && fd.Name.Name != "Touch" {
-				continue
-			}
-			for _, param := range borrowedParams(pass, fd) {
-				w := &borrowWalker{
-					an:       an,
-					fd:       fd,
-					storage:  map[types.Object]bool{param: true},
-					contain:  map[types.Object]bool{},
-					reported: map[string]bool{},
-				}
-				w.walkBlock(fd.Body.List)
-			}
-		}
-	}
-	return nil
-}
-
-// borrowedParams returns the objects of every []uint64 parameter of fd.
-func borrowedParams(pass *Pass, fd *ast.FuncDecl) []types.Object {
-	var out []types.Object
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			obj := pass.TypesInfo.Defs[name]
-			if obj == nil || name.Name == "_" {
-				continue
-			}
-			if isTagRow(obj.Type()) {
-				out = append(out, obj)
-			}
-		}
-	}
-	return out
-}
-
 // borrowAnalysis carries per-package state shared across walkers: the
-// declaration index and memoized helper summaries.
+// index of function declarations with bodies and memoized helper
+// summaries.
 type borrowAnalysis struct {
 	pass       *Pass
 	decls      map[*types.Func]*ast.FuncDecl
@@ -127,7 +61,22 @@ type paramSummary struct {
 	writes       bool // writes through the parameter's backing storage
 	retains      bool // stores the parameter where it outlives the call
 	returnsAlias bool // some result aliases the parameter
-	known        bool // body was available for analysis
+}
+
+// checkVictim walks one Victim body with its tags parameter as the
+// borrowed storage, reporting every write to and retention of it.
+func (an *borrowAnalysis) checkVictim(fd *ast.FuncDecl) {
+	tags := paramObject(an.pass, fd, 1)
+	if tags == nil {
+		return // unnamed or blank parameter: nothing can misuse it
+	}
+	w := &borrowWalker{
+		an:       an,
+		storage:  map[types.Object]bool{tags: true},
+		contain:  map[types.Object]bool{},
+		reported: map[string]bool{},
+	}
+	w.walkBlock(fd.Body.List)
 }
 
 // summaryFor computes (memoized) the summary of fn's param-th parameter.
@@ -139,26 +88,21 @@ func (an *borrowAnalysis) summaryFor(fn *types.Func, param int) paramSummary {
 		return s
 	}
 	if an.inProgress[key] {
-		return paramSummary{known: true}
+		return paramSummary{}
 	}
 	fd := an.decls[fn]
-	if fd == nil || fd.Body == nil {
-		return paramSummary{} // external or bodyless: unknown
-	}
 	obj := paramObject(an.pass, fd, param)
 	if obj == nil {
 		// Unnamed/blank parameter cannot be used by the body.
-		s := paramSummary{known: true}
-		an.summaries[key] = s
-		return s
+		an.summaries[key] = paramSummary{}
+		return paramSummary{}
 	}
 	an.inProgress[key] = true
 	w := &borrowWalker{
 		an:      an,
-		fd:      fd,
 		storage: map[types.Object]bool{obj: true},
 		contain: map[types.Object]bool{},
-		summary: &paramSummary{known: true},
+		summary: &paramSummary{},
 	}
 	w.walkBlock(fd.Body.List)
 	delete(an.inProgress, key)
@@ -195,7 +139,6 @@ func paramObject(pass *Pass, fd *ast.FuncDecl, i int) types.Object {
 // mode they set the summary bits instead.
 type borrowWalker struct {
 	an      *borrowAnalysis
-	fd      *ast.FuncDecl
 	storage map[types.Object]bool
 	contain map[types.Object]bool
 	summary *paramSummary
@@ -245,8 +188,8 @@ func (w *borrowWalker) walkStmt(s ast.Stmt) {
 	case *ast.IncDecStmt:
 		if root, deref := w.rootOf(s.X); deref && root != nil && w.storage[root] {
 			w.problem(problemWrite, s.X.Pos(),
-				"%s writes the borrowed tag storage through %s; tags aliases the level's tag store and must not be modified",
-				w.fd.Name.Name, exprString(s.X))
+				"Victim writes the borrowed tag storage through %s; tags aliases the level's tag store and must not be modified",
+				exprString(s.X))
 		}
 	case *ast.ExprStmt:
 		w.eval(s.X)
@@ -260,8 +203,7 @@ func (w *borrowWalker) walkStmt(s ast.Stmt) {
 		w.eval(s.Chan)
 		if w.eval(s.Value) != notAlias {
 			w.problem(problemRetain, s.Value.Pos(),
-				"%s sends an alias of the borrowed tag row on a channel; the receiver outlives the call's read-only borrow",
-				w.fd.Name.Name)
+				"Victim sends an alias of the borrowed tag row on a channel; the receiver outlives the call's read-only borrow")
 		}
 	case *ast.GoStmt:
 		w.goCall(s.Call)
@@ -396,7 +338,8 @@ func (w *borrowWalker) bindRangeVar(e ast.Expr, kind aliasKind) {
 	}
 }
 
-// fork clones the alias state for one branch; findings stay shared.
+// fork clones the alias state for one branch; findings and summary bits
+// stay shared.
 func (w *borrowWalker) fork() *borrowWalker {
 	c := *w
 	c.storage = make(map[types.Object]bool, len(w.storage))
@@ -417,11 +360,6 @@ func (w *borrowWalker) merge(c *borrowWalker) {
 	}
 	for k := range c.contain { //lint:ordered
 		w.contain[k] = true
-	}
-	if w.summary != nil && c.summary != w.summary {
-		w.summary.writes = w.summary.writes || c.summary.writes
-		w.summary.retains = w.summary.retains || c.summary.retains
-		w.summary.returnsAlias = w.summary.returnsAlias || c.summary.returnsAlias
 	}
 }
 
@@ -477,8 +415,8 @@ func (w *borrowWalker) assignTo(lhs ast.Expr, kind aliasKind, as *ast.AssignStmt
 		}
 		if kind != notAlias && isPackageLevel(obj) {
 			w.problem(problemRetain, lhs.Pos(),
-				"%s stores an alias of the borrowed tag row in package variable %s; tags is borrowed for the duration of the call",
-				w.fd.Name.Name, id.Name)
+				"Victim stores an alias of the borrowed tag row in package variable %s; tags is borrowed for the duration of the call",
+				id.Name)
 			return
 		}
 		w.bind(obj, kind)
@@ -491,14 +429,14 @@ func (w *borrowWalker) assignTo(lhs ast.Expr, kind aliasKind, as *ast.AssignStmt
 		// Any write through a storage alias mutates borrowed memory,
 		// whatever is being stored.
 		w.problem(problemWrite, lhs.Pos(),
-			"%s writes the borrowed tag storage through %s; tags aliases the level's tag store and must not be modified",
-			w.fd.Name.Name, exprString(lhs))
+			"Victim writes the borrowed tag storage through %s; tags aliases the level's tag store and must not be modified",
+			exprString(lhs))
 	case kind == notAlias:
 		// Storing a non-alias somewhere: nothing to track.
 	case root == nil || isPackageLevel(root) || outlivesCall(root):
 		w.problem(problemRetain, lhs.Pos(),
-			"%s stores an alias of the borrowed tag row in %s, which outlives the call; copy the data instead of retaining the borrow",
-			w.fd.Name.Name, exprString(lhs))
+			"Victim stores an alias of the borrowed tag row in %s, which outlives the call; copy the data instead of retaining the borrow",
+			exprString(lhs))
 	default:
 		// Alias stored into a body-local composite (struct field, map or
 		// slice element): the local becomes a container.
@@ -782,24 +720,24 @@ func (w *borrowWalker) evalCall(call *ast.CallExpr) aliasKind {
 			s := w.an.summaryFor(callee, i)
 			if s.writes && kind == storageAlias {
 				w.problem(problemWrite, arg.Pos(),
-					"%s passes the borrowed tag row to %s, which writes through it; tags aliases the level's tag store and must not be modified",
-					w.fd.Name.Name, callee.Name())
+					"Victim passes the borrowed tag row to %s, which writes through it; tags aliases the level's tag store and must not be modified",
+					callee.Name())
 			}
 			if s.retains {
 				w.problem(problemRetain, arg.Pos(),
-					"%s passes the borrowed tag row to %s, which retains it beyond the call; copy the data instead of storing the borrow",
-					w.fd.Name.Name, callee.Name())
+					"Victim passes the borrowed tag row to %s, which retains it beyond the call; copy the data instead of storing the borrow",
+					callee.Name())
 			}
 			if s.returnsAlias && result == notAlias {
 				result = kind
 			}
-		case isVictimDelegate(pass, call, callee):
-			// Delegating the borrow to another Policy's Victim transfers
+		case callee != nil && isVictimSig(callee):
+			// Delegating the borrow to another policy's Victim transfers
 			// the obligation; the delegate is analyzed in its own package.
 		default:
 			w.problem(problemRetain, arg.Pos(),
-				"%s passes an alias of the borrowed tag row to %s, which poptlint cannot analyze; copy the needed data out of tags instead",
-				w.fd.Name.Name, calleeName(call.Fun, callee))
+				"Victim passes an alias of the borrowed tag row to %s, which poptlint cannot analyze; copy the needed data out of tags instead",
+				calleeName(call.Fun, callee))
 		}
 	}
 	return result
@@ -819,8 +757,7 @@ func (w *borrowWalker) goCall(call *ast.CallExpr) {
 	}
 	if escapes {
 		w.problem(problemRetain, call.Pos(),
-			"%s hands an alias of the borrowed tag row to a goroutine; the goroutine outlives the call's read-only borrow",
-			w.fd.Name.Name)
+			"Victim hands an alias of the borrowed tag row to a goroutine; the goroutine outlives the call's read-only borrow")
 	}
 }
 
@@ -837,8 +774,7 @@ func (w *borrowWalker) evalBuiltin(name string, call *ast.CallExpr) aliasKind {
 			}
 			if i == 0 && kind == storageAlias {
 				w.problem(problemWrite, arg.Pos(),
-					"%s appends to the borrowed tag row; append may write the level's backing array in place",
-					w.fd.Name.Name)
+					"Victim appends to the borrowed tag row; append may write the level's backing array in place")
 				result = storageAlias
 				continue
 			}
@@ -854,8 +790,7 @@ func (w *borrowWalker) evalBuiltin(name string, call *ast.CallExpr) aliasKind {
 		if len(call.Args) == 2 {
 			if w.eval(call.Args[0]) == storageAlias {
 				w.problem(problemWrite, call.Args[0].Pos(),
-					"%s copies into the borrowed tag row; tags aliases the level's tag store and must not be modified",
-					w.fd.Name.Name)
+					"Victim copies into the borrowed tag row; tags aliases the level's tag store and must not be modified")
 			}
 			w.eval(call.Args[1]) // reading out of the borrow is fine
 		}
@@ -878,17 +813,6 @@ func builtinName(pass *Pass, fun ast.Expr) (string, bool) {
 		return id.Name, true
 	}
 	return "", false
-}
-
-// isVictimDelegate reports whether call forwards the borrow to another
-// Policy's Victim/Touch method (same contract, obligation transfers).
-func isVictimDelegate(pass *Pass, call *ast.CallExpr, callee *types.Func) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Victim" && sel.Sel.Name != "Touch") {
-		return false
-	}
-	s, ok := pass.TypesInfo.Selections[sel]
-	return ok && s.Kind() == types.MethodVal
 }
 
 // calleeName renders the callee for diagnostics.

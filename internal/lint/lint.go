@@ -4,7 +4,8 @@
 //
 //   - bit-reproducible execution (determinism);
 //   - the cache.Policy contract: no writes to or retention of the borrowed
-//     tag row (policycontract, and the borrowflow dataflow analyzer);
+//     tag row, followed by dataflow through aliases and helpers, and a
+//     Geometry.ReservedWays read in every policy (policycontract);
 //   - single-writer statistics counters (statsdiscipline);
 //   - publish safety of shared sweep artifacts (sharefreeze, lockguard,
 //     loopcapture);

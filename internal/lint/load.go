@@ -41,6 +41,7 @@ type listedPackage struct {
 	Imports      []string
 	TestImports  []string
 	XTestImports []string
+	Standard     bool
 }
 
 // Loader type-checks the module's packages without golang.org/x/tools:
@@ -80,8 +81,23 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every module package the listed ones import, from test files too,
+	// resolves to one library view. Left to the stdlib source importer, a
+	// dependency outside the patterns would be type-checked again with
+	// its own copy of each module package it imports, whose types do not
+	// unify with the listed packages' types.
+	roots := append([]string{"-deps"}, patterns...)
 	for _, p := range listed {
-		l.meta[p.ImportPath] = p
+		roots = append(append(roots, p.TestImports...), p.XTestImports...)
+	}
+	deps, err := l.goList(roots)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range deps {
+		if !p.Standard {
+			l.meta[p.ImportPath] = p
+		}
 	}
 	var pkgs []*Package
 	for _, p := range listed {

@@ -2,24 +2,27 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
 // PolicyContract enforces the statically checkable half of the
-// cache.Policy contract (the dynamic half lives in cache.NewCheckedPolicy):
+// cache.Policy contract (the dynamic half lives in cache.NewCheckedPolicy).
+// It finds every Victim method by its shape, func(int, []uint64, T) int,
+// and runs two checks:
 //
-//   - Victim(set int, tags []uint64, acc ...) int must treat tags as
-//     read-only borrowed storage: it aliases the Level's tag row for the
-//     set, so a write corrupts simulator state and a retained reference
-//     lets later fills mutate policy-held data. The analyzer flags writes
-//     through the parameter (including via local aliases) and stores of
-//     the parameter into anything that outlives the call.
-//   - Every type implementing the Policy method set must consult
-//     Geometry.ReservedWays somewhere in its own (or embedded) methods,
-//     or visibly delegate victim selection to another policy. A policy
-//     that never reads ReservedWays will hand out reserved ways the
-//     moment a P-OPT configuration pins Rereference Matrix columns.
+//   - The borrow check. Victim's tags parameter aliases the Level's tag
+//     row for the set, so a write corrupts simulator state and a retained
+//     reference lets later fills mutate policy-held data. A
+//     reaching-definitions walk (borrowwalk.go) follows aliases of tags
+//     through locals, fields, closures, goroutines and same-package
+//     helpers, and flags every write through the borrow and every path on
+//     which it outlives the call.
+//   - The ReservedWays obligation. Every type with both Bind(Geometry) and
+//     Victim must consult Geometry.ReservedWays somewhere in its own (or
+//     embedded) methods, or visibly delegate victim selection to another
+//     policy. A policy that never reads ReservedWays will hand out
+//     reserved ways the moment a P-OPT configuration pins Rereference
+//     Matrix columns.
 //
 // Matching is structural (parameter/receiver shapes and the type name
 // Geometry), so the analyzer works identically on the real internal/cache
@@ -27,42 +30,58 @@ import (
 var PolicyContract = &Analyzer{
 	Name: "policycontract",
 	Doc: "flags Policy.Victim implementations that write to or retain the " +
-		"borrowed tag row, and Policy implementations that never consult " +
+		"borrowed tag row (following aliases through locals, fields, closures " +
+		"and helper calls), and Policy implementations that never consult " +
 		"Geometry.ReservedWays",
 	Run: runPolicyContract,
 }
 
 func runPolicyContract(pass *Pass) error {
-	// Collect method declarations grouped by receiver base type name.
+	an := &borrowAnalysis{
+		pass:       pass,
+		decls:      make(map[*types.Func]*ast.FuncDecl),
+		summaries:  make(map[summaryKey]paramSummary),
+		inProgress: make(map[summaryKey]bool),
+	}
+	// One scan indexes every body for the borrow check's helper summaries
+	// and groups methods by receiver base type for the ReservedWays
+	// obligation.
 	methods := make(map[string][]*ast.FuncDecl)
+	binds := make(map[string]*ast.FuncDecl)
+	var victims []*ast.FuncDecl
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || len(fd.Recv.List) == 0 {
+			if !ok || fd.Body == nil {
 				continue
 			}
-			if name := recvTypeName(fd.Recv.List[0].Type); name != "" {
-				methods[name] = append(methods[name], fd)
+			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			if !ok {
+				continue
+			}
+			an.decls[fn] = fd
+			if fd.Recv == nil || len(fd.Recv.List) == 0 {
+				continue
+			}
+			name := recvTypeName(fd.Recv.List[0].Type)
+			if name == "" {
+				continue
+			}
+			methods[name] = append(methods[name], fd)
+			switch {
+			case isVictimSig(fn):
+				victims = append(victims, fd)
+			case fn.Name() == "Bind" && isBindSig(fn):
+				binds[name] = fd
 			}
 		}
 	}
-	for typeName, decls := range methods {
-		var victim, bind *ast.FuncDecl
-		for _, fd := range decls {
-			switch {
-			case fd.Name.Name == "Victim" && isVictimSig(pass, fd):
-				victim = fd
-			case fd.Name.Name == "Bind" && isBindSig(pass, fd):
-				bind = fd
-			}
-		}
-		if victim == nil {
-			continue
-		}
-		checkVictimBody(pass, victim)
+	for _, victim := range victims {
+		an.checkVictim(victim)
 		// The ReservedWays obligation only applies to full Policy
 		// implementations (Bind+Victim present).
-		if bind != nil && !readsReservedWays(pass, methods, typeName, nil) && !delegatesVictim(pass, victim) {
+		typeName := recvTypeName(victim.Recv.List[0].Type)
+		if bind := binds[typeName]; bind != nil && !readsReservedWays(pass, methods, typeName, nil) && !delegatesVictim(pass, victim) {
 			pass.Reportf(bind.Name.Pos(),
 				"policy %s binds a Geometry but no method reads Geometry.ReservedWays; Victim will return reserved ways when a level pins metadata columns",
 				typeName)
@@ -85,14 +104,13 @@ func recvTypeName(e ast.Expr) string {
 	}
 }
 
-// isVictimSig reports whether fd is func(int, []uint64, T) int.
-func isVictimSig(pass *Pass, fd *ast.FuncDecl) bool {
-	fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return false
-	}
+// isVictimSig reports whether fn is a Policy Victim method: a method
+// named Victim of shape func(int, []uint64, T) int. Both checks find
+// Victim through it, and the borrow check also uses it to recognise
+// delegation to another policy's Victim.
+func isVictimSig(fn *types.Func) bool {
 	sig := fn.Type().(*types.Signature)
-	if sig.Params().Len() != 3 || sig.Results().Len() != 1 {
+	if fn.Name() != "Victim" || sig.Recv() == nil || sig.Params().Len() != 3 || sig.Results().Len() != 1 {
 		return false
 	}
 	if b, ok := sig.Params().At(0).Type().(*types.Basic); !ok || b.Kind() != types.Int {
@@ -116,13 +134,9 @@ func isTag(t types.Type) bool {
 	return ok && b.Kind() == types.Uint64
 }
 
-// isBindSig reports whether fd is func(Geometry) for a named struct type
+// isBindSig reports whether fn is func(Geometry) for a named struct type
 // called Geometry.
-func isBindSig(pass *Pass, fd *ast.FuncDecl) bool {
-	fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return false
-	}
+func isBindSig(fn *types.Func) bool {
 	sig := fn.Type().(*types.Signature)
 	return sig.Params().Len() == 1 && isNamedStruct(sig.Params().At(0).Type(), "Geometry")
 }
@@ -136,157 +150,8 @@ func isNamedStruct(t types.Type, name string) bool {
 	return isStruct
 }
 
-// checkVictimBody flags writes through (or stores of) the tags parameter,
-// tracking local slice aliases conservatively.
-func checkVictimBody(pass *Pass, fd *ast.FuncDecl) {
-	if fd.Body == nil {
-		return
-	}
-	param := victimTagsParam(pass, fd)
-	if param == nil {
-		return // unnamed or blank parameter: nothing can be misused
-	}
-	aliases := map[types.Object]bool{param: true}
-	isAliasRooted := func(e ast.Expr) bool { return aliasRoot(pass, e, aliases) }
-	// Alias discovery runs before the write check so ordering inside the
-	// body does not matter for detection (a later write through an alias
-	// declared earlier is still caught; the reverse cannot compile).
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, rhs := range as.Rhs {
-			if !isAliasValue(pass, rhs, aliases) {
-				continue
-			}
-			if id, ok := as.Lhs[i].(*ast.Ident); ok {
-				if obj := lhsObject(pass, id); obj != nil {
-					aliases[obj] = true
-				}
-			}
-		}
-		return true
-	})
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				// Rebinding the alias variable itself is harmless.
-				if id, ok := lhs.(*ast.Ident); ok {
-					if obj := lhsObject(pass, id); obj != nil && aliases[obj] {
-						continue
-					}
-				}
-				if isAliasRooted(lhs) {
-					pass.Reportf(lhs.Pos(),
-						"Victim writes through the tags parameter (%s); tags aliases the level's tag store and must not be modified",
-						exprString(lhs))
-				}
-				if i < len(n.Rhs) && isAliasValue(pass, n.Rhs[i], aliases) && !isLocalTarget(pass, lhs, aliases) {
-					pass.Reportf(n.Rhs[i].Pos(),
-						"Victim stores the tags parameter in %s; tags is borrowed for the duration of the call and must not be retained",
-						exprString(lhs))
-				}
-			}
-		case *ast.IncDecStmt:
-			if isAliasRooted(n.X) {
-				pass.Reportf(n.X.Pos(),
-					"Victim writes through the tags parameter (%s); tags aliases the level's tag store and must not be modified",
-					exprString(n.X))
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.AND && isAliasRooted(n.X) {
-				pass.Reportf(n.Pos(),
-					"Victim takes the address of %s inside the borrowed tag row; the pointer outlives the contract's read-only borrow",
-					exprString(n.X))
-			}
-		}
-		return true
-	})
-}
-
-// victimTagsParam returns the types.Object of Victim's second parameter.
-func victimTagsParam(pass *Pass, fd *ast.FuncDecl) types.Object {
-	count := 0
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			if count == 1 {
-				if name.Name == "_" {
-					return nil
-				}
-				return pass.TypesInfo.Defs[name]
-			}
-			count++
-		}
-		if len(field.Names) == 0 {
-			count++
-		}
-	}
-	return nil
-}
-
-// aliasRoot reports whether e is an index/slice/field/paren chain rooted
-// at a tracked alias (i.e. writing to it writes the borrowed storage).
-func aliasRoot(pass *Pass, e ast.Expr, aliases map[types.Object]bool) bool {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			obj := pass.TypesInfo.Uses[x]
-			if obj == nil {
-				obj = pass.TypesInfo.Defs[x]
-			}
-			return obj != nil && aliases[obj]
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return false
-		}
-	}
-}
-
-// isAliasValue reports whether evaluating e yields a slice aliasing the
-// borrowed storage: the alias itself or a re-slice of it.
-func isAliasValue(pass *Pass, e ast.Expr, aliases map[types.Object]bool) bool {
-	switch x := e.(type) {
-	case *ast.Ident:
-		obj := pass.TypesInfo.Uses[x]
-		return obj != nil && aliases[obj]
-	case *ast.SliceExpr:
-		return isAliasValue(pass, x.X, aliases)
-	case *ast.ParenExpr:
-		return isAliasValue(pass, x.X, aliases)
-	default:
-		return false
-	}
-}
-
-// isLocalTarget reports whether lhs is a plain local variable (storing an
-// alias there only extends tracking, it does not escape the call).
-func isLocalTarget(pass *Pass, lhs ast.Expr, aliases map[types.Object]bool) bool {
-	id, ok := lhs.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	obj := lhsObject(pass, id)
-	if obj == nil {
-		return id.Name == "_"
-	}
-	if v, ok := obj.(*types.Var); ok {
-		// Package-level variables escape; function-scoped ones do not.
-		return v.Parent() != v.Pkg().Scope()
-	}
-	return false
-}
-
+// lhsObject returns the object an identifier defines or, failing that,
+// uses.
 func lhsObject(pass *Pass, id *ast.Ident) types.Object {
 	if obj := pass.TypesInfo.Defs[id]; obj != nil {
 		return obj
@@ -368,26 +233,17 @@ func embeddedTypeNames(pass *Pass, typeName string) map[string]bool {
 }
 
 // delegatesVictim reports whether Victim's body calls another Victim
-// method — delegation moves the ReservedWays obligation to the delegate.
+// method: delegation moves the ReservedWays obligation to the delegate.
 func delegatesVictim(pass *Pass, fd *ast.FuncDecl) bool {
-	if fd.Body == nil {
-		return false
-	}
 	found := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+				found = ok && isVictimSig(fn)
+			}
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Victim" {
-			return true
-		}
-		if s, ok := pass.TypesInfo.Selections[sel]; ok && s.Kind() == types.MethodVal {
-			found = true
-			return false
-		}
-		return true
+		return !found
 	})
 	return found
 }

@@ -45,7 +45,7 @@ var FrozenTypes = []string{
 //     call sites with published arguments inherit the helper's offending
 //     store chain in the diagnostic.
 //   - Aliases of a published value's interior storage (a field slice, a
-//     pointer into it) are tracked like borrowflow's borrowed slice:
+//     pointer into it) are tracked like policycontract's borrowed slice:
 //     writes through them, appends to them, and copies into them are
 //     stores to frozen memory and are flagged wherever they occur.
 //   - Lazy initialization inside the value's own sync.Once is construction
@@ -285,7 +285,8 @@ func typeShort(t types.Type) string {
 
 // summaryFor computes (memoized) what fn does with its param-th parameter
 // (-1 = receiver) when that argument is a published frozen value.
-// Recursive cycles resolve optimistically, like borrowflow.
+// Recursive cycles resolve optimistically, like policycontract's borrow
+// check.
 func (an *freezeAnalysis) summaryFor(fn *types.Func, param int) freezeSummary {
 	key := freezeSumKey{fn, param}
 	if s, ok := an.summaries[key]; ok {

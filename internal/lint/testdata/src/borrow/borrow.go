@@ -1,6 +1,6 @@
-// Package borrow exercises the borrowflow analyzer: dataflow tracking of
-// the borrowed tag row through locals, helpers, embedding, closures,
-// and goroutines.
+// Package borrow exercises policycontract's borrow check: dataflow
+// tracking of the borrowed tag row through locals, helpers, embedding,
+// closures, and goroutines.
 package borrow
 
 type Geometry struct {
@@ -9,7 +9,7 @@ type Geometry struct {
 
 type Access struct{ Addr uint64 }
 
-// --- delegation through a helper that retains (policycontract misses) ---
+// --- delegation through a method helper that retains --------------------
 
 type Keeper struct {
 	g     Geometry
@@ -23,6 +23,22 @@ func (k *Keeper) stash(ls []uint64) { k.saved = ls }
 func (k *Keeper) Victim(set int, tags []uint64, acc Access) int {
 	k.stash(tags) // want `passes the borrowed tag row to stash, which retains it beyond the call`
 	return k.g.ReservedWays
+}
+
+// --- retention through a free helper -----------------------------------
+
+type Hoarder struct {
+	g     Geometry
+	saved []uint64
+}
+
+func (h *Hoarder) Bind(g Geometry) { h.g = g }
+
+func remember(h *Hoarder, ls []uint64) { h.saved = ls }
+
+func (h *Hoarder) Victim(set int, tags []uint64, acc Access) int {
+	remember(h, tags) // want `passes the borrowed tag row to remember, which retains it beyond the call`
+	return h.g.ReservedWays
 }
 
 // --- embedding: the retaining helper lives on an embedded type ---------

@@ -1,5 +1,7 @@
 // Package contract exercises the policycontract analyzer with
-// self-contained replicas of the cache package's contract types.
+// self-contained replicas of the cache package's contract types: the
+// ReservedWays obligation, and the borrow check's direct write, retention
+// and pointer shapes (package borrow covers the dataflow ones).
 package contract
 
 // Geometry mirrors cache.Geometry.
@@ -31,8 +33,8 @@ type Mutator struct{ g Geometry }
 
 func (p *Mutator) Bind(g Geometry) { p.g = g }
 func (p *Mutator) Victim(set int, tags []uint64, acc Access) int {
-	tags[0] = 0 // want "Victim writes through the tags parameter"
-	tags[1]++   // want "Victim writes through the tags parameter"
+	tags[0] = 0 // want "Victim writes the borrowed tag storage through tags"
+	tags[1]++   // want "Victim writes the borrowed tag storage through tags"
 	return p.g.ReservedWays
 }
 
@@ -42,9 +44,9 @@ type AliasMutator struct{ g Geometry }
 func (p *AliasMutator) Bind(g Geometry) { p.g = g }
 func (p *AliasMutator) Victim(set int, tags []uint64, acc Access) int {
 	ls := tags
-	ls[0] = 0 // want "Victim writes through the tags parameter"
+	ls[0] = 0 // want "Victim writes the borrowed tag storage through ls"
 	sub := tags[1:]
-	sub[0] |= 1 // want "Victim writes through the tags parameter"
+	sub[0] |= 1 // want "Victim writes the borrowed tag storage through sub"
 	return p.g.ReservedWays
 }
 
@@ -56,17 +58,24 @@ type Retainer struct {
 
 func (p *Retainer) Bind(g Geometry) { p.g = g }
 func (p *Retainer) Victim(set int, tags []uint64, acc Access) int {
-	p.saved = tags // want "Victim stores the tags parameter"
+	p.saved = tags // want "Victim stores an alias of the borrowed tag row in p.saved"
 	return p.g.ReservedWays
 }
 
-// PtrTaker lets a line pointer escape the read-only borrow.
-type PtrTaker struct{ g Geometry }
+// PtrTaker takes pointers into the borrowed row. Holding one is harmless;
+// writing through it or keeping it past the call is not.
+type PtrTaker struct {
+	g   Geometry
+	ptr *uint64
+}
 
 func (p *PtrTaker) Bind(g Geometry) { p.g = g }
 func (p *PtrTaker) Victim(set int, tags []uint64, acc Access) int {
-	q := &tags[0] // want "Victim takes the address"
-	_ = q
+	r := &tags[0]
+	_ = *r // reading through the pointer is clean
+	q := &tags[1]
+	*q = 1           // want `Victim writes the borrowed tag storage through \*q`
+	p.ptr = &tags[2] // want "Victim stores an alias of the borrowed tag row in p.ptr"
 	return p.g.ReservedWays
 }
 
@@ -101,12 +110,12 @@ func (p *Delegator) Victim(set int, tags []uint64, acc Access) int {
 	return p.inner.Victim(set, tags, acc)
 }
 
-// NotAPolicy has a Victim-shaped method but no Bind; only the tags
-// checks apply, not the ReservedWays obligation.
+// NotAPolicy has a Victim-shaped method but no Bind; only the borrow
+// check applies, not the ReservedWays obligation.
 type NotAPolicy struct{}
 
 func (p *NotAPolicy) Victim(set int, tags []uint64, acc Access) int {
-	tags[0] = 1 // want "Victim writes through the tags parameter"
+	tags[0] = 1 // want "Victim writes the borrowed tag storage through tags"
 	return 0
 }
 

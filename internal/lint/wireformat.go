@@ -32,8 +32,8 @@ import (
 //     sequence — is diffed against the checked-in baseline at path.
 //     Evolving a format is a deliberate two-step: bump the stream's
 //     FormatVersions entry, then regenerate the baseline with
-//     `poptlint -wirecheck -update`. Drift without a bump is refused in
-//     both modes; old encoded bytes would otherwise be misread by a
+//     `poptlint -run wireformat -update`. Drift without a bump is refused
+//     in both modes; old encoded bytes would otherwise be misread by a
 //     decoder that believes nothing changed. With update set, drifted
 //     streams whose version was bumped are rewritten in place instead of
 //     reported, and streams FormatVersions no longer declares are dropped.
@@ -166,7 +166,10 @@ func loudStmts(w *wireWalker, stmts []ast.Stmt) bool {
 	return false
 }
 
-// wireBaselineHeader is written atop generated baseline files.
+// wireBaselineHeader is written atop generated baseline files. Its last
+// line still gives the old `-wirecheck -update` spelling of
+// `-run wireformat -update`: the checked-in baselines carry it byte for
+// byte, so it changes together with them at the next format bump.
 const wireBaselineHeader = `# poptlint wirecheck fingerprint baseline.
 # One section per //popt:codec stream: the declared format version, the
 # fixed-width header fields, and each opcode's payload op sequence.
@@ -210,13 +213,13 @@ func checkLock(pass *Pass, info *wireInfo, path string, update bool) error {
 				changed = true
 			} else {
 				pass.Reportf(pos,
-					"stream %q has no entry in the wire-format baseline %s; run `poptlint -wirecheck -update` to record it", name, path)
+					"stream %q has no entry in the wire-format baseline %s; run `poptlint -run wireformat -update` to record it", name, path)
 			}
 		case entry.version == base.version && strings.Join(entry.body, "\n") == strings.Join(base.body, "\n"):
 			// Locked and matching.
 		case entry.version == base.version:
 			pass.Reportf(pos,
-				"wire fingerprint of stream %q changed but FormatVersions[%q] is still %d; bump the version, then regenerate the baseline with `poptlint -wirecheck -update`",
+				"wire fingerprint of stream %q changed but FormatVersions[%q] is still %d; bump the version, then regenerate the baseline with `poptlint -run wireformat -update`",
 				name, name, ver)
 		default:
 			if update {
@@ -224,7 +227,7 @@ func checkLock(pass *Pass, info *wireInfo, path string, update bool) error {
 				changed = true
 			} else {
 				pass.Reportf(pos,
-					"wire-format baseline for stream %q is stale (baseline version %d, package declares %d); regenerate it with `poptlint -wirecheck -update`",
+					"wire-format baseline for stream %q is stale (baseline version %d, package declares %d); regenerate it with `poptlint -run wireformat -update`",
 					name, base.version, entry.version)
 			}
 		}
@@ -252,7 +255,7 @@ func checkLock(pass *Pass, info *wireInfo, path string, update bool) error {
 				changed = true
 			} else {
 				pass.Reportf(at,
-					"wire-format baseline records stream %q, which FormatVersions no longer declares; drop it with `poptlint -wirecheck -update`", name)
+					"wire-format baseline records stream %q, which FormatVersions no longer declares; drop it with `poptlint -run wireformat -update`", name)
 			}
 		}
 	}

@@ -11,9 +11,9 @@ import "fmt"
 // replay paths and the validating decoders check them, and the poptlint
 // wireformat analyzer pins the layout they version — any change to an
 // opcode's payload op sequence or a header field fails
-// `poptlint -wirecheck` until the stream's entry here is bumped and the
-// checked-in fingerprint baseline is regenerated with
-// `poptlint -wirecheck -update`.
+// `poptlint -run wireformat` until the stream's entry here is bumped and
+// the checked-in fingerprint baseline is regenerated with
+// `poptlint -run wireformat -update`.
 
 // Format versions, one per wire stream. Bump a stream's constant whenever
 // its encoded layout changes (opcodes, payload op order, header fields);
