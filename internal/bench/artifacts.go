@@ -32,10 +32,9 @@ import (
 // build fresh, unchanged.
 
 type artifacts struct {
-	mu      sync.Mutex
-	tables  map[tableKey]*tableEntry   //popt:guardedby mu
-	lrs     map[lrKey]*lrEntry         //popt:guardedby mu
-	streams map[streamKey]*streamEntry //popt:guardedby mu
+	mu     sync.Mutex
+	tables map[tableKey]*tableEntry //popt:guardedby mu
+	lrs    map[lrKey]*lrEntry       //popt:guardedby mu
 }
 
 // tableKey identifies one immutable Rereference Matrix table. The
@@ -70,51 +69,11 @@ type lrEntry struct {
 	lr   *core.LineRefs //popt:guardedby once
 }
 
-// streamKey identifies one recorded reference stream: a graph identity
-// (suite graphs are memoized, so the pointer is stable across cells) plus
-// a stream name covering everything else that shapes the emitted events —
-// the kernel and its schedule ("PR", "PR-BDFS", "PR-tiled-8", ...).
-type streamKey struct {
-	g    *graph.Graph
-	name string
-}
-
-// streamEntry memoizes one recorded LLC-visible stream together with the
-// consumed workload that produced it: replays need the workload's
-// immutable build inputs (transpose, irregular array layout) to
-// instantiate policies. The LLC form is valid for any cell whose L1/L2
-// shape matches the recorder's — within one experiment only fig16 varies
-// the cache at all, and it varies just the LLC, which the stream does not
-// depend on. With a corpus configured the stream lives on disk as a
-// container entry (ent); otherwise it stays in memory (tr). Exactly one
-// of the two is set after once fires.
-//
-//popt:frozen
-type streamEntry struct {
-	once sync.Once
-	w    *kernels.Workload //popt:guardedby once
-	tr   *trace.LLCTrace   //popt:guardedby once
-	ent  *corpus.Entry     //popt:guardedby once
-}
-
 func newArtifacts() *artifacts {
 	return &artifacts{
-		tables:  make(map[tableKey]*tableEntry),
-		lrs:     make(map[lrKey]*lrEntry),
-		streams: make(map[streamKey]*streamEntry),
+		tables: make(map[tableKey]*tableEntry),
+		lrs:    make(map[lrKey]*lrEntry),
 	}
-}
-
-// stream returns the (possibly still-unrecorded) entry for the key.
-func (a *artifacts) stream(k streamKey) *streamEntry {
-	a.mu.Lock()
-	e := a.streams[k]
-	if e == nil {
-		e = new(streamEntry)
-		a.streams[k] = e
-	}
-	a.mu.Unlock()
-	return e
 }
 
 // table returns the memoized Rereference Matrix table for the key,
@@ -191,112 +150,118 @@ func (c Config) StreamKey(g *graph.Graph, name string) corpus.Key {
 	}
 }
 
-// streamHandle is a recorded stream in whichever form it exists: a corpus
-// entry (out-of-core container replay) or an in-memory LLC trace.
-type streamHandle struct {
-	w   *kernels.Workload
-	tr  *trace.LLCTrace
-	ent *corpus.Entry
+// cellRun is one setup of a cell under its own Config. fig16 gives each
+// run its own LLC geometry; the L1/L2 shape must be the first run's, since
+// every run sees the LLC-visible stream the first one produces.
+type cellRun struct {
+	c Config
+	s Setup
 }
 
-// recordOrOpen produces the stream for (g, name), preferring the corpus:
-// a warm corpus entry is opened and setup s replayed from it (no record
-// phase at all — the acceptance contract for cross-process reuse); a cold
-// corpus records through the chunked container encoder and publishes; no
-// corpus records in memory as before. The returned handle replays the
-// same stream into any later setup via replayStream. build may be called
-// more than once (each call must be deterministic): a failed corpus
-// publication consumes its workload mid-record, so the in-memory fallback
-// records into a fresh one.
-func (c Config) recordOrOpen(g *graph.Graph, name string, build func() *kernels.Workload, s Setup) (Result, streamHandle) {
-	if c.Corpus != nil {
-		key := c.StreamKey(g, name)
-		if ent := c.Corpus.Lookup(key); ent != nil {
-			w := build()
-			start := c.phaseStart()
-			res := ReplayLLCEntry(c, w, ent, s)
-			c.phaseDone(g.Name+"/"+name+"/"+s.Name, "replay", start)
-			return res, streamHandle{w: w, ent: ent}
-		}
-		w := build()
-		start := c.phaseStart()
-		res, ent, err := RecordLLCToCorpus(c, w, s, key)
-		if err == nil {
-			c.phaseDone(g.Name+"/"+name, "record", start)
-			return res, streamHandle{w: w, ent: ent}
-		}
-		// Publication failed (full disk, permissions): fall through and
-		// record in memory — sweep results do not depend on the corpus,
-		// only its reuse does.
-	}
-	w := build()
-	start := c.phaseStart()
-	res, tr := RecordLLC(c, w, s)
-	c.phaseDone(g.Name+"/"+name, "record", start)
-	return res, streamHandle{w: w, tr: tr}
-}
-
-// replayStream feeds the handle's stream into setup s.
-func (c Config) replayStream(g *graph.Graph, name string, h streamHandle, s Setup) Result {
-	start := c.phaseStart()
-	var res Result
-	if h.ent != nil {
-		res = ReplayLLCEntry(c, h.w, h.ent, s)
-	} else {
-		res = ReplayLLC(c, h.w, h.tr, s)
-	}
-	c.phaseDone(g.Name+"/"+name+"/"+s.Name, "replay", start)
-	return res
-}
-
-// runStream simulates setup s against the named reference stream of g,
-// recording the LLC-visible stream once per (graph, stream) and replaying
-// it into every later setup. The first cell to arrive produces the stream
-// — from the corpus when one is configured and warm (no kernel execution
-// at all), else by running its kernel live with an LLC encoder tapped
-// onto its hierarchy (recording piggybacks on real work); all other cells
-// replay, skipping kernel re-execution and L1/L2 simulation entirely.
-// Replay is byte-identical to live execution (golden-tested), so which
-// cell records is irrelevant and sweep reports stay deterministic at
-// every worker count. With no artifact cache every cell runs live.
-//
-// build must construct the workload deterministically from g alone: the
-// stream name is trusted to cover kernel identity and schedule.
-func (c Config) runStream(g *graph.Graph, name string, build func(g *graph.Graph) *kernels.Workload, s Setup) Result {
-	if c.arts == nil {
-		return RunWorkload(c, build(g), s)
-	}
-	e := c.arts.stream(streamKey{g: g, name: name})
-	var first *Result
-	e.once.Do(func() {
-		res, h := c.recordOrOpen(g, name, func() *kernels.Workload { return build(g) }, s)
-		e.w, e.tr, e.ent = h.w, h.tr, h.ent
-		first = &res
-	})
-	if first != nil {
-		return *first
-	}
-	return c.replayStream(g, name, streamHandle{w: e.w, tr: e.tr, ent: e.ent}, s)
-}
-
-// runSetups simulates several setups of one cell against a single stream
-// of the named (graph, stream) pair: the first setup produces the stream
-// (corpus-open, corpus-record, or in-memory record — see recordOrOpen),
-// the rest replay it. Used by drivers whose cells compare policies on a
-// workload that is not shared with other cells (per-cell variants,
-// throwaway graphs); the (g, name) identity exists so such streams still
-// land in the corpus under a stable cross-process key.
+// runSetups simulates several setups of one cell, all under c, against a
+// single stream of the named (graph, stream) pair; see runCell.
 func (c Config) runSetups(g *graph.Graph, name string, build func() *kernels.Workload, setups ...Setup) []Result {
-	out := make([]Result, len(setups))
-	if len(setups) == 0 {
+	runs := make([]cellRun, len(setups))
+	for i, s := range setups {
+		runs[i] = cellRun{c: c, s: s}
+	}
+	return runCell(g, name, build, runs)
+}
+
+// runCell simulates every run of one cell against a single stream of the
+// named (graph, stream) pair. The first run's Config decides where the
+// stream comes from. With a corpus it is a container entry: a warm entry
+// is replayed into every run (no kernel execution at all); a cold one is
+// recorded by the first run's live pass, published, and replayed into
+// the rest. Otherwise, or when publication fails, the kernel runs once:
+// the first run simulates live and a trace.Fanout tapped onto its
+// hierarchy feeds the LLC-visible stream to the others as it is produced,
+// so nothing is encoded or kept. Every path gives each run exactly the
+// counters of a fresh live run (golden-tested). build must construct the
+// workload deterministically; it may be called more than once, since a
+// failed publication consumes its workload mid-record. The (g, name)
+// identity is the stream's corpus key: name must cover the kernel and its
+// schedule.
+func runCell(g *graph.Graph, name string, build func() *kernels.Workload, runs []cellRun) []Result {
+	out := make([]Result, len(runs))
+	if len(runs) == 0 {
 		return out
 	}
-	res, h := c.recordOrOpen(g, name, build, setups[0])
-	out[0] = res
-	for i, s := range setups[1:] {
-		out[i+1] = c.replayStream(g, name, h, s)
+	checkUpperShape(g.Name+"/"+name, runs)
+	lead := runs[0].c
+	if lead.Corpus != nil && replayCorpus(g, name, build, runs, out) {
+		return out
 	}
+	w := build()
+	start := lead.phaseStart()
+	fanOut(w, runs, out)
+	lead.phaseDone(g.Name+"/"+name, "live", start)
 	return out
+}
+
+// replayCorpus fills out from the corpus entry of (g, name), recording it
+// first with runs[0] when the entry is cold. It reports false, having
+// filled nothing, when a cold entry cannot be published (full disk,
+// permissions): results do not depend on the corpus, only its reuse does.
+func replayCorpus(g *graph.Graph, name string, build func() *kernels.Workload, runs []cellRun, out []Result) bool {
+	lead := runs[0].c
+	key := lead.StreamKey(g, name)
+	w := build()
+	ent := lead.Corpus.Lookup(key)
+	first := 0
+	if ent == nil {
+		start := lead.phaseStart()
+		res, e, err := RecordLLCToCorpus(lead, w, runs[0].s, key)
+		if err != nil {
+			return false
+		}
+		lead.phaseDone(g.Name+"/"+name, "record", start)
+		out[0], ent, first = res, e, 1
+	}
+	for i := first; i < len(runs); i++ {
+		r := runs[i]
+		start := r.c.phaseStart()
+		out[i] = ReplayLLCEntry(r.c, w, ent, r.s)
+		r.c.phaseDone(g.Name+"/"+name+"/"+r.s.Name, "replay", start)
+	}
+	return true
+}
+
+// fanOut runs w's kernel once: runs[0] simulates live while a
+// trace.Fanout on its hierarchy feeds every other run the LLC-visible
+// stream, window by window, and finally the leader's setup-invariant
+// totals.
+func fanOut(w *kernels.Workload, runs []cellRun, out []Result) {
+	cells := make([]builtCell, len(runs))
+	sims := make([]*trace.Sim, len(runs))
+	for i, r := range runs {
+		cells[i] = buildCell(r.c, w, r.s)
+		sims[i] = cells[i].sim()
+	}
+	lead := sims[0]
+	f := trace.NewFanout(sims[1:]...)
+	lead.Record(f)
+	w.Run(kernels.NewSinkRunner(lead))
+	lead.Record(nil)
+	f.Finish(lead)
+	for i, b := range cells {
+		out[i] = b.finish(sims[i])
+	}
+}
+
+// checkUpperShape panics, naming the cell, if a run's L1/L2 shape differs
+// from the first run's: the LLC-visible stream depends on it, so such a
+// run would be fed a stream its own hierarchy never produces.
+func checkUpperShape(cell string, runs []cellRun) {
+	want := runs[0].c.cacheConfig(nil)
+	for _, r := range runs[1:] {
+		got := r.c.cacheConfig(nil)
+		if got.L1Size != want.L1Size || got.L1Ways != want.L1Ways || got.L2Size != want.L2Size || got.L2Ways != want.L2Ways {
+			panic(fmt.Sprintf("bench: cell %s: %s has L1 %dB/%d-way, L2 %dB/%d-way, but the stream comes from %s with L1 %dB/%d-way, L2 %dB/%d-way",
+				cell, r.s.Name, got.L1Size, got.L1Ways, got.L2Size, got.L2Ways,
+				runs[0].s.Name, want.L1Size, want.L1Ways, want.L2Size, want.L2Ways))
+		}
+	}
 }
 
 // buildTOPT mirrors core.BuildTOPT with memoized merged transposes.
@@ -314,4 +279,3 @@ func (c Config) buildTOPT(refAdj *graph.Adj, arrs ...*mem.Array) *core.TOPT {
 	}
 	return core.NewTOPT(streams...)
 }
-

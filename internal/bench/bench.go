@@ -44,8 +44,8 @@ type Config struct {
 	// cell (poptbench -progress wires it to stderr).
 	Progress func(CellEvent)
 	// PhaseProgress, when non-nil, receives one event per completed
-	// sub-phase of a cell — stream recording and stream replay — so
-	// large-scale runs, where a single record can take minutes, show a
+	// sub-phase of a cell — a live pass, a corpus record or replay — so
+	// large-scale runs, where a single pass can take minutes, show a
 	// heartbeat between cell completions. Events are host-side
 	// observability only; reports never depend on them. Callbacks may
 	// arrive concurrently from sweep workers.

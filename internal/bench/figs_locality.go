@@ -21,9 +21,7 @@ func Fig2(c Config) *Report {
 		Header: append([]string{"graph"}, setupNames(setups)...),
 	}
 	suite := c.Suite()
-	results := sweepGrid(c, "fig2", suite, setups, func(g *graph.Graph, s Setup) Result {
-		return c.runStream(g, "PR", kernels.NewPageRank, s)
-	})
+	results := sweepGrid(c, "fig2", suite, setups)
 	missRates := &Report{Header: rep.Header}
 	for gi, g := range suite {
 		row := []string{g.Name}
@@ -43,20 +41,20 @@ func Fig2(c Config) *Report {
 	return rep
 }
 
-// sweepGrid fans the (graph × setup) cross-product — the shape shared by
-// fig2, fig4, and the base+setups drivers — across the sweep pool. Each
-// cell writes only its own [gi][si] slot, so assembly in enumeration order
-// is byte-identical to the serial loops at any worker count.
-func sweepGrid(c Config, id string, suite []*graph.Graph, setups []Setup, run func(*graph.Graph, Setup) Result) [][]Result {
+// sweepGrid runs every setup on PageRank over every graph — the shape
+// shared by fig2, fig4, fig7 and fig15 — with one sweep cell per graph:
+// the cell runs the kernel once and simulates all setups in that pass
+// (runSetups). Each cell writes only its own [gi] row, so assembly in
+// enumeration order is byte-identical at any worker count.
+func sweepGrid(c Config, id string, suite []*graph.Graph, setups []Setup) [][]Result {
 	results := make([][]Result, len(suite))
-	cells := make([]Cell, 0, len(suite)*len(setups))
+	cells := make([]Cell, len(suite))
 	for gi, g := range suite {
-		results[gi] = make([]Result, len(setups))
-		for si, s := range setups {
-			cells = append(cells, Cell{
-				Key: id + "/" + g.Name + "/" + s.Name,
-				Run: func() { results[gi][si] = run(g, s) },
-			})
+		cells[gi] = Cell{
+			Key: id + "/" + g.Name,
+			Run: func() {
+				results[gi] = c.runSetups(g, "PR", func() *kernels.Workload { return kernels.NewPageRank(g) }, setups...)
+			},
 		}
 	}
 	c.runCells(cells)
@@ -74,9 +72,7 @@ func Fig4(c Config) *Report {
 		Header: append([]string{"graph"}, append(setupNames(setups), "LRU/T-OPT")...),
 	}
 	suite := c.Suite()
-	results := sweepGrid(c, "fig4", suite, setups, func(g *graph.Graph, s Setup) Result {
-		return c.runStream(g, "PR", kernels.NewPageRank, s)
-	})
+	results := sweepGrid(c, "fig4", suite, setups)
 	var ratioSum float64
 	for gi, g := range suite {
 		row := []string{g.Name}
@@ -118,9 +114,7 @@ func Fig7(c Config) *Report {
 	}
 	suite := c.Suite()
 	withBase := append([]Setup{DRRIPSetup()}, setups...)
-	results := sweepGrid(c, "fig7", suite, withBase, func(g *graph.Graph, s Setup) Result {
-		return c.runStream(g, "PR", kernels.NewPageRank, s)
-	})
+	results := sweepGrid(c, "fig7", suite, withBase)
 	for gi, g := range suite {
 		base := results[gi][0]
 		row := []string{g.Name}
@@ -150,9 +144,7 @@ func Fig15(c Config) *Report {
 	}
 	suite := c.Suite()
 	withBase := append([]Setup{DRRIPSetup()}, setups...)
-	results := sweepGrid(c, "fig15", suite, withBase, func(g *graph.Graph, s Setup) Result {
-		return c.runStream(g, "PR", kernels.NewPageRank, s)
-	})
+	results := sweepGrid(c, "fig15", suite, withBase)
 	var tieSums [3]float64
 	for gi, g := range suite {
 		base := results[gi][0]
@@ -200,12 +192,14 @@ func Fig16(c Config) *Report {
 	// Sensitivity sweeps use two contrasting graphs to bound runtime.
 	suite := c.Suite()
 	graphs := []*graph.Graph{suite[0], suite[3]} // power-law and uniform
-	type cellOut struct{ base, popt Result }
-	results := make([][]cellOut, len(graphs))
-	var cells []Cell
+	// One cell per graph: every variant's DRRIP and P-OPT runs under its
+	// own LLC geometry, and all of them follow one live pass, since the
+	// LLC-visible stream does not depend on the LLC.
+	results := make([][]Result, len(graphs))
+	cells := make([]Cell, len(graphs))
 	for gi, g := range graphs {
-		results[gi] = make([]cellOut, len(variants))
-		for vi, v := range variants {
+		var runs []cellRun
+		for _, v := range variants {
 			vc := c
 			size, ways := v.size, v.ways
 			vc.Cache = func(llc func() cache.Policy) cache.Config {
@@ -213,25 +207,20 @@ func Fig16(c Config) *Report {
 				cfg.LLCSize, cfg.LLCWays = size, ways
 				return cfg
 			}
-			cells = append(cells, Cell{
-				Key: "fig16/" + g.Name + "/" + v.label,
-				Run: func() {
-					// vc shares c's artifact cache, so all cache-shape
-					// variants of a graph replay one recorded stream (the
-					// reference stream does not depend on the hierarchy).
-					results[gi][vi] = cellOut{
-						base: vc.runStream(g, "PR", kernels.NewPageRank, DRRIPSetup()),
-						popt: vc.runStream(g, "PR", kernels.NewPageRank, POPTSetup(core.InterIntra, 8, true)),
-					}
-				},
-			})
+			runs = append(runs, cellRun{c: vc, s: DRRIPSetup()}, cellRun{c: vc, s: POPTSetup(core.InterIntra, 8, true)})
+		}
+		cells[gi] = Cell{
+			Key: "fig16/" + g.Name,
+			Run: func() {
+				results[gi] = runCell(g, "PR", func() *kernels.Workload { return kernels.NewPageRank(g) }, runs)
+			},
 		}
 	}
 	c.runCells(cells)
 	for gi, g := range graphs {
 		for vi, v := range variants {
-			out := results[gi][vi]
-			rep.AddRow(g.Name, v.label, fmt.Sprintf("%d/%d", out.popt.Reserved, v.ways), pct(MissReduction(out.base, out.popt)))
+			base, popt := results[gi][2*vi], results[gi][2*vi+1]
+			rep.AddRow(g.Name, v.label, fmt.Sprintf("%d/%d", popt.Reserved, v.ways), pct(MissReduction(base, popt)))
 		}
 	}
 	return rep

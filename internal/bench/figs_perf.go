@@ -30,13 +30,13 @@ func Fig10(c Config) *Report {
 		speedSum, missSum float64
 		n                 int
 	}
-	// One cell per (kernel, graph): the cell runs the LRU baseline, decides
-	// the skip (its note text must land in serial enumeration order), and on
-	// non-skip runs the three setups against that baseline.
+	// One cell per (kernel, graph): one pass simulates the LRU baseline and
+	// the three compared setups, and the cell decides the skip from LRU (its
+	// note text must land in serial enumeration order).
 	type cellOut struct {
 		skipped bool
 		lru     Result
-		res     [3]Result
+		res     []Result
 	}
 	benches := kernels.All()
 	suite := c.Suite()
@@ -51,28 +51,12 @@ func Fig10(c Config) *Report {
 			cells = append(cells, Cell{
 				Key: "fig10/" + b.Name + "/" + g.Name,
 				Run: func() {
-					out := &results[bi][gi]
-					// The stream is private to this cell (no other cell pairs
-					// this kernel with this graph), so record/replay is
-					// cell-local: the LRU baseline records — or, on a warm
-					// corpus, replays the published container — the three
-					// compared setups replay, and the in-memory trace (if
-					// any) is garbage the moment the cell returns instead of
-					// pinning heap for the whole figure.
-					lru, h := c.recordOrOpen(g, b.Name, func() *kernels.Workload { return b.New(g) }, LRUSetup())
-					out.lru = lru
-					if out.lru.H.LLC.Stats.Accesses < 1000 {
-						// Direction switching never produced a dense pull
-						// round on this input (the paper skips Radii on HBUBL
-						// for the same reason); nothing was simulated. LRU's
-						// LLC statistics are identical live or replayed, so
-						// the skip decision is corpus-invariant.
-						out.skipped = true
-						return
-					}
-					for i, s := range setups {
-						out.res[i] = c.replayStream(g, b.Name, h, s)
-					}
+					rs := c.runSetups(g, b.Name, func() *kernels.Workload { return b.New(g) },
+						append([]Setup{LRUSetup()}, setups...)...)
+					// Direction switching never produced a dense pull round
+					// on this input when LRU saw almost no LLC traffic (the
+					// paper skips Radii on HBUBL for the same reason).
+					results[bi][gi] = cellOut{skipped: rs[0].H.LLC.Stats.Accesses < 1000, lru: rs[0], res: rs[1:]}
 				},
 			})
 		}

@@ -69,28 +69,36 @@ func TestReplayMatchesLiveAcrossZoo(t *testing.T) {
 	}
 }
 
-// TestRunStreamPiggybacksRecording checks the sweep-side memoization: with
-// an artifact cache installed, the first runStream call records and later
-// calls replay, and both report counters identical to live no-cache runs.
+// TestRunStreamPiggybacksRecording checks the sweep side: a sweepGrid
+// cell with an artifact cache runs the kernel once per graph — one "live"
+// phase, no record or replay — and every setup it follows in that pass
+// reports counters identical to a live no-cache run.
 func TestRunStreamPiggybacksRecording(t *testing.T) {
 	c := TinyConfig().withArtifacts()
-	plain := TinyConfig() // no cache: always live
+	var log phaseLog
+	c.PhaseProgress = log.hook()
+	plain := TinyConfig() // no cache, one setup per run
 	g := graph.Uniform(1<<10, 4<<10, c.Seed)
 	setups := []Setup{DRRIPSetup(), POPTSetup(core.InterIntra, 8, true), TOPTSetup()}
-	for _, s := range setups {
-		got := fingerprint(c.runStream(g, "PR", kernels.NewPageRank, s))
-		want := fingerprint(plain.runStream(g, "PR", kernels.NewPageRank, s))
-		if got != want {
-			t.Errorf("%s: cached runStream diverged from live:\n got:  %s\n want: %s", s.Name, got, want)
+	got := sweepGrid(c, "test", []*graph.Graph{g}, setups)
+	for i, s := range setups {
+		if want := fingerprint(RunWorkload(plain, kernels.NewPageRank(g), s)); fingerprint(got[0][i]) != want {
+			t.Errorf("%s: one-pass cell diverged from live:\n got:  %s\n want: %s", s.Name, fingerprint(got[0][i]), want)
 		}
 	}
-	if len(c.arts.streams) != 1 { //lint:allow lockguard (single-threaded assert)
-		t.Errorf("stream cache holds %d entries, want 1", len(c.arts.streams))
+	if n := log.get("live"); n != 1 {
+		t.Errorf("grid ran %d live kernel passes over one graph, want 1", n)
+	}
+	if n, m := log.get("record"), log.get("replay"); n != 0 || m != 0 {
+		t.Errorf("grid without a corpus ran %d record and %d replay phases, want none", n, m)
 	}
 }
 
 // BenchmarkLiveVsReplay contrasts a live kernel execution against an LLC
-// stream replay driving the same policy setup (the sweep engine's trade).
+// stream replay driving the same policy setup, and a cell's two ways of
+// simulating four setups over one stream: a live LRU pass that fans the
+// stream out to three followers, against recording it with LRU and
+// replaying it into the three.
 func BenchmarkLiveVsReplay(b *testing.B) {
 	c := TinyConfig()
 	g := graph.Uniform(1<<12, 4<<12, c.Seed)
@@ -106,20 +114,88 @@ func BenchmarkLiveVsReplay(b *testing.B) {
 			ReplayLLC(c, recW, tr, DRRIPSetup())
 		}
 	})
+	followers := []Setup{DRRIPSetup(), SHiPPCSetup(), HawkeyeSetup()}
+	mk := func() *kernels.Workload { return kernels.NewPageRank(g) }
+	b.Run("fanout", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.runSetups(g, "PR", mk, append([]Setup{LRUSetup()}, followers...)...)
+		}
+	})
+	b.Run("record-replay", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			w := mk()
+			_, tr := RecordLLC(c, w, LRUSetup())
+			for _, s := range followers {
+				ReplayLLC(c, w, tr, s)
+			}
+		}
+	})
 }
 
-// TestRunSetupsMatchesLive pins runSetups, which records with its first
-// setup and replays the rest, against the live reference: every result
-// must equal a fresh RunWorkload of the same setup.
+// TestRunSetupsMatchesLive pins the one-pass cell against the live
+// reference: every setup a cell follows — the baseline zoo, T-OPT and the
+// three P-OPT encodings, on PR and on the frontier-driven Radii, checked
+// against the Policy contract — must equal a fresh RunWorkload of the
+// same setup, and so must a fig16-shaped cell whose followers each carry
+// their own LLC geometry. A follower with another L1/L2 shape panics
+// naming the cell.
 func TestRunSetupsMatchesLive(t *testing.T) {
 	g := graph.Uniform(1<<10, 4<<10, 42)
-	mk := func() *kernels.Workload { return kernels.NewPageRank(g) }
-	setups := []Setup{DRRIPSetup(), POPTSetup(core.InterIntra, 8, true), TOPTSetup()}
 	c := TinyConfig()
-	got := c.runSetups(g, "PR", mk, setups...)
-	for i, s := range setups {
-		if want := fingerprint(RunWorkload(c, mk(), s)); fingerprint(got[i]) != want {
-			t.Errorf("%s: runSetups diverged from live:\n got:  %s\n want: %s", s.Name, fingerprint(got[i]), want)
+	c.CheckPolicies = true
+	setups := append(AllBaselineSetups(),
+		TOPTSetup(),
+		POPTSetup(core.InterIntra, 8, true),
+		POPTSetup(core.InterOnly, 8, true),
+		POPTSetup(core.SingleEpoch, 8, true),
+	)
+	for _, b := range []kernels.Builder{
+		{Name: "PR", New: kernels.NewPageRank},
+		{Name: "Radii", New: kernels.NewRadii},
+	} {
+		mk := func() *kernels.Workload { return b.New(g) }
+		got := c.runSetups(g, b.Name, mk, setups...)
+		for i, s := range setups {
+			if want := fingerprint(RunWorkload(c, mk(), s)); fingerprint(got[i]) != want {
+				t.Errorf("%s/%s: runSetups diverged from live:\n got:  %s\n want: %s", b.Name, s.Name, fingerprint(got[i]), want)
+			}
 		}
 	}
+
+	mk := func() *kernels.Workload { return kernels.NewPageRank(g) }
+	withLLC := func(size, ways int) Config {
+		vc := c
+		vc.Cache = func(llc func() cache.Policy) cache.Config {
+			cfg := c.cacheConfig(llc)
+			cfg.LLCSize, cfg.LLCWays = size, ways
+			return cfg
+		}
+		return vc
+	}
+	runs := []cellRun{
+		{withLLC(8<<10, 16), DRRIPSetup()},
+		{withLLC(8<<10, 16), POPTSetup(core.InterIntra, 8, true)},
+		{withLLC(32<<10, 16), DRRIPSetup()},
+		{withLLC(16<<10, 8), POPTSetup(core.InterIntra, 8, true)},
+		{withLLC(16<<10, 32), TOPTSetup()},
+	}
+	got := runCell(g, "PR", mk, runs)
+	for i, r := range runs {
+		if want := fingerprint(RunWorkload(r.c, mk(), r.s)); fingerprint(got[i]) != want {
+			t.Errorf("mixed LLCs, run %d (%s): diverged from live:\n got:  %s\n want: %s", i, r.s.Name, fingerprint(got[i]), want)
+		}
+	}
+
+	bad := c
+	bad.Cache = func(llc func() cache.Policy) cache.Config {
+		cfg := c.cacheConfig(llc)
+		cfg.L2Size *= 2
+		return cfg
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, g.Name+"/PR") {
+			t.Errorf("a follower with another L2 shape: panic %q, want one naming cell %s/PR", msg, g.Name)
+		}
+	}()
+	runCell(g, "PR", mk, []cellRun{{c, DRRIPSetup()}, {bad, LRUSetup()}})
 }

@@ -26,7 +26,7 @@ import (
 // shared; shared inputs are read-only by contract.
 type Cell struct {
 	// Key labels the cell in progress events and failure messages,
-	// e.g. "fig2/KRON-12/DRRIP".
+	// e.g. "fig2/KRON-12".
 	Key string
 	Run func()
 }
@@ -48,10 +48,13 @@ type CellEvent struct {
 // callback: the heartbeat between cell completions on large-scale runs.
 type PhaseEvent struct {
 	// Key identifies the work, e.g. "KRON-23/PR" (graph/stream) for a
-	// record, plus the setup name for a replay.
+	// live pass or a record, plus the setup name for a replay.
 	Key string
-	// Phase names the sub-phase: "record" (live kernel execution plus
-	// stream encode) or "replay" (trace-driven LLC-only simulation).
+	// Phase names the sub-phase: "live" (one kernel execution that
+	// simulates every setup of a cell, the first directly and the rest
+	// fed its LLC-visible stream as it runs), "record" (live kernel
+	// execution plus stream encode into the corpus) or "replay"
+	// (corpus-driven LLC-only simulation).
 	Phase string
 	// Elapsed is the phase's wall-clock execution time.
 	Elapsed time.Duration

@@ -188,9 +188,7 @@ func TestSweepSharedInputsImmutable(t *testing.T) {
 
 	cArt := c
 	cArt.arts = arts
-	sweepGrid(cArt, "immut", suite, []Setup{POPTSetup(core.InterIntra, 8, true), TOPTSetup()}, func(g *graph.Graph, s Setup) Result {
-		return RunWorkload(cArt, kernels.NewPageRank(g), s)
-	})
+	sweepGrid(cArt, "immut", suite, []Setup{POPTSetup(core.InterIntra, 8, true), TOPTSetup()})
 
 	for i, g := range suite {
 		if g.Checksum() != pre[i] {

@@ -723,9 +723,7 @@ func (r *Reader) ReplayLLC(sim *Sim) error {
 	if firstErr != nil {
 		return firstErr
 	}
-	sim.Instructions += r.instructions
-	sim.H.L1.Stats.Add(r.l1)
-	sim.H.L2.Stats.Add(r.l2)
+	sim.addTotals(r.instructions, r.l1, r.l2)
 	return nil
 }
 
@@ -769,7 +767,7 @@ func (r *Reader) Rechunk(w io.Writer, chunkBytes int) error {
 		if ck.err != nil {
 			return ck.err
 		}
-		enc.encode(ck.probes, ck.marks)
+		record(enc, ck.probes, ck.marks)
 		r.release(ck.bytes)
 	}
 	if err := enc.Finish(r.instructions, r.l1, r.l2); err != nil {

@@ -233,21 +233,22 @@ func (e *LLCEncoder) mark(m Mark) {
 	}
 }
 
-// encode re-encodes a decoded event sequence — probes with marks placed
-// among them, as llcDecoder yields it — in stream order.
-func (e *LLCEncoder) encode(probes []cache.Probe, marks []Mark) {
+// record hands a decoded event sequence — probes with marks placed among
+// them, as llcDecoder yields it — to r in stream order, as a live run's
+// hierarchy and Sim would.
+func record(r Recorder, probes []cache.Probe, marks []Mark) {
 	for i := 0; ; i++ {
 		for len(marks) > 0 && marks[0].At == i {
-			e.mark(marks[0])
+			r.mark(marks[0])
 			marks = marks[1:]
 		}
 		if i == len(probes) {
 			return
 		}
 		if p := probes[i]; p.Kind == cache.ProbeWB {
-			e.LLCWriteback(p.Addr)
+			r.LLCWriteback(p.Addr)
 		} else {
-			e.LLCAccess(mem.Access{Addr: p.Addr, PC: p.PC, Write: p.Kind == cache.ProbeWrite})
+			r.LLCAccess(mem.Access{Addr: p.Addr, PC: p.PC, Write: p.Kind == cache.ProbeWrite})
 		}
 	}
 }
@@ -303,9 +304,9 @@ func (t *LLCTrace) Size() int { return len(t.data) }
 func (t *LLCTrace) Stats() LLCStats { return t.stats }
 
 // replayWindow is the number of probes, and of marks, LLCTrace.Replay
-// decodes per window: stack arrays large enough that the per-window
-// AccessBatch call amortizes over long hookless runs, small enough to
-// stay L1-resident next to the decoder's delta state.
+// decodes and Fanout buffers per window: large enough that the
+// per-window AccessBatch call amortizes over long hookless runs, small
+// enough to stay L1-resident next to the decoder's delta state.
 const replayWindow = 256
 
 // Replay drives sim's LLC with the recorded stream and installs the
@@ -327,9 +328,7 @@ func (t *LLCTrace) Replay(sim *Sim) {
 	for d.i < len(d.data) {
 		sim.feed(d.decode(probes[:], marks[:]))
 	}
-	sim.Instructions += t.instructions
-	sim.H.L1.Stats.Add(t.l1)
-	sim.H.L2.Stats.Add(t.l2)
+	sim.addTotals(t.instructions, t.l1, t.l2)
 }
 
 // llcDecoder is the one decoder of LLC-stream event bytes, shared by flat

@@ -33,9 +33,18 @@ type Sim struct {
 	// tick. It is the denominator of MPKI.
 	Instructions uint64
 
-	// enc, when set by Record, receives the hook marks; the hierarchy's
+	// rec, when set by Record, receives the hook marks; the hierarchy's
 	// Tap feeds it the LLC-visible accesses and writebacks between them.
-	enc *LLCEncoder
+	rec Recorder
+}
+
+// Recorder is what Sim.Record attaches to a live run: a hierarchy LLC tap
+// that also receives the run's hook marks, so it sees the LLC-visible
+// stream with every hook event in order. LLCEncoder encodes that stream;
+// Fanout hands it to follower Sims as it runs.
+type Recorder interface {
+	cache.LLCTap
+	mark(m Mark)
 }
 
 // NewSim builds a live sink over h. hook may be nil.
@@ -43,17 +52,13 @@ func NewSim(h *cache.Hierarchy, hook core.VertexIndexed) *Sim {
 	return &Sim{H: h, Hook: hook}
 }
 
-// Record attaches e to the run: e becomes the hierarchy's LLC tap and sees
-// every hook event right after the hook does, so the encoded stream keeps
+// Record attaches r to the run: r becomes the hierarchy's LLC tap and sees
+// every hook event right after the hook does, so what it records keeps
 // hook events in order against the LLC-visible accesses. Record(nil)
 // detaches it.
-func (s *Sim) Record(e *LLCEncoder) {
-	s.enc = e
-	if e == nil {
-		s.H.Tap = nil
-	} else {
-		s.H.Tap = e
-	}
+func (s *Sim) Record(r Recorder) {
+	s.rec = r
+	s.H.Tap = r
 }
 
 // Consume implements Sink: charge the batch's instructions, run each run
@@ -92,11 +97,11 @@ func (s *Sim) run(accs []mem.Access) {
 	}
 }
 
-// mark delivers one hook event to the hook, then to an attached encoder.
+// mark delivers one hook event to the hook, then to an attached recorder.
 func (s *Sim) mark(m Mark) {
 	s.hook(m)
-	if s.enc != nil {
-		s.enc.mark(m)
+	if s.rec != nil {
+		s.rec.mark(m)
 	}
 }
 
@@ -136,6 +141,16 @@ func (s *Sim) SetTile(t int) {
 	if ts, ok := s.Hook.(tileSetter); ok {
 		ts.SetTile(t)
 	}
+}
+
+// addTotals installs the setup-invariant totals of the run that produced
+// an LLC-visible stream: its retired instructions and its L1/L2
+// statistics. A Sim fed only that stream never ran the upper levels, and
+// these totals are identical under every LLC policy.
+func (s *Sim) addTotals(instructions uint64, l1, l2 cache.Stats) {
+	s.Instructions += instructions
+	s.H.L1.Stats.Add(l1)
+	s.H.L2.Stats.Add(l2)
 }
 
 // MPKI returns LLC misses per kilo-instruction, the paper's primary

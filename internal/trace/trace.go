@@ -5,9 +5,10 @@
 // equivalent plumbing: kernels emit a typed event stream (memory accesses,
 // outer-loop progress for the update_index instruction, iteration and tile
 // boundaries) into a Sink, one buffered Batch at a time; the live cache
-// simulation is one sink (Sim), and a compact varint/delta encoder of the
-// LLC-visible stream (LLCEncoder, attached to a Sim) records what the LLC
-// sees, so a stream captured once can drive an entire policy zoo.
+// simulation is one sink (Sim). What the LLC sees drives an entire policy
+// zoo from one kernel run: a Fanout attached to the live Sim feeds it to
+// follower Sims as it runs, and a compact varint/delta encoder
+// (LLCEncoder, attached the same way) records it for later replay.
 package trace
 
 import (

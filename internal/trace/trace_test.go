@@ -113,7 +113,7 @@ type eventStream struct {
 }
 
 // encode records the stream through enc.
-func (s eventStream) encode(enc *LLCEncoder) { enc.encode(s.probes, s.marks) }
+func (s eventStream) encode(enc *LLCEncoder) { record(enc, s.probes, s.marks) }
 
 // boundaryStreams returns streams whose marks sit on and around the
 // replay window's edges: one before, on and after a boundary, a run of
@@ -239,6 +239,58 @@ func TestReplayWindowBoundaries(t *testing.T) {
 					check(fmt.Sprintf("container chunk %d procs %d", chunkBytes, procs), got, log)
 				}
 			}
+		}
+	}
+}
+
+// leaderTap reaches a leader Sim the way a live run does: probes through
+// its hierarchy's LLC tap, hook marks through the Sim itself.
+type leaderTap struct{ sim *Sim }
+
+func (l leaderTap) LLCAccess(acc mem.Access) { l.sim.H.Tap.LLCAccess(acc) }
+func (l leaderTap) LLCWriteback(line uint64) { l.sim.H.Tap.LLCWriteback(line) }
+func (l leaderTap) mark(m Mark)              { l.sim.mark(m) }
+
+// TestFanoutWindowBoundaries drives the window-boundary streams through a
+// leader Sim with a Fanout attached into hooked and hookless followers,
+// and checks each follower against the event-at-a-time reference: every
+// level's statistics, the DRAM counters, and the hook call log with the
+// counters at each call.
+func TestFanoutWindowBoundaries(t *testing.T) {
+	for _, st := range boundaryStreams() {
+		want := make(map[bool]llcCounters)
+		wantLog := make(map[bool][]string)
+		follower := func(hooked bool) (*Sim, *logHook) {
+			sim := NewSim(cache.NewHierarchy(tinyConfig()), nil)
+			hook := &logHook{h: sim.H}
+			if hooked {
+				sim.Hook = hook
+			}
+			return sim, hook
+		}
+		for _, hooked := range []bool{false, true} {
+			sim, hook := follower(hooked)
+			replayOneByOne(sim, st)
+			want[hooked], wantLog[hooked] = countersOf(sim), hook.log
+		}
+
+		leader := NewSim(cache.NewHierarchy(tinyConfig()), nil)
+		plain, _ := follower(false)
+		hooked, hook := follower(true)
+		f := NewFanout(plain, hooked)
+		leader.Record(f)
+		record(leaderTap{leader}, st.probes, st.marks)
+		leader.Record(nil)
+		leader.Instructions = testInstructions
+		leader.H.L1.Stats.Add(testL1)
+		leader.H.L2.Stats.Add(testL2)
+		f.Finish(leader)
+
+		if got := countersOf(plain); got != want[false] {
+			t.Errorf("%s, hookless follower:\n got  %+v\n want %+v", st.name, got, want[false])
+		}
+		if got := countersOf(hooked); got != want[true] || !reflect.DeepEqual(hook.log, wantLog[true]) {
+			t.Errorf("%s, hooked follower:\n got  %+v %q\n want %+v %q", st.name, got, hook.log, want[true], wantLog[true])
 		}
 	}
 }
