@@ -9,7 +9,6 @@ import (
 	"popt/internal/graph"
 	"popt/internal/kernels"
 	"popt/internal/mem"
-	"popt/internal/trace"
 )
 
 // Shared-artifact memoization for sweeps. Every P-OPT cell on the same
@@ -160,93 +159,57 @@ type cellRun struct {
 
 // runSetups simulates several setups of one cell, all under c, against a
 // single stream of the named (graph, stream) pair; see runCell.
-func (c Config) runSetups(g *graph.Graph, name string, build func() *kernels.Workload, setups ...Setup) []Result {
+func (c Config) runSetups(g *graph.Graph, name string, w *kernels.Workload, setups ...Setup) []Result {
 	runs := make([]cellRun, len(setups))
 	for i, s := range setups {
 		runs[i] = cellRun{c: c, s: s}
 	}
-	return runCell(g, name, build, runs)
+	return runCell(g, name, w, runs)
 }
 
-// runCell simulates every run of one cell against a single stream of the
-// named (graph, stream) pair. The first run's Config decides where the
-// stream comes from. With a corpus it is a container entry: a warm entry
-// is replayed into every run (no kernel execution at all); a cold one is
-// recorded by the first run's live pass, published, and replayed into
-// the rest. Otherwise, or when publication fails, the kernel runs once:
-// the first run simulates live and a trace.Fanout tapped onto its
-// hierarchy feeds the LLC-visible stream to the others as it is produced,
-// so nothing is encoded or kept. Every path gives each run exactly the
-// counters of a fresh live run (golden-tested). build must construct the
-// workload deterministically; it may be called more than once, since a
-// failed publication consumes its workload mid-record. The (g, name)
-// identity is the stream's corpus key: name must cover the kernel and its
-// schedule.
-func runCell(g *graph.Graph, name string, build func() *kernels.Workload, runs []cellRun) []Result {
-	out := make([]Result, len(runs))
+// runCell simulates every run of one cell against the single stream w
+// produces for the named (graph, stream) pair. The first run's Config
+// decides where the stream comes from. A warm corpus entry (already on
+// disk) is replayed into every run; w's kernel never runs. Otherwise the
+// kernel runs once (livePass), inside Corpus.Publish when a corpus is
+// set, so the same pass writes the cold entry. A failed publication
+// keeps the pass's results, drops only the entry and reports the pass as
+// live: results never depend on the corpus, only its reuse does. Every
+// path gives each run exactly the counters of a fresh live run
+// (golden-tested). The (g, name) identity is the stream's corpus key:
+// name must cover the kernel and its schedule.
+func runCell(g *graph.Graph, name string, w *kernels.Workload, runs []cellRun) []Result {
 	if len(runs) == 0 {
-		return out
+		return nil
 	}
-	checkUpperShape(g.Name+"/"+name, runs)
+	cell := g.Name + "/" + name
+	checkUpperShape(cell, runs)
 	lead := runs[0].c
-	if lead.Corpus != nil && replayCorpus(g, name, build, runs, out) {
-		return out
-	}
-	w := build()
-	start := lead.phaseStart()
-	fanOut(w, runs, out)
-	lead.phaseDone(g.Name+"/"+name, "live", start)
-	return out
-}
-
-// replayCorpus fills out from the corpus entry of (g, name), recording it
-// first with runs[0] when the entry is cold. It reports false, having
-// filled nothing, when a cold entry cannot be published (full disk,
-// permissions): results do not depend on the corpus, only its reuse does.
-func replayCorpus(g *graph.Graph, name string, build func() *kernels.Workload, runs []cellRun, out []Result) bool {
-	lead := runs[0].c
-	key := lead.StreamKey(g, name)
-	w := build()
-	ent := lead.Corpus.Lookup(key)
-	first := 0
-	if ent == nil {
-		start := lead.phaseStart()
-		res, e, err := RecordLLCToCorpus(lead, w, runs[0].s, key)
-		if err != nil {
-			return false
+	if lead.Corpus != nil {
+		key := lead.StreamKey(g, name)
+		if ent := lead.Corpus.Lookup(key); ent != nil {
+			out := make([]Result, len(runs))
+			for i, r := range runs {
+				start := r.c.phaseStart()
+				out[i] = ReplayLLCEntry(r.c, w, ent, r.s)
+				r.c.phaseDone(cell+"/"+r.s.Name, "replay", start)
+			}
+			return out
 		}
-		lead.phaseDone(g.Name+"/"+name, "record", start)
-		out[0], ent, first = res, e, 1
+		start := lead.phaseStart()
+		if out, _, err := publishPass(w, runs, key); out != nil {
+			phase := "record"
+			if err != nil {
+				phase = "live"
+			}
+			lead.phaseDone(cell, phase, start)
+			return out
+		}
 	}
-	for i := first; i < len(runs); i++ {
-		r := runs[i]
-		start := r.c.phaseStart()
-		out[i] = ReplayLLCEntry(r.c, w, ent, r.s)
-		r.c.phaseDone(g.Name+"/"+name+"/"+r.s.Name, "replay", start)
-	}
-	return true
-}
-
-// fanOut runs w's kernel once: runs[0] simulates live while a
-// trace.Fanout on its hierarchy feeds every other run the LLC-visible
-// stream, window by window, and finally the leader's setup-invariant
-// totals.
-func fanOut(w *kernels.Workload, runs []cellRun, out []Result) {
-	cells := make([]builtCell, len(runs))
-	sims := make([]*trace.Sim, len(runs))
-	for i, r := range runs {
-		cells[i] = buildCell(r.c, w, r.s)
-		sims[i] = cells[i].sim()
-	}
-	lead := sims[0]
-	f := trace.NewFanout(sims[1:]...)
-	lead.Record(f)
-	w.Run(kernels.NewSinkRunner(lead))
-	lead.Record(nil)
-	f.Finish(lead)
-	for i, b := range cells {
-		out[i] = b.finish(sims[i])
-	}
+	start := lead.phaseStart()
+	out := livePass(w, runs, nil)
+	lead.phaseDone(cell, "live", start)
+	return out
 }
 
 // checkUpperShape panics, naming the cell, if a run's L1/L2 shape differs

@@ -44,20 +44,22 @@ type Config struct {
 	// cell (poptbench -progress wires it to stderr).
 	Progress func(CellEvent)
 	// PhaseProgress, when non-nil, receives one event per completed
-	// sub-phase of a cell — a live pass, a corpus record or replay — so
-	// large-scale runs, where a single pass can take minutes, show a
-	// heartbeat between cell completions. Events are host-side
-	// observability only; reports never depend on them. Callbacks may
-	// arrive concurrently from sweep workers.
+	// sub-phase of a cell — its one live or record pass, or each setup's
+	// replay of a warm corpus entry — so large-scale runs, where a single
+	// pass can take minutes, show a heartbeat between cell completions.
+	// Events are host-side observability only; reports never depend on
+	// them. Callbacks may arrive concurrently from sweep workers.
 	PhaseProgress func(PhaseEvent)
 	// Corpus, when non-nil, persists recorded LLC streams as chunked
 	// container files keyed by (workload, schedule, scale, seed) and
-	// replays them out of core across processes: a warm corpus skips every
-	// record phase of a sweep. Streams are keyed by the inputs that shape
-	// the recorded bytes — the scale name covers the L1/L2 shape (only
-	// fig16 varies the cache within an experiment, and it varies just the
-	// LLC geometry, which the stream does not depend on). Reports are
-	// byte-identical with or without a corpus (golden-tested).
+	// replays them out of core across processes: a cold key is written by
+	// the cell's one live pass, a warm key replays into every setup (a
+	// warm corpus skips every record phase of a sweep), and a failed
+	// publication drops only the entry. Streams are keyed by the inputs
+	// that shape the recorded bytes — the scale name covers the L1/L2
+	// shape (only fig16 varies the cache within an experiment, and it
+	// varies just the LLC geometry, which the stream does not depend on).
+	// Reports are byte-identical with or without a corpus (golden-tested).
 	Corpus *corpus.Store
 	// arts memoizes immutable build products (Rereference Matrix tables,
 	// merged transposes) across the cells of one experiment; nil means
@@ -361,14 +363,59 @@ func (b builtCell) finish(sim *trace.Sim) Result {
 	return res
 }
 
+// livePass runs w's kernel once and simulates every run on its stream:
+// runs[0] simulates live, and rec, when non-nil, records the LLC-visible
+// stream it produces. With more than one run a trace.Fanout takes rec's
+// seat on the leader and feeds each window of the stream to rec and to
+// every other run. This is the one kernel pass behind RunWorkload,
+// RecordLLC, RecordLLCToCorpus and every sweep cell that does not replay
+// a corpus entry.
+func livePass(w *kernels.Workload, runs []cellRun, rec trace.Recorder) []Result {
+	cells := make([]builtCell, len(runs))
+	sims := make([]*trace.Sim, len(runs))
+	for i, r := range runs {
+		cells[i] = buildCell(r.c, w, r.s)
+		sims[i] = cells[i].sim()
+	}
+	lead := sims[0]
+	var f *trace.Fanout
+	if len(runs) > 1 {
+		f = trace.NewFanout(rec, sims[1:]...)
+		rec = f
+	}
+	lead.Record(rec)
+	w.Run(kernels.NewSinkRunner(lead))
+	lead.Record(nil)
+	if f != nil {
+		f.Finish(lead)
+	}
+	out := make([]Result, len(runs))
+	for i, b := range cells {
+		out[i] = b.finish(sims[i])
+	}
+	return out
+}
+
+// publishPass is livePass inside a corpus publication of key: a chunked
+// encoder records the pass's LLC-visible stream straight into the entry
+// (never materialized in memory as one buffer). When the publication
+// fails, out still holds the pass's results if the pass ran, and is nil
+// if the store could not start the entry.
+func publishPass(w *kernels.Workload, runs []cellRun, key corpus.Key) (out []Result, ent *corpus.Entry, err error) {
+	ent, err = runs[0].c.Corpus.Publish(key, func(cw *trace.ContainerWriter) error {
+		enc := trace.NewChunkedLLCEncoder(cw)
+		out = livePass(w, runs, enc)
+		lead := out[0]
+		return enc.Finish(lead.Instructions, lead.H.L1.Stats, lead.H.L2.Stats)
+	})
+	return out, ent, err
+}
+
 // RunWorkload simulates one (workload, setup) pair under c's cache config
 // and returns the result. The workload must be freshly built (its state is
 // consumed).
 func RunWorkload(c Config, w *kernels.Workload, s Setup) Result {
-	b := buildCell(c, w, s)
-	sim := b.sim()
-	w.Run(kernels.NewSinkRunner(sim))
-	return b.finish(sim)
+	return livePass(w, []cellRun{{c: c, s: s}}, nil)[0]
 }
 
 // RecordLLC simulates one (workload, setup) pair live while recording the
@@ -382,13 +429,9 @@ func RunWorkload(c Config, w *kernels.Workload, s Setup) Result {
 // identical under every LLC policy; ReplayLLC feeds it to any other setup
 // touching only the LLC.
 func RecordLLC(c Config, w *kernels.Workload, s Setup) (Result, *trace.LLCTrace) {
-	b := buildCell(c, w, s)
-	sim := b.sim()
 	enc := trace.NewLLCEncoder()
-	sim.Record(enc)
-	w.Run(kernels.NewSinkRunner(sim))
-	sim.Record(nil)
-	return b.finish(sim), enc.Trace(sim.Instructions, b.h.L1.Stats, b.h.L2.Stats)
+	res := livePass(w, []cellRun{{c: c, s: s}}, enc)[0]
+	return res, enc.Trace(res.Instructions, res.H.L1.Stats, res.H.L2.Stats)
 }
 
 // ReplayLLC feeds a recorded LLC-visible stream into setup s, simulating
@@ -407,25 +450,16 @@ func ReplayLLC(c Config, w *kernels.Workload, tr *trace.LLCTrace, s Setup) Resul
 
 // RecordLLCToCorpus is RecordLLC's persistent form: the LLC-visible
 // stream goes through a chunked container encoder straight into the
-// corpus (never materialized in memory as one buffer), and the published
-// entry replays the same stream in this or any later process. The
-// recording run's own result is returned alongside the entry.
+// corpus, and the published entry replays the same stream in this or any
+// later process. The recording run's own result is returned alongside the
+// entry, whose bytes equal those a cold sweep cell writes with other
+// setups following the same pass (runCell).
 func RecordLLCToCorpus(c Config, w *kernels.Workload, s Setup, key corpus.Key) (Result, *corpus.Entry, error) {
-	var res Result
-	ent, err := c.Corpus.Publish(key, func(cw *trace.ContainerWriter) error {
-		b := buildCell(c, w, s)
-		sim := b.sim()
-		enc := trace.NewChunkedLLCEncoder(cw)
-		sim.Record(enc)
-		w.Run(kernels.NewSinkRunner(sim))
-		sim.Record(nil)
-		res = b.finish(sim)
-		return enc.Finish(sim.Instructions, b.h.L1.Stats, b.h.L2.Stats)
-	})
+	out, ent, err := publishPass(w, []cellRun{{c: c, s: s}}, key)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	return res, ent, nil
+	return out[0], ent, nil
 }
 
 // ReplayLLCEntry feeds a corpus-resident LLC stream into setup s,

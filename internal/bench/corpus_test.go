@@ -1,13 +1,17 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"popt/internal/cache"
+	"popt/internal/core"
 	"popt/internal/corpus"
 	"popt/internal/graph"
 	"popt/internal/kernels"
@@ -37,9 +41,11 @@ func (p *phaseLog) get(phase string) int {
 // TestCorpusSweepMatchesInMemory is the acceptance contract for the
 // persistent corpus: a sweep with -corpus produces byte-identical reports
 // to the in-memory path, cold (recording through the chunked container
-// encoder) and warm (replaying a corpus another process wrote). The warm
-// run must additionally skip every record phase — the whole point of
-// persisting streams. Fig2 exercises runStream; transitively this is
+// encoder) and warm (replaying a corpus another process wrote). The cold
+// run must be one record pass per cell, its followers fed by the fan-out
+// rather than replaying the new entry; the warm run must skip every
+// record phase — the whole point of persisting streams. Fig2 exercises
+// sweepGrid, one runSetups cell per suite graph; transitively this is
 // golden-pinned, because the in-memory Fig2 CSV is itself checked against
 // the sweep determinism goldens.
 func TestCorpusSweepMatchesInMemory(t *testing.T) {
@@ -60,8 +66,8 @@ func TestCorpusSweepMatchesInMemory(t *testing.T) {
 	if got := Fig2(cold).CSV(); got != want {
 		t.Errorf("cold-corpus Fig2 diverges from in-memory:\n--- in-memory\n%s--- corpus\n%s", want, got)
 	}
-	if coldLog.get("record") == 0 {
-		t.Error("cold-corpus sweep recorded nothing")
+	if n, m := coldLog.get("record"), coldLog.get("replay"); n != len(base.Suite()) || m != 0 {
+		t.Errorf("cold-corpus sweep ran %d record and %d replay phase(s), want one record per suite graph (%d) and no replay", n, m, len(base.Suite()))
 	}
 
 	// Warm: a second store over the same directory stands in for a second
@@ -106,14 +112,17 @@ func TestCorpusSweepMatchesInMemory(t *testing.T) {
 
 // TestCorpusRunSetupsMatchesInMemory covers the runSetups shape (per-cell
 // streams with cell-private workloads, Fig11's pattern) the same way:
-// in-memory, cold corpus, and warm corpus must agree, and the warm pass
-// must not record.
+// in-memory, cold corpus, and warm corpus must agree. The cold pass is a
+// single record phase, its followers fed by the fan-out, and the entry it
+// writes holds the bytes RecordLLCToCorpus writes for the leader setup
+// alone; the warm pass only replays.
 func TestCorpusRunSetupsMatchesInMemory(t *testing.T) {
 	g := graph.Uniform(1<<10, 4<<10, 42)
 	mk := func() *kernels.Workload { return kernels.NewPageRank(g) }
 	setups := []Setup{DRRIPSetup(), LRUSetup(), HawkeyeSetup()}
 	c := TinyConfig()
-	want := c.runSetups(g, "PR", mk, setups...)
+	want := c.runSetups(g, "PR", mk(), setups...)
+	key := c.StreamKey(g, "PR")
 
 	dir := t.TempDir()
 	for pass, label := range []string{"cold", "warm"} {
@@ -125,16 +134,113 @@ func TestCorpusRunSetupsMatchesInMemory(t *testing.T) {
 		cc.Corpus = s
 		var log phaseLog
 		cc.PhaseProgress = log.hook()
-		got := cc.runSetups(g, "PR", mk, setups...)
+		got := cc.runSetups(g, "PR", mk(), setups...)
+		var cellPath string
+		if pass == 0 {
+			ent, err := s.Get(key)
+			if err != nil {
+				t.Fatalf("cold pass published no entry: %v", err)
+			}
+			cellPath = ent.Path
+		}
+		// Close before the warm pass opens the directory again, as a
+		// later process would.
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 		for i := range want {
 			if fingerprint(got[i]) != fingerprint(want[i]) {
 				t.Errorf("%s corpus: setup %s diverges from in-memory", label, setups[i].Name)
 			}
 		}
-		if pass == 1 && log.get("record") != 0 {
-			t.Errorf("warm corpus ran %d record phase(s)", log.get("record"))
+		rec, rep, live := log.get("record"), log.get("replay"), log.get("live")
+		switch {
+		case pass == 0 && (rec != 1 || rep != 0 || live != 0):
+			t.Errorf("cold corpus ran %d record, %d replay and %d live phase(s), want one record only", rec, rep, live)
+		case pass == 1 && (rec != 0 || rep != len(setups) || live != 0):
+			t.Errorf("warm corpus ran %d record, %d replay and %d live phase(s), want %d replays only", rec, rep, live, len(setups))
 		}
-		s.Close()
+		if pass == 1 {
+			continue
+		}
+
+		solo, err := corpus.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer solo.Close()
+		sc := c
+		sc.Corpus = solo
+		_, soloEnt, err := RecordLLCToCorpus(sc, mk(), setups[0], key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cellBytes, err := os.ReadFile(cellPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		soloBytes, err := os.ReadFile(soloEnt.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cellBytes, soloBytes) {
+			t.Errorf("cold cell wrote a %d-byte entry; %s recorded alone writes %d bytes of other content", len(cellBytes), setups[0].Name, len(soloBytes))
+		}
+	}
+}
+
+// TestCorpusFailedPublishKeepsResults pins the fallback of a corpus that
+// cannot take an entry, failing once before the pass starts and once
+// after. Before: the directory is gone after Open, so Publish cannot
+// create even its temp file, whatever the process's privileges. After: a
+// follower's policy constructor removes the directory once the temp file
+// is open, so the pass and its encoding run and the final rename fails.
+// Either way the cell must still simulate every setup in one pass
+// reported as live, with the no-corpus counters, and leave no entry
+// behind.
+func TestCorpusFailedPublishKeepsResults(t *testing.T) {
+	g := graph.Uniform(1<<10, 4<<10, 42)
+	setups := []Setup{DRRIPSetup(), LRUSetup(), HawkeyeSetup()}
+	c := TinyConfig()
+	want := c.runSetups(g, "PR", kernels.NewPageRank(g), setups...)
+
+	for _, when := range []string{"before the pass", "after the pass"} {
+		dir := filepath.Join(t.TempDir(), "corpus")
+		s, err := corpus.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		run := append([]Setup(nil), setups...)
+		if when == "before the pass" {
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			follower := run[1]
+			run[1].Make = func(c Config, w *kernels.Workload, cfg cache.Config) (cache.Policy, core.VertexIndexed, int) {
+				if err := os.RemoveAll(dir); err != nil {
+					t.Error(err)
+				}
+				return follower.Make(c, w, cfg)
+			}
+		}
+		cc := c
+		cc.Corpus = s
+		var log phaseLog
+		cc.PhaseProgress = log.hook()
+		got := cc.runSetups(g, "PR", kernels.NewPageRank(g), run...)
+		for i := range want {
+			if fingerprint(got[i]) != fingerprint(want[i]) {
+				t.Errorf("publish failing %s: setup %s diverges from the no-corpus run:\n got:  %s\n want: %s", when, setups[i].Name, fingerprint(got[i]), fingerprint(want[i]))
+			}
+		}
+		if rec, rep, live := log.get("record"), log.get("replay"), log.get("live"); live != 1 || rec != 0 || rep != 0 {
+			t.Errorf("publish failing %s: ran %d live, %d record and %d replay phase(s), want one live pass only", when, live, rec, rep)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("publish failing %s: left %s behind (stat: %v)", when, dir, err)
+		}
 	}
 }
 

@@ -53,7 +53,7 @@ func sweepGrid(c Config, id string, suite []*graph.Graph, setups []Setup) [][]Re
 		cells[gi] = Cell{
 			Key: id + "/" + g.Name,
 			Run: func() {
-				results[gi] = c.runSetups(g, "PR", func() *kernels.Workload { return kernels.NewPageRank(g) }, setups...)
+				results[gi] = c.runSetups(g, "PR", kernels.NewPageRank(g), setups...)
 			},
 		}
 	}
@@ -212,7 +212,7 @@ func Fig16(c Config) *Report {
 		cells[gi] = Cell{
 			Key: "fig16/" + g.Name,
 			Run: func() {
-				results[gi] = runCell(g, "PR", func() *kernels.Workload { return kernels.NewPageRank(g) }, runs)
+				results[gi] = runCell(g, "PR", kernels.NewPageRank(g), runs)
 			},
 		}
 	}

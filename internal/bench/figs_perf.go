@@ -51,7 +51,7 @@ func Fig10(c Config) *Report {
 			cells = append(cells, Cell{
 				Key: "fig10/" + b.Name + "/" + g.Name,
 				Run: func() {
-					rs := c.runSetups(g, b.Name, func() *kernels.Workload { return b.New(g) },
+					rs := c.runSetups(g, b.Name, b.New(g),
 						append([]Setup{LRUSetup()}, setups...)...)
 					// Direction switching never produced a dense pull round
 					// on this input when LRU saw almost no LLC traffic (the
@@ -128,11 +128,11 @@ func Fig11(c Config) *Report {
 			Key: fmt.Sprintf("fig11/n=%d", n),
 			Run: func() {
 				g := graph.Uniform(n, 4*n, c.Seed)
-				// The graph is private to this cell, so record/replay is
-				// cell-local: DRRIP runs live and records (or the corpus
-				// supplies the stream), the P-OPT variants replay (no
-				// stream cache entry to pin the throwaway graph).
-				rs := c.runSetups(g, "PR", func() *kernels.Workload { return kernels.NewPageRank(g) },
+				// The graph is private to this cell, and so is its stream:
+				// DRRIP runs live and the P-OPT variants follow it in the
+				// same pass (from a warm corpus, all three replay the
+				// entry).
+				rs := c.runSetups(g, "PR", kernels.NewPageRank(g),
 					DRRIPSetup(),
 					POPTSetup(core.InterIntra, 8, true),
 					POPTSetup(core.SingleEpoch, 8, true))

@@ -59,8 +59,9 @@ func Fig12a(c Config) *Report {
 				g := graph.DBG(g0).Apply(g0)
 				out := &results[gi]
 				// The reordered graph is cell-private: the DRRIP baseline
-				// records its stream, the compared setups replay it.
-				rs := c.runSetups(g, "PR", func() *kernels.Workload { return kernels.NewPageRank(g) },
+				// runs live and the compared setups follow its stream in
+				// the same pass.
+				rs := c.runSetups(g, "PR", kernels.NewPageRank(g),
 					append([]Setup{DRRIPSetup()}, setups...)...)
 				out.base, out.res = rs[0], rs[1:]
 			},
@@ -111,7 +112,7 @@ func Fig12b(c Config) *Report {
 				order := sched.BDFSOrder(g, 16)
 				// base/popt/topt share the vertex-ordered stream; BDFS runs
 				// a different schedule, hence a different stream, live.
-				rs := c.runSetups(g, "PR", func() *kernels.Workload { return kernels.NewPageRank(g) },
+				rs := c.runSetups(g, "PR", kernels.NewPageRank(g),
 					DRRIPSetup(), POPTSetup(core.InterIntra, 8, true), TOPTSetup())
 				results[gi] = cellOut{
 					base: rs[0],
@@ -165,9 +166,9 @@ func Fig13(c Config) *Report {
 						tp := core.NewTiledPOPT(seg, w.Irregular[0], core.InterIntra, 8)
 						return tp, tp, tp.ReservedWays(cfg.LLCSize / (cfg.LLCWays * 64))
 					}}
-					// The segmentation is cell-private; DRRIP records the
-					// tiled stream and P-OPT replays it.
-					rs := c.runSetups(g, fmt.Sprintf("PR-tiled-%d", tiles), func() *kernels.Workload { return kernels.NewPageRankTiled(g, seg) },
+					// The segmentation is cell-private; DRRIP runs the tiled
+					// stream live and P-OPT follows it in the same pass.
+					rs := c.runSetups(g, fmt.Sprintf("PR-tiled-%d", tiles), kernels.NewPageRankTiled(g, seg),
 						DRRIPSetup(), poptSetup)
 					results[gi][ti] = cellOut{drrip: rs[0], popt: rs[1]}
 				},
@@ -204,9 +205,9 @@ func Fig14(c Config) *Report {
 		Header: []string{"graph", "PB+DRRIP", "PB+P-OPT", "PHI+DRRIP", "PHI+P-OPT", "PHI coalesce"},
 	}
 	// One cell per (graph, phase variant): PB and PHI, each cell pairing
-	// the DRRIP and P-OPT runs so DRRIP records the phase's reference
-	// stream and P-OPT replays it (the PHI coalescing filter lives on the
-	// sink, so both see the identical emitted stream). The serial loop
+	// the DRRIP and P-OPT runs as two short live passes of the phase
+	// (runUpdatePair; the PHI coalescing filter lives on the sink, so both
+	// see the identical emitted stream). The serial loop
 	// reported the coalesce rate of the PHI+P-OPT run; assembly reads that
 	// slot's value to keep the report byte-identical.
 	suite := c.Suite()

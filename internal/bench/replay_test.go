@@ -118,7 +118,7 @@ func BenchmarkLiveVsReplay(b *testing.B) {
 	mk := func() *kernels.Workload { return kernels.NewPageRank(g) }
 	b.Run("fanout", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c.runSetups(g, "PR", mk, append([]Setup{LRUSetup()}, followers...)...)
+			c.runSetups(g, "PR", mk(), append([]Setup{LRUSetup()}, followers...)...)
 		}
 	})
 	b.Run("record-replay", func(b *testing.B) {
@@ -154,7 +154,7 @@ func TestRunSetupsMatchesLive(t *testing.T) {
 		{Name: "Radii", New: kernels.NewRadii},
 	} {
 		mk := func() *kernels.Workload { return b.New(g) }
-		got := c.runSetups(g, b.Name, mk, setups...)
+		got := c.runSetups(g, b.Name, mk(), setups...)
 		for i, s := range setups {
 			if want := fingerprint(RunWorkload(c, mk(), s)); fingerprint(got[i]) != want {
 				t.Errorf("%s/%s: runSetups diverged from live:\n got:  %s\n want: %s", b.Name, s.Name, fingerprint(got[i]), want)
@@ -179,7 +179,7 @@ func TestRunSetupsMatchesLive(t *testing.T) {
 		{withLLC(16<<10, 8), POPTSetup(core.InterIntra, 8, true)},
 		{withLLC(16<<10, 32), TOPTSetup()},
 	}
-	got := runCell(g, "PR", mk, runs)
+	got := runCell(g, "PR", mk(), runs)
 	for i, r := range runs {
 		if want := fingerprint(RunWorkload(r.c, mk(), r.s)); fingerprint(got[i]) != want {
 			t.Errorf("mixed LLCs, run %d (%s): diverged from live:\n got:  %s\n want: %s", i, r.s.Name, fingerprint(got[i]), want)
@@ -197,5 +197,5 @@ func TestRunSetupsMatchesLive(t *testing.T) {
 			t.Errorf("a follower with another L2 shape: panic %q, want one naming cell %s/PR", msg, g.Name)
 		}
 	}()
-	runCell(g, "PR", mk, []cellRun{{c, DRRIPSetup()}, {bad, LRUSetup()}})
+	runCell(g, "PR", mk(), []cellRun{{c, DRRIPSetup()}, {bad, LRUSetup()}})
 }

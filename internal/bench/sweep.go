@@ -48,13 +48,16 @@ type CellEvent struct {
 // callback: the heartbeat between cell completions on large-scale runs.
 type PhaseEvent struct {
 	// Key identifies the work, e.g. "KRON-23/PR" (graph/stream) for a
-	// live pass or a record, plus the setup name for a replay.
+	// live or record pass, plus the setup name for a replay.
 	Key string
 	// Phase names the sub-phase: "live" (one kernel execution that
 	// simulates every setup of a cell, the first directly and the rest
-	// fed its LLC-visible stream as it runs), "record" (live kernel
-	// execution plus stream encode into the corpus) or "replay"
-	// (corpus-driven LLC-only simulation).
+	// fed its LLC-visible stream as it runs), "record" (that same single
+	// pass, also encoding the stream into a cold corpus entry that was
+	// published) or "replay" (one setup fed a warm corpus entry,
+	// simulating only its LLC). A cold cell whose entry fails to publish
+	// reports its pass as live. A cell reports one live or record phase,
+	// or one replay per setup.
 	Phase string
 	// Elapsed is the phase's wall-clock execution time.
 	Elapsed time.Duration

@@ -7,28 +7,33 @@ import (
 
 // Fanout hands one live run's LLC-visible stream to follower Sims while
 // the run produces it, so every LLC policy setup of a cell is simulated in
-// a single kernel pass with nothing encoded or stored. Attached to the
-// leader's Sim (Sim.Record) it sits where an LLCEncoder would: as the
-// hierarchy's Tap it sees the accesses and writebacks that reach the LLC,
-// and from the Sim it sees each hook mark between them. It buffers them in
-// one fixed window of probes and one of marks, each mark's At counting the
-// probes buffered before it, and feeds a full window to every follower
-// through Sim.feed, the same feed replay uses. cache.Level.AccessBatch is
-// batching-invariant, so a follower ends exactly as a replay of the
-// recorded stream would, and so as a live run would.
+// a single kernel pass. Attached to the leader's Sim (Sim.Record) it sits
+// where an LLCEncoder would: as the hierarchy's Tap it sees the accesses
+// and writebacks that reach the LLC, and from the Sim it sees each hook
+// mark between them. It buffers them in one fixed window of probes and one
+// of marks, each mark's At counting the probes buffered before it, and
+// feeds a full window to every follower through Sim.feed, the same feed
+// replay uses. cache.Level.AccessBatch is batching-invariant, so a
+// follower ends exactly as a replay of the recorded stream would, and so
+// as a live run would.
+//
+// An optional Recorder (a corpus encoder) gets each window too, through
+// record, before the window resets, so it encodes what a direct tap would.
 //
 // The followers' hierarchies must have the leader's L1/L2 shape (the
 // stream depends on it); their LLCs may differ in policy and geometry.
 type Fanout struct {
+	rec       Recorder
 	followers []*Sim
 	n, m      int // probes and marks buffered
 	probes    [replayWindow]cache.Probe
 	marks     [replayWindow]Mark
 }
 
-// NewFanout returns a fan-out feeding the given followers.
-func NewFanout(followers ...*Sim) *Fanout {
-	return &Fanout{followers: followers}
+// NewFanout returns a fan-out feeding the given followers and, when rec
+// is non-nil, recording the stream through rec.
+func NewFanout(rec Recorder, followers ...*Sim) *Fanout {
+	return &Fanout{rec: rec, followers: followers}
 }
 
 // LLCAccess implements cache.LLCTap.
@@ -71,19 +76,25 @@ func (f *Fanout) mark(m Mark) {
 	f.m++
 }
 
-// flush feeds the buffered window to every follower and empties it.
+// flush hands the buffered window to the recorder and every follower and
+// empties it.
 //
 //popt:hot
 func (f *Fanout) flush() {
+	probes, marks := f.probes[:f.n], f.marks[:f.m]
+	if f.rec != nil {
+		record(f.rec, probes, marks)
+	}
 	for _, s := range f.followers {
-		s.feed(f.probes[:f.n], f.marks[:f.m])
+		s.feed(probes, marks)
 	}
 	f.n, f.m = 0, 0
 }
 
-// Finish feeds the last window and installs the leader's setup-invariant
+// Finish flushes the last window and installs the leader's setup-invariant
 // totals (instructions, L1/L2 statistics) on every follower, as a replay
-// installs the recorded ones. Call it after the leader's run has ended.
+// installs the recorded ones. Call it after the leader's run has ended;
+// finalizing the recorder (LLCEncoder.Finish) stays with its owner.
 func (f *Fanout) Finish(leader *Sim) {
 	f.flush()
 	for _, s := range f.followers {

@@ -234,8 +234,8 @@ func (e *LLCEncoder) mark(m Mark) {
 }
 
 // record hands a decoded event sequence — probes with marks placed among
-// them, as llcDecoder yields it — to r in stream order, as a live run's
-// hierarchy and Sim would.
+// them, as llcDecoder yields it or Fanout buffers it — to r in stream
+// order, as a live run's hierarchy and Sim would.
 func record(r Recorder, probes []cache.Probe, marks []Mark) {
 	for i := 0; ; i++ {
 		for len(marks) > 0 && marks[0].At == i {

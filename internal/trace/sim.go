@@ -41,7 +41,7 @@ type Sim struct {
 // Recorder is what Sim.Record attaches to a live run: a hierarchy LLC tap
 // that also receives the run's hook marks, so it sees the LLC-visible
 // stream with every hook event in order. LLCEncoder encodes that stream;
-// Fanout hands it to follower Sims as it runs.
+// Fanout hands it to follower Sims (and a Recorder of its own) as it runs.
 type Recorder interface {
 	cache.LLCTap
 	mark(m Mark)

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -251,47 +253,138 @@ func (l leaderTap) LLCAccess(acc mem.Access) { l.sim.H.Tap.LLCAccess(acc) }
 func (l leaderTap) LLCWriteback(line uint64) { l.sim.H.Tap.LLCWriteback(line) }
 func (l leaderTap) mark(m Mark)              { l.sim.mark(m) }
 
+// loggedSim returns a Sim over a fresh tiny hierarchy and the logHook
+// that is its hook when hooked is set.
+func loggedSim(hooked bool) (*Sim, *logHook) {
+	sim := NewSim(cache.NewHierarchy(tinyConfig()), nil)
+	hook := &logHook{h: sim.H}
+	if hooked {
+		sim.Hook = hook
+	}
+	return sim, hook
+}
+
+// fanOutScript drives st through a leader Sim with a Fanout attached, as a
+// live run would, with the test's setup-invariant totals on the leader,
+// and finishes the fan-out.
+func fanOutScript(st eventStream, f *Fanout) {
+	leader := NewSim(cache.NewHierarchy(tinyConfig()), nil)
+	leader.Record(f)
+	record(leaderTap{leader}, st.probes, st.marks)
+	leader.Record(nil)
+	leader.Instructions = testInstructions
+	leader.H.L1.Stats.Add(testL1)
+	leader.H.L2.Stats.Add(testL2)
+	f.Finish(leader)
+}
+
 // TestFanoutWindowBoundaries drives the window-boundary streams through a
 // leader Sim with a Fanout attached into hooked and hookless followers,
 // and checks each follower against the event-at-a-time reference: every
 // level's statistics, the DRAM counters, and the hook call log with the
-// counters at each call.
+// counters at each call. The followers are checked on a fan-out without a
+// recorder (a sweep cell without a corpus) and on one that also records
+// through a chunked encoder, at a small and the default chunk target:
+// that container must hold the bytes a direct encoding of the stream
+// writes, and its replay must match the same reference.
 func TestFanoutWindowBoundaries(t *testing.T) {
 	for _, st := range boundaryStreams() {
 		want := make(map[bool]llcCounters)
 		wantLog := make(map[bool][]string)
-		follower := func(hooked bool) (*Sim, *logHook) {
-			sim := NewSim(cache.NewHierarchy(tinyConfig()), nil)
-			hook := &logHook{h: sim.H}
-			if hooked {
-				sim.Hook = hook
-			}
-			return sim, hook
-		}
 		for _, hooked := range []bool{false, true} {
-			sim, hook := follower(hooked)
+			sim, hook := loggedSim(hooked)
 			replayOneByOne(sim, st)
 			want[hooked], wantLog[hooked] = countersOf(sim), hook.log
 		}
-
-		leader := NewSim(cache.NewHierarchy(tinyConfig()), nil)
-		plain, _ := follower(false)
-		hooked, hook := follower(true)
-		f := NewFanout(plain, hooked)
-		leader.Record(f)
-		record(leaderTap{leader}, st.probes, st.marks)
-		leader.Record(nil)
-		leader.Instructions = testInstructions
-		leader.H.L1.Stats.Add(testL1)
-		leader.H.L2.Stats.Add(testL2)
-		f.Finish(leader)
-
-		if got := countersOf(plain); got != want[false] {
-			t.Errorf("%s, hookless follower:\n got  %+v\n want %+v", st.name, got, want[false])
+		check := func(path string, hooked bool, sim *Sim, hook *logHook) {
+			t.Helper()
+			got := countersOf(sim)
+			if got != want[hooked] || hooked && !reflect.DeepEqual(hook.log, wantLog[true]) {
+				t.Errorf("%s, %s, hooked %v:\n got  %+v %q\n want %+v %q", st.name, path, hooked, got, hook.log, want[hooked], wantLog[hooked])
+			}
 		}
-		if got := countersOf(hooked); got != want[true] || !reflect.DeepEqual(hook.log, wantLog[true]) {
-			t.Errorf("%s, hooked follower:\n got  %+v %q\n want %+v %q", st.name, got, hook.log, want[true], wantLog[true])
+
+		plain, plainHook := loggedSim(false)
+		hooked, hook := loggedSim(true)
+		fanOutScript(st, NewFanout(nil, plain, hooked))
+		check("follower without recorder", false, plain, plainHook)
+		check("follower without recorder", true, hooked, hook)
+
+		for _, chunkBytes := range []int{24, 0} {
+			var buf bytes.Buffer
+			cw, err := NewContainerWriter(&buf, testMeta())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cw.SetChunkBytes(chunkBytes)
+			enc := NewChunkedLLCEncoder(cw)
+			plain, plainHook := loggedSim(false)
+			hooked, hook := loggedSim(true)
+			fanOutScript(st, NewFanout(enc, plain, hooked))
+			check(fmt.Sprintf("follower with recorder, chunk %d", chunkBytes), false, plain, plainHook)
+			check(fmt.Sprintf("follower with recorder, chunk %d", chunkBytes), true, hooked, hook)
+
+			if err := enc.Finish(testInstructions, testL1, testL2); err != nil {
+				t.Fatalf("%s: encoder Finish: %v", st.name, err)
+			}
+			if err := cw.Finish(); err != nil {
+				t.Fatalf("%s: container Finish: %v", st.name, err)
+			}
+			if direct := writeContainer(t, testMeta(), chunkBytes, st.encode); !bytes.Equal(buf.Bytes(), direct) {
+				t.Errorf("%s, chunk %d: fan-out recorded a %d-byte container, a direct encoding %d bytes of other content", st.name, chunkBytes, buf.Len(), len(direct))
+			}
+			r, err := OpenContainerBytes(buf.Bytes())
+			if err != nil {
+				t.Fatalf("%s: OpenContainerBytes: %v", st.name, err)
+			}
+			for _, h := range []bool{false, true} {
+				sim, hook := loggedSim(h)
+				if err := r.ReplayLLC(sim); err != nil {
+					t.Fatalf("%s: ReplayLLC: %v", st.name, err)
+				}
+				check(fmt.Sprintf("recorded container, chunk %d", chunkBytes), h, sim, hook)
+			}
 		}
+	}
+}
+
+// failingWriter accepts its first ok writes and fails every later one.
+type failingWriter struct{ ok int }
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.ok == 0 {
+		return 0, errDiskFull
+	}
+	w.ok--
+	return len(p), nil
+}
+
+// TestFanoutSurvivesRecorderWriteError pins what a failed corpus
+// publication leaves of a cell's pass: the container's writer fails after
+// the header and the first chunk frame, yet the followers still end
+// exactly as the event-at-a-time reference, and the encoder's Finish
+// reports the write error.
+func TestFanoutSurvivesRecorderWriteError(t *testing.T) {
+	st := boundaryStreams()[0]
+	want, wantHook := loggedSim(true)
+	replayOneByOne(want, st)
+
+	// One write for the header, two (marker and payload) for the chunk.
+	cw, err := NewContainerWriter(&failingWriter{ok: 3}, testMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw.SetChunkBytes(24)
+	enc := NewChunkedLLCEncoder(cw)
+	sim, hook := loggedSim(true)
+	fanOutScript(st, NewFanout(enc, sim))
+	if got := countersOf(sim); got != countersOf(want) || !reflect.DeepEqual(hook.log, wantHook.log) {
+		t.Errorf("follower of a failing recorder:\n got  %+v %q\n want %+v %q", got, hook.log, countersOf(want), wantHook.log)
+	}
+	if err := enc.Finish(testInstructions, testL1, testL2); !errors.Is(err, errDiskFull) {
+		t.Errorf("encoder Finish = %v, want the write error %v", err, errDiskFull)
 	}
 }
 
