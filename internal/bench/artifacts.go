@@ -11,57 +11,42 @@ import (
 	"popt/internal/mem"
 )
 
-// Shared-artifact memoization for sweeps. Every P-OPT cell on the same
-// (transpose, encoding, bits) rebuilds the same Rereference Matrix, and
-// every T-OPT cell the same merged transpose — Table IV puts matrix
-// construction alone at ~20% of a PageRank run, so at sweep scale the
-// rebuilds dominate. An artifact cache keyed by the immutable inputs
-// builds each product once and hands every cell a cheap per-run view
-// (core.Table → core.Matrix, core.LineRefs shared directly); suite graphs
-// are memoized one level down in package graph. Correctness rests on two
-// invariants the tests pin with checksums: cached products are never
-// written after construction, and a cached build is bit-identical to a
-// fresh one.
+// Shared-artifact memoization for sweeps. Every P-OPT and T-OPT cell on
+// the same (transpose, line width) needs the same merged transpose
+// (core.LineRefs): T-OPT searches it directly, and P-OPT's next-reference
+// engine (core.Matrix) answers Algorithm 2 from it at any encoding and
+// width, so no sweep builds a Rereference Matrix table. An artifact cache
+// keyed by the immutable inputs builds each merged transpose once and
+// hands it to every cell, which wraps it in its own per-run memo; suite
+// graphs are memoized one level down in package graph. Correctness rests
+// on two invariants the tests pin with checksums: cached products are
+// never written after construction, and a cached build is bit-identical
+// to a fresh one.
 //
 // The cache is per-Config (each experiment driver installs its own via
 // withArtifacts), not process-global: fig11 and friends generate
 // throwaway graphs per call, and a global cache keyed by their adjacency
-// pointers would pin them forever. Paths that *measure* build cost
-// (Table4, poptsim, direct core.BuildPOPT callers) have a nil cache and
-// build fresh, unchanged.
+// pointers would pin them forever. poptsim and direct core.BuildPOPT
+// callers have a nil cache and build fresh; Table4, which measures the
+// Rereference Matrix build, calls core.BuildTable itself.
 
 type artifacts struct {
-	mu     sync.Mutex
-	tables map[tableKey]*tableEntry //popt:guardedby mu
-	lrs    map[lrKey]*lrEntry       //popt:guardedby mu
+	mu  sync.Mutex
+	lrs map[lrKey]*lrEntry //popt:guardedby mu
 }
 
-// tableKey identifies one immutable Rereference Matrix table. The
-// adjacency pointer is the graph identity: suite graphs are memoized, so
-// the same input yields the same pointer for every cell of a sweep.
-type tableKey struct {
-	adj  *graph.Adj
-	nv   int
-	epl  int
-	kind core.Kind
-	bits uint
-}
-
+// lrKey identifies one merged transpose. The adjacency pointer is the
+// graph identity: suite graphs are memoized, so the same input yields the
+// same pointer for every cell of a sweep.
 type lrKey struct {
 	adj *graph.Adj
 	epl int
 }
 
 // Entries carry a per-key once so a thundering herd of cells needing the
-// same table at sweep start builds it exactly once without serializing
-// builds of *different* tables behind one lock.
+// same merged transpose at sweep start builds it exactly once without
+// serializing builds of *different* ones behind one lock.
 //
-//popt:frozen
-type tableEntry struct {
-	once sync.Once
-	t    *core.Table //popt:guardedby once
-}
-
 //popt:frozen
 type lrEntry struct {
 	once sync.Once
@@ -69,24 +54,7 @@ type lrEntry struct {
 }
 
 func newArtifacts() *artifacts {
-	return &artifacts{
-		tables: make(map[tableKey]*tableEntry),
-		lrs:    make(map[lrKey]*lrEntry),
-	}
-}
-
-// table returns the memoized Rereference Matrix table for the key,
-// building it on first use.
-func (a *artifacts) table(k tableKey) *core.Table {
-	a.mu.Lock()
-	e := a.tables[k]
-	if e == nil {
-		e = new(tableEntry)
-		a.tables[k] = e
-	}
-	a.mu.Unlock()
-	e.once.Do(func() { e.t = core.BuildTable(k.adj, k.nv, k.epl, k.kind, k.bits) })
-	return e.t
+	return &artifacts{lrs: make(map[lrKey]*lrEntry)}
 }
 
 // lineRefs returns the memoized merged transpose for the key.
@@ -112,9 +80,9 @@ func (c Config) withArtifacts() Config {
 
 // buildPOPT mirrors core.BuildPOPT — one Rereference Matrix per distinct
 // elements-per-line, shared across the arrays (Section V-F) — but pulls
-// tables from the artifact cache when one is installed, so concurrent
-// cells share the encoded entries and differ only in their per-run Matrix
-// views.
+// merged transposes from the artifact cache when one is installed, so
+// concurrent P-OPT and T-OPT cells share them and differ only in their
+// per-run memos.
 func (c Config) buildPOPT(refAdj *graph.Adj, numVertices int, kind core.Kind, bits uint, arrs ...*mem.Array) *core.POPT {
 	if c.arts == nil {
 		return core.BuildPOPT(refAdj, numVertices, kind, bits, arrs...)
@@ -125,7 +93,7 @@ func (c Config) buildPOPT(refAdj *graph.Adj, numVertices int, kind core.Kind, bi
 		epl := arr.ElemsPerLine()
 		m := byEPL[epl]
 		if m == nil {
-			m = c.arts.table(tableKey{adj: refAdj, nv: numVertices, epl: epl, kind: kind, bits: bits}).NewMatrix()
+			m = c.arts.lineRefs(lrKey{adj: refAdj, epl: epl}).NewMatrix(numVertices, kind, bits)
 			byEPL[epl] = m
 		}
 		streams[i] = core.Stream{Arr: arr, M: m}

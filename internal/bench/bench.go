@@ -61,9 +61,9 @@ type Config struct {
 	// varies just the LLC geometry, which the stream does not depend on).
 	// Reports are byte-identical with or without a corpus (golden-tested).
 	Corpus *corpus.Store
-	// arts memoizes immutable build products (Rereference Matrix tables,
-	// merged transposes) across the cells of one experiment; nil means
-	// build fresh per cell. Installed by withArtifacts.
+	// arts memoizes immutable build products (the merged transposes
+	// P-OPT and T-OPT share) across the cells of one experiment; nil
+	// means build fresh per cell. Installed by withArtifacts.
 	arts *artifacts
 }
 
@@ -263,8 +263,8 @@ type Setup struct {
 	// configuration; it returns the policy, the update_index hook (nil if
 	// unused), and the number of reserved ways. The Config carries the
 	// run context — in particular the sweep's artifact cache, which lets
-	// P-OPT/T-OPT setups reuse memoized Rereference Matrix tables and
-	// merged transposes instead of rebuilding them per cell.
+	// P-OPT/T-OPT setups reuse memoized merged transposes instead of
+	// rebuilding them per cell.
 	Make func(c Config, w *kernels.Workload, cfg cache.Config) (cache.Policy, core.VertexIndexed, int)
 }
 

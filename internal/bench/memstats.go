@@ -10,10 +10,12 @@ import (
 // MemStats reports the resident footprint of the shared artifacts a sweep
 // at this config would hold: per input graph, the adjacency bytes under
 // the resolved layout against the plain-CSR equivalent, plus the analytic
-// sizes of the two memoized preprocessing artifacts P-OPT cells share —
-// the Rereference Matrix table and the merged transpose (core.LineRefs).
-// The report is what -memstats prints and what BENCH_memory.json records;
-// building it costs one suite construction and no simulation.
+// size of the one preprocessing artifact P-OPT and T-OPT cells share, the
+// merged transpose (core.LineRefs). The reref column is the analytic size
+// of the paper's Rereference Matrix table: what P-OPT's hardware stores,
+// which no sweep builds. The report is what -memstats prints and what
+// BENCH_memory.json records; building it costs one suite construction and
+// no simulation.
 func MemStats(c Config) *Report {
 	lay := c.Layout.Resolve(c.Scale)
 	workers := trace.DefaultReplayWorkers()

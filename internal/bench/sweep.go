@@ -12,7 +12,7 @@ import (
 // fig2..fig16 — and every (workload, setup) cell is an independent
 // trace-driven simulation: it builds its own Workload (own address space),
 // its own Hierarchy, and its own policy instance, sharing only immutable
-// inputs (suite graphs, Rereference Matrix tables, merged transposes).
+// inputs (suite graphs, merged transposes).
 // The engine fans cells across a bounded worker pool and leaves assembly
 // of the report to the driver, which walks its cell results in
 // enumeration order — so the rendered report is byte-identical to a

@@ -124,41 +124,55 @@ func TestSweepProgressEvents(t *testing.T) {
 	}
 }
 
-// TestArtifactSharing checks the memoization layer: two P-OPT builds on the
-// same (graph, encoding, bits) share one encoded table, and two T-OPT
-// builds one merged transpose, while each policy instance stays private.
+// TestArtifactSharing checks the memoization layer policy by policy: two
+// P-OPT builds share one merged transpose, two T-OPT builds in a fresh cache
+// share one, and a T-OPT build on the P-OPT cache's (adjacency, line width)
+// reuses its entry rather than adding one. Every cached transpose is
+// bit-identical to a fresh build, and each policy instance stays private.
 func TestArtifactSharing(t *testing.T) {
-	c := TinyConfig().withArtifacts()
-	g := c.Suite()[0]
+	g := TinyConfig().Suite()[0]
 	w1 := kernels.NewPageRank(g)
 	w2 := kernels.NewPageRank(g)
-	p1 := c.buildPOPT(w1.RefAdj, w1.G.NumVertices(), core.InterIntra, 8, w1.Irregular...)
-	p2 := c.buildPOPT(w2.RefAdj, w2.G.NumVertices(), core.InterIntra, 8, w2.Irregular...)
-	if p1 == p2 {
-		t.Fatal("policy instances must be per-cell, not shared")
-	}
-	if got := len(c.arts.tables); got != 1 { //lint:allow lockguard (single-threaded assert)
-		t.Fatalf("two same-key P-OPT builds created %d tables, want 1", got)
-	}
-	c.buildTOPT(w1.RefAdj, w1.Irregular...)
-	c.buildTOPT(w2.RefAdj, w2.Irregular...)
-	if got := len(c.arts.lrs); got != 1 { //lint:allow lockguard (single-threaded assert)
-		t.Fatalf("two same-key T-OPT builds created %d merged transposes, want 1", got)
-	}
+	nv := g.NumVertices()
 
-	// A cached build must be bit-identical to a fresh one.
-	//lint:allow lockguard (single-threaded assert)
-	for k, e := range c.arts.tables { //lint:ordered (independent per-key comparisons)
-		fresh := core.BuildTable(k.adj, k.nv, k.epl, k.kind, k.bits)
-		if fresh.Checksum() != e.t.Checksum() { //lint:allow lockguard
-			t.Fatal("cached table diverges from a fresh build")
+	// Counts one cache's merged transposes and checks each against a fresh
+	// build, so a bypassed cache shows as a count of zero.
+	check := func(c Config, what string) {
+		t.Helper()
+		if got := len(c.arts.lrs); got != 1 { //lint:allow lockguard (single-threaded assert)
+			t.Fatalf("%s created %d merged transposes, want 1", what, got)
+		}
+		//lint:allow lockguard (single-threaded assert)
+		for k, e := range c.arts.lrs { //lint:ordered (independent per-key comparisons)
+			if core.BuildLineRefs(k.adj, k.epl).Checksum() != e.lr.Checksum() { //lint:allow lockguard
+				t.Fatalf("%s: cached merged transpose diverges from a fresh build", what)
+			}
 		}
 	}
+
+	cp := TinyConfig().withArtifacts()
+	p1 := cp.buildPOPT(w1.RefAdj, nv, core.InterIntra, 8, w1.Irregular...)
+	p2 := cp.buildPOPT(w2.RefAdj, nv, core.InterIntra, 8, w2.Irregular...)
+	if p1 == p2 {
+		t.Fatal("P-OPT instances must be per-cell, not shared")
+	}
+	check(cp, "two same-key P-OPT builds")
+
+	ct := TinyConfig().withArtifacts()
+	t1 := ct.buildTOPT(w1.RefAdj, w1.Irregular...)
+	t2 := ct.buildTOPT(w2.RefAdj, w2.Irregular...)
+	if t1 == t2 {
+		t.Fatal("T-OPT instances must be per-cell, not shared")
+	}
+	check(ct, "two same-key T-OPT builds")
+
+	cp.buildTOPT(w1.RefAdj, w1.Irregular...)
+	check(cp, "P-OPT and T-OPT builds on one (adjacency, line width)")
 }
 
 // TestSweepSharedInputsImmutable hashes every shared artifact before and
 // after a full parallel experiment: no cell may write through the shared
-// suite graphs, encoded tables, or merged transposes.
+// suite graphs or merged transposes.
 func TestSweepSharedInputsImmutable(t *testing.T) {
 	c := TinyConfig()
 	c.Workers = runtime.GOMAXPROCS(0)
@@ -172,13 +186,7 @@ func TestSweepSharedInputsImmutable(t *testing.T) {
 	arts := newArtifacts()
 	for _, g := range suite {
 		w := kernels.NewPageRank(g)
-		arts.table(tableKey{adj: w.RefAdj, nv: g.NumVertices(), epl: w.Irregular[0].ElemsPerLine(), kind: core.InterIntra, bits: 8})
 		arts.lineRefs(lrKey{adj: w.RefAdj, epl: w.Irregular[0].ElemsPerLine()})
-	}
-	tableSums := make(map[tableKey]uint64)
-	//lint:allow lockguard (single-threaded before the sweep)
-	for k, e := range arts.tables { //lint:ordered (checksums keyed, order-independent)
-		tableSums[k] = e.t.Checksum() //lint:allow lockguard
 	}
 	lrSums := make(map[lrKey]uint64)
 	//lint:allow lockguard (single-threaded before the sweep)
@@ -193,12 +201,6 @@ func TestSweepSharedInputsImmutable(t *testing.T) {
 	for i, g := range suite {
 		if g.Checksum() != pre[i] {
 			t.Fatalf("suite graph %s mutated by sweep", g.Name)
-		}
-	}
-	//lint:allow lockguard (single-threaded after the sweep joined)
-	for k, e := range arts.tables { //lint:ordered (checksums keyed, order-independent)
-		if e.t.Checksum() != tableSums[k] { //lint:allow lockguard
-			t.Fatal("shared Rereference Matrix table mutated by sweep")
 		}
 	}
 	//lint:allow lockguard (single-threaded after the sweep joined)

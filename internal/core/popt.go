@@ -8,7 +8,8 @@ import (
 	"popt/internal/mem"
 )
 
-// Stream pairs an irregularly accessed array with its Rereference Matrix.
+// Stream pairs an irregularly accessed array with its Rereference Matrix
+// engine.
 type Stream struct {
 	Arr *mem.Array
 	M   *Matrix
@@ -18,17 +19,19 @@ type Stream struct {
 // up quantized next references in Rereference Matrix columns pinned in
 // reserved LLC ways, pays the costs the paper models — reduced effective
 // LLC capacity and an epoch-boundary column stream — and breaks
-// next-reference ties with DRRIP.
+// next-reference ties with DRRIP. The simulator computes what those
+// entries decode to from the merged transpose (Matrix) instead of storing
+// the table.
 type POPT struct {
 	g cache.Geometry
 	// streams holds each stream's registers and matrix, in stream order,
-	// and tables the distinct Rereference Matrices behind them (the first
-	// stream's first); both are fixed at construction.
-	streams []poptStream
-	tables  []*Matrix
-	cur     graph.V
-	epoch   int
-	tie     *cache.DRRIP
+	// and matrices the distinct Rereference Matrices behind them (the
+	// first stream's first); both are fixed at construction.
+	streams  []poptStream
+	matrices []*Matrix
+	cur      graph.V
+	epoch    int
+	tie      *cache.DRRIP
 	// TieFirst disables the DRRIP tie-breaker (Section V-C) and keeps the
 	// first candidate instead; an ablation knob for how much the
 	// tie-breaking policy matters at a given quantization width.
@@ -64,10 +67,10 @@ func NewPOPT(streams ...Stream) *POPT {
 	p := &POPT{streams: make([]poptStream, len(streams)), tie: cache.NewDRRIP(1)}
 	for i, s := range streams {
 		p.streams[i] = poptStream{irregRegs: newIrregRegs(s.Arr), m: s.M}
-		// Streams with identical line geometry share one Table (see
+		// Streams with identical line geometry share one Matrix (see
 		// BuildPOPT), whose columns the streaming engine moves once.
-		if !slices.ContainsFunc(p.tables, func(m *Matrix) bool { return m.Table == s.M.Table }) {
-			p.tables = append(p.tables, s.M)
+		if !slices.Contains(p.matrices, s.M) {
+			p.matrices = append(p.matrices, s.M)
 		}
 	}
 	return p
@@ -95,7 +98,7 @@ type poptStream struct {
 
 // Name implements cache.Policy.
 func (p *POPT) Name() string {
-	switch p.tables[0].Kind {
+	switch p.matrices[0].Kind {
 	case InterOnly:
 		return "P-OPT-inter-only"
 	case SingleEpoch:
@@ -116,14 +119,14 @@ func (p *POPT) Bind(g cache.Geometry) {
 // distinct matrix is fetched into the reserved ways.
 func (p *POPT) UpdateIndex(v graph.V) {
 	p.cur = v
-	if e := p.tables[0].EpochOf(v); e != p.epoch {
+	if e := p.matrices[0].EpochOf(v); e != p.epoch {
 		p.epoch = e
 		p.streamColumns()
 	}
 }
 
 func (p *POPT) streamColumns() {
-	for _, m := range p.tables {
+	for _, m := range p.matrices {
 		p.EpochStreams++
 		p.BytesStreamed += uint64(m.ColumnBytes())
 	}
@@ -141,7 +144,7 @@ func (p *POPT) ResetEpoch() {
 // resumption the streaming engine refetches the resident columns of every
 // distinct matrix into the reserved ways.
 func (p *POPT) ContextSwitch() {
-	for _, m := range p.tables {
+	for _, m := range p.matrices {
 		p.EpochStreams++
 		p.BytesStreamed += uint64(m.ResidentBytes())
 	}
@@ -153,7 +156,7 @@ func (p *POPT) ContextSwitch() {
 // 2*numLines*1B with the default encoding).
 func (p *POPT) ReservedWays(sets int) int {
 	total := 0
-	for _, m := range p.tables {
+	for _, m := range p.matrices {
 		total += m.ResidentBytes()
 	}
 	wayBytes := sets * mem.LineSize
@@ -190,9 +193,9 @@ func (p *POPT) stream(addr uint64) *poptStream {
 //
 //popt:hot
 func (p *POPT) Victim(set int, tags []uint64, acc mem.Access) int {
-	t := p.tables[0].Table
-	e := t.EpochOf(p.cur)
-	sub := t.subEpochOf(p.cur, e)
+	m := p.matrices[0]
+	e := m.EpochOf(p.cur)
+	sub := m.subEpochOf(p.cur, e)
 	best, bestDist, tied := -1, -1, false
 	for w := p.g.ReservedWays; w < p.g.Ways; w++ {
 		s := p.stream(tags[w])

@@ -105,7 +105,7 @@ func TestCombineHooksFansOut(t *testing.T) {
 	}
 	// P-OPT's epoch state also advanced: crossing an epoch boundary later
 	// must stream (epoch of 10 is 0 here, so force a crossing).
-	combo.UpdateIndex(graph.V(popt.tables[0].EpochSize))
+	combo.UpdateIndex(graph.V(popt.matrices[0].EpochSize))
 	if popt.EpochStreams == 0 {
 		t.Error("P-OPT did not receive the update")
 	}

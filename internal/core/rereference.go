@@ -7,13 +7,14 @@
 // frontiers). T-OPT consults the graph's transpose directly and is the
 // idealized, zero-overhead upper bound; P-OPT consults the Rereference
 // Matrix, pays for it with reserved LLC ways and epoch-boundary column
-// streaming, and approaches T-OPT closely (Fig. 7, 10).
+// streaming, and approaches T-OPT closely (Fig. 7, 10). Both answer from
+// one merged transpose (LineRefs): P-OPT's engine (Matrix) quantizes it
+// to exactly what the Rereference Matrix entries (Table) decode to.
 package core
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sync"
 
@@ -52,14 +53,12 @@ func (k Kind) String() string {
 	}
 }
 
-// Table is the immutable half of a Rereference Matrix: the epoch geometry
-// plus the quantized next-reference entries — one row per cache line of
-// the irregular array, one column per epoch of the outer traversal loop.
-// A Table never changes after BuildTable returns, so one Table can back
-// any number of concurrent simulations; per-run state lives in Matrix.
-//
-//popt:frozen
-type Table struct {
+// geometry is a Rereference Matrix's epoch geometry: how the outer loop's
+// vertex range is cut into epochs and sub-epochs, and how many lines of
+// the irregular array the matrix has rows for. Table (the encoded entries)
+// and Matrix (the engine answering Algorithm 2 from the transpose) both
+// embed it, and newGeometry alone computes it, so the two always agree.
+type geometry struct {
 	Kind Kind
 	// Bits is the entry width (4, 8 or 16; the paper's default is 8).
 	Bits uint
@@ -75,19 +74,68 @@ type Table struct {
 	// the final access into SubEpochs partitions.
 	SubEpochs    int
 	SubEpochSize int
+	// numVertices is the outer loop trip count: references at or beyond it
+	// are never reached and count for nothing.
+	numVertices int
+	// maxDist is MaxDist's answer, the largest distance the entry's
+	// distance field holds.
+	maxDist int
+	// epochDiv/subDiv are precomputed fastdiv reciprocals for EpochSize
+	// and SubEpochSize: EpochOf and subEpochOf sit on P-OPT's victim-search
+	// hot path and the epoch sizes are runtime values, so the hardware
+	// division they would otherwise cost is strength-reduced once.
+	epochDiv mem.Divider
+	subDiv   mem.Divider
+}
+
+// newGeometry computes the epoch geometry of a Rereference Matrix with
+// numLines rows over an outer loop of numVertices vertices. epochSize 0
+// derives the epoch size from the quantization width, as the paper does;
+// tests pin it to reproduce the paper's hand-sized figures.
+func newGeometry(numLines, numVertices, elemsPerLine int, kind Kind, bits uint, epochSize int) geometry {
+	if bits < 4 || bits > 16 {
+		panic(fmt.Sprintf("core: unsupported quantization width %d", bits))
+	}
+	if kind == SingleEpoch && bits < 5 {
+		panic("core: single-epoch encoding needs at least 5 bits")
+	}
+	if epochSize == 0 {
+		// The number of epochs is bounded by the representable ID range
+		// (2^bits; the paper's 8-bit default gives 256 epochs with
+		// EpochSize = ceil(numVertices/256)) and by the vertex count itself.
+		quantEpochs := max(min(1<<bits, numVertices), 1)
+		epochSize = (numVertices + quantEpochs - 1) / quantEpochs
+	}
+	g := geometry{Kind: kind, Bits: bits, NumLines: numLines, ElemsPerLine: elemsPerLine, EpochSize: epochSize, numVertices: numVertices}
+	g.NumEpochs = (numVertices + epochSize - 1) / epochSize
+	// An intra encoding's sub-epoch field is as wide as its distance field.
+	g.maxDist = 1<<kind.distBits(bits) - 1
+	g.SubEpochs = g.maxDist
+	g.SubEpochSize = (epochSize + g.SubEpochs - 1) / g.SubEpochs
+	g.epochDiv = mem.NewDivider(uint64(g.EpochSize))
+	g.subDiv = mem.NewDivider(uint64(g.SubEpochSize))
+	return g
+}
+
+// Table is the Rereference Matrix the hardware stores: the epoch geometry
+// plus the quantized next-reference entries, one row per cache line of
+// the irregular array and one column per epoch of the outer traversal
+// loop. Simulations do not read it — Matrix answers Algorithm 2 from the
+// merged transpose, and the costs of the table (reserved ways, column
+// streaming) are analytic in the geometry. The table is what Table IV
+// times and what the tests decode as the reference for Matrix. It never
+// changes after BuildTable returns.
+//
+//popt:frozen
+type Table struct {
+	geometry
+	// adj is the transpose the table was built from; NewMatrix merges it.
+	adj *graph.Adj
 	// entries is epoch-major, the order the hardware streams it: the
 	// entry of line l in epoch e is the (e*NumLines+l)-th, so each column
 	// is one contiguous run. An entry takes one byte up to 8 bits and two
-	// (little-endian) above; entry reads it.
+	// (little-endian) above; Entry reads it.
 	entries []byte
-	// epochDiv/subDiv are precomputed fastdiv reciprocals for EpochSize
-	// and SubEpochSize: EpochOf and NextRef sit on P-OPT's victim-search
-	// hot path (one lookup per candidate way per replacement) and the
-	// epoch sizes are runtime values, so the hardware division they would
-	// otherwise cost is strength-reduced once at build time. initDividers
-	// must run after the geometry fields are final.
-	epochDiv mem.Divider
-	subDiv   mem.Divider
 }
 
 // MemBytes returns the host bytes of the table's entry matrix, for
@@ -104,36 +152,13 @@ func (t *Table) entryBytes() int {
 	return 1
 }
 
-// entry returns the i-th entry of the epoch-major store.
-//
-//popt:hot
-func (t *Table) entry(i int) uint16 {
-	if t.Bits > 8 {
-		return binary.LittleEndian.Uint16(t.entries[2*i:])
-	}
-	return uint16(t.entries[i])
+// NewMatrix returns a fresh engine over the table's geometry that answers
+// from the merged transpose of the adjacency the table was built from, so
+// it gives exactly the table's answers. It builds that merged transpose;
+// callers that already hold one use LineRefs.NewMatrix instead.
+func (t *Table) NewMatrix() *Matrix {
+	return newMatrix(t.geometry, BuildLineRefs(t.adj, t.ElemsPerLine))
 }
-
-// initDividers precomputes the reciprocals of the epoch geometry; every
-// constructor of a Table must call it once EpochSize and SubEpochSize are
-// set (BuildTable does; so does the test helper that pins geometry by
-// hand).
-func (t *Table) initDividers() {
-	t.epochDiv = mem.NewDivider(uint64(t.EpochSize))
-	t.subDiv = mem.NewDivider(uint64(t.SubEpochSize))
-}
-
-// Matrix is one run's view of a Rereference Matrix: the shared immutable
-// Table behind a per-run handle. Sharing the Table behind any number of
-// NewMatrix views is free and safe, which is what lets a parallel sweep
-// build each table once and hand every cell its own cheap view.
-type Matrix struct {
-	*Table
-}
-
-// NewMatrix returns a fresh per-run view of the table. Views are cheap:
-// they share the encoded entries.
-func (t *Table) NewMatrix() *Matrix { return &Matrix{Table: t} }
 
 // distBits returns the width of the distance field for the encoding.
 func (k Kind) distBits(bits uint) uint {
@@ -150,55 +175,28 @@ func (k Kind) distBits(bits uint) uint {
 // MaxDist returns the saturating/sentinel distance value: entries at
 // MaxDist mean "next reference at least this many epochs away (possibly
 // never)".
-func (t *Table) MaxDist() int { return 1<<t.Kind.distBits(t.Bits) - 1 }
+func (g *geometry) MaxDist() int { return g.maxDist }
 
-// BuildMatrix constructs the Rereference Matrix for an irregular array
-// whose element for vertex v is referenced once per occurrence of v in the
-// inner loop of a traversal, i.e. at every outer-loop vertex in refAdj's
-// neighbor list of v. For a pull kernel refAdj is the graph's out-adjacency
-// (the transpose of the traversed CSC); for push it is the in-adjacency.
-//
-// It is BuildTable plus a fresh per-run view; callers that want to share
-// one build across runs keep the Table and call NewMatrix per run.
-func BuildMatrix(refAdj *graph.Adj, numVertices, elemsPerLine int, kind Kind, bits uint) *Matrix {
-	return BuildTable(refAdj, numVertices, elemsPerLine, kind, bits).NewMatrix()
+// BuildTable constructs the encoded Rereference Matrix for an irregular
+// array whose element for vertex v is referenced once per occurrence of v
+// in the inner loop of a traversal, i.e. at every outer-loop vertex in
+// refAdj's neighbor list of v. For a pull kernel refAdj is the graph's
+// out-adjacency (the transpose of the traversed CSC); for push it is the
+// in-adjacency. numVertices is the outer loop trip count, elemsPerLine
+// how many vertices share a line of the array (16 for 4 B data, 8 for
+// 8 B, 512 for bit frontiers). This is the preprocessing step Table IV
+// measures; rows are filled in parallel across GOMAXPROCS workers (each
+// row's column scan touches only that row's slice of the transpose), and
+// the resulting entries are bit-identical at every worker count.
+func BuildTable(refAdj *graph.Adj, numVertices, elemsPerLine int, kind Kind, bits uint) *Table {
+	numLines := (refAdj.N() + elemsPerLine - 1) / elemsPerLine
+	return buildTable(refAdj, newGeometry(numLines, numVertices, elemsPerLine, kind, bits, 0))
 }
 
-// BuildTable constructs the immutable encoded table of a Rereference
-// Matrix. numVertices is the outer loop trip count, elemsPerLine how many
-// vertices share a line of the array (16 for 4 B data, 8 for 8 B, 512 for
-// bit frontiers). This is the preprocessing step Table IV measures; rows
-// are filled in parallel across GOMAXPROCS workers (each row's column
-// scan touches only that row's slice of the transpose), and the resulting
-// entries are bit-identical at every worker count.
-func BuildTable(refAdj *graph.Adj, numVertices, elemsPerLine int, kind Kind, bits uint) *Table {
-	if bits < 4 || bits > 16 {
-		panic(fmt.Sprintf("core: unsupported quantization width %d", bits))
-	}
-	if kind == SingleEpoch && bits < 5 {
-		panic("core: single-epoch encoding needs at least 5 bits")
-	}
-	t := &Table{Kind: kind, Bits: bits, ElemsPerLine: elemsPerLine}
-	// The number of epochs is bounded by the representable ID range
-	// (2^bits; the paper's 8-bit default gives 256 epochs with
-	// EpochSize = ceil(numVertices/256)) and by the vertex count itself.
-	quantEpochs := 1 << bits
-	if quantEpochs > numVertices {
-		quantEpochs = numVertices
-	}
-	if quantEpochs < 1 {
-		quantEpochs = 1
-	}
-	t.EpochSize = (numVertices + quantEpochs - 1) / quantEpochs
-	t.NumEpochs = (numVertices + t.EpochSize - 1) / t.EpochSize
-	t.SubEpochs = 1<<kind.distBits(bits) - 1
-	if t.SubEpochs < 1 {
-		t.SubEpochs = 1
-	}
-	t.SubEpochSize = (t.EpochSize + t.SubEpochs - 1) / t.SubEpochs
-	t.NumLines = (refAdj.N() + elemsPerLine - 1) / elemsPerLine
-	t.initDividers()
-	fillEntries(t, refAdj, numVertices)
+// buildTable encodes the table of refAdj at geometry g.
+func buildTable(refAdj *graph.Adj, g geometry) *Table {
+	t := &Table{geometry: g, adj: refAdj}
+	fillEntries(t, refAdj)
 	return t
 }
 
@@ -220,7 +218,7 @@ const blockBytes = 16 << 10
 // Every row is computed from only its own vertices' transpose lists and
 // written only to its own entries, so the result is independent of the
 // partitioning.
-func fillEntries(t *Table, refAdj *graph.Adj, numVertices int) {
+func fillEntries(t *Table, refAdj *graph.Adj) {
 	w := t.entryBytes()
 	t.entries = make([]byte, t.NumLines*t.NumEpochs*w)
 	blockRows := max(blockBytes/(t.NumEpochs*w), 1)
@@ -231,7 +229,7 @@ func fillEntries(t *Table, refAdj *graph.Adj, numVertices int) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			t.fillLines(refAdj, numVertices, lo, hi, make([]bool, t.NumEpochs), make([]uint16, t.NumEpochs),
+			t.fillLines(refAdj, lo, hi, make([]bool, t.NumEpochs), make([]uint16, t.NumEpochs),
 				make([]byte, min(hi-lo, blockRows)*t.NumEpochs*w))
 		}(lo, min(lo+chunk, t.NumLines))
 	}
@@ -247,7 +245,7 @@ func fillEntries(t *Table, refAdj *graph.Adj, numVertices int) {
 // loop stays allocation-free.
 //
 //popt:hot
-func (t *Table) fillLines(refAdj *graph.Adj, numVertices, lo, hi int, hasRef []bool, lastSub []uint16, block []byte) {
+func (t *Table) fillLines(refAdj *graph.Adj, lo, hi int, hasRef []bool, lastSub []uint16, block []byte) {
 	kind, bits, elemsPerLine := t.Kind, t.Bits, t.ElemsPerLine
 	w := t.entryBytes()
 	maxDist := uint16(t.MaxDist())
@@ -282,7 +280,7 @@ func (t *Table) fillLines(refAdj *graph.Adj, numVertices, lo, hi int, hasRef []b
 			for v := vlo; v < vhi; v++ {
 				ds, _ := it.Next()
 				for _, d := range ds {
-					if int(d) >= numVertices {
+					if int(d) >= t.numVertices {
 						continue // outer loop never reaches it
 					}
 					e := int(t.epochDiv.Div(uint64(d)))
@@ -343,67 +341,50 @@ func (t *Table) fillLines(refAdj *graph.Adj, numVertices, lo, hi int, hasRef []b
 	}
 }
 
-// Entry exposes the raw encoded entry for tests and diagnostics.
-func (t *Table) Entry(line, epoch int) uint16 { return t.entry(epoch*t.NumLines + line) }
-
-// Checksum returns an FNV-1a hash of the table's geometry and entries.
-// Tests use it to assert that tables shared across concurrent sweep cells
-// are never written after construction.
-func (t *Table) Checksum() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, x := range []uint64{
-		uint64(t.Kind), uint64(t.Bits), uint64(t.NumLines), uint64(t.ElemsPerLine),
-		uint64(t.NumEpochs), uint64(t.EpochSize), uint64(t.SubEpochs), uint64(t.SubEpochSize),
-	} {
-		binary.LittleEndian.PutUint64(buf[:], x)
-		h.Write(buf[:])
+// Entry returns the encoded entry of line in epoch, for tests and
+// diagnostics.
+func (t *Table) Entry(line, epoch int) uint16 {
+	i := epoch*t.NumLines + line
+	if t.Bits > 8 {
+		return binary.LittleEndian.Uint16(t.entries[2*i:])
 	}
-	h.Write(t.entries)
-	return h.Sum64()
+	return uint16(t.entries[i])
 }
 
 // EpochOf maps an outer-loop vertex to its epoch. The division by the
 // runtime epoch size runs on the precomputed fastdiv reciprocal.
 //
 //popt:hot
-func (t *Table) EpochOf(v graph.V) int {
-	e := int(t.epochDiv.Div(uint64(v)))
-	if e >= t.NumEpochs {
-		e = t.NumEpochs - 1
+func (g *geometry) EpochOf(v graph.V) int {
+	e := int(g.epochDiv.Div(uint64(v)))
+	if e >= g.NumEpochs {
+		e = g.NumEpochs - 1
 	}
 	return e
 }
 
 // subEpochOf maps an outer-loop vertex in epoch e to its sub-epoch, the
-// intra-epoch position Algorithm 2 compares against an entry's final
-// access.
+// intra-epoch position Algorithm 2 compares against the sub-epoch of the
+// line's final access.
 //
 //popt:hot
-func (t *Table) subEpochOf(v graph.V, e int) int {
-	return int(t.subDiv.Div(uint64(int(v) - e*t.EpochSize)))
+func (g *geometry) subEpochOf(v graph.V, e int) int {
+	return int(g.subDiv.Div(uint64(int(v) - e*g.EpochSize)))
 }
 
-// NextRef implements Algorithm 2: given a cache line of the array and the
-// outer-loop vertex currently being processed, return the distance (in
-// epochs) to the line's next reference. 0 means "again within this epoch";
-// MaxDist()+1 saturates "no known future use".
-func (m *Matrix) NextRef(line int, cur graph.V) int {
-	e := m.EpochOf(cur)
-	return m.nextRefAt(line, e, m.subEpochOf(cur, e))
-}
-
-// nextRefAt is Algorithm 2 with the current vertex already decoded into
-// its epoch e and sub-epoch sub, so a victim search decodes it once rather
-// than once per candidate way.
-//
-//popt:hot
-func (m *Matrix) nextRefAt(line, e, sub int) int {
-	curr := m.entry(e*m.NumLines + line)
-	msbMask := uint16(1) << (m.Bits - 1)
+// NextRef decodes the table's entries by Algorithm 2: given a cache line
+// of the array and the outer-loop vertex currently being processed, it
+// returns the distance (in epochs) to the line's next reference. 0 means
+// "again within this epoch"; MaxDist()+1 saturates "no known future use".
+// This is how the hardware answers, and the reference the tests hold
+// Matrix.NextRef to; simulations never call it.
+func (t *Table) NextRef(line int, cur graph.V) int {
+	e := t.EpochOf(cur)
+	curr := t.Entry(line, e)
+	msbMask := uint16(1) << (t.Bits - 1)
 	lowMask := msbMask - 1
 
-	if m.Kind == InterOnly {
+	if t.Kind == InterOnly {
 		// No intra-epoch information: the entry is the distance, reading 0
 		// for the whole epoch even after the line's final access.
 		return int(curr)
@@ -415,28 +396,28 @@ func (m *Matrix) nextRefAt(line, e, sub int) int {
 	}
 	// Referenced this epoch: have we passed its final access?
 	var lastSub int
-	if m.Kind == SingleEpoch {
-		lastSub = int(curr & (1<<(m.Bits-2) - 1))
+	if t.Kind == SingleEpoch {
+		lastSub = int(curr & (1<<(t.Bits-2) - 1))
 	} else {
 		lastSub = int(curr & lowMask)
 	}
-	if sub <= lastSub {
+	if t.subEpochOf(cur, e) <= lastSub {
 		return 0
 	}
 	// Past the final access: consult next-epoch information.
-	if m.Kind == SingleEpoch {
+	if t.Kind == SingleEpoch {
 		// Only one bit of lookahead survives the footprint reduction.
-		if curr&(1<<(m.Bits-2)) != 0 {
+		if curr&(1<<(t.Bits-2)) != 0 {
 			return 1
 		}
 		// Beyond the next epoch the distance is unknown; report the
 		// coarsest non-adjacent guess. This is P-OPT-SE's quality loss.
 		return 2
 	}
-	if e+1 >= m.NumEpochs {
-		return m.MaxDist() + 1
+	if e+1 >= t.NumEpochs {
+		return t.MaxDist() + 1
 	}
-	next := m.entry((e+1)*m.NumLines + line)
+	next := t.Entry(line, e+1)
 	if next&msbMask != 0 {
 		return 1 + int(next&lowMask)
 	}
@@ -445,20 +426,20 @@ func (m *Matrix) nextRefAt(line, e, sub int) int {
 
 // ColumnBytes returns the storage of one epoch column, the unit streamed
 // into the LLC at epoch boundaries.
-func (t *Table) ColumnBytes() int { return (t.NumLines*int(t.Bits) + 7) / 8 }
+func (g *geometry) ColumnBytes() int { return (g.NumLines*int(g.Bits) + 7) / 8 }
 
 // ResidentColumns returns how many columns P-OPT pins in the LLC for this
 // encoding: current+next normally, current only for single-epoch.
-func (t *Table) ResidentColumns() int {
-	if t.Kind == SingleEpoch {
+func (g *geometry) ResidentColumns() int {
+	if g.Kind == SingleEpoch {
 		return 1
 	}
 	return 2
 }
 
 // ResidentBytes returns the LLC footprint of the pinned columns.
-func (t *Table) ResidentBytes() int { return t.ResidentColumns() * t.ColumnBytes() }
+func (g *geometry) ResidentBytes() int { return g.ResidentColumns() * g.ColumnBytes() }
 
 // TotalBytes returns the full Rereference Matrix size in memory at the
-// encoded width (the host store may be wider; see MemBytes).
-func (t *Table) TotalBytes() int { return (t.NumLines*t.NumEpochs*int(t.Bits) + 7) / 8 }
+// encoded width (a host Table may store it wider; see MemBytes).
+func (g *geometry) TotalBytes() int { return (g.NumLines*g.NumEpochs*int(g.Bits) + 7) / 8 }

@@ -23,39 +23,39 @@ func fig1Graph() *graph.Graph {
 	return graph.FromEdges("fig1", 5, edges)
 }
 
-// buildFig5Matrix reproduces Figure 5's setting: one srcData element per
+// buildFig5Table reproduces Figure 5's setting: one srcData element per
 // cache line (elemsPerLine=1), three epochs of two vertices each. We force
 // that epoch geometry by hand.
-func buildFig5Matrix(kind Kind) *Matrix {
+func buildFig5Table(kind Kind) *Table {
 	g := fig1Graph()
 	// 4-bit quantization on 5 vertices yields epochSize 1; Figure 5 uses
 	// epochSize 2 (3 epochs), so pin that geometry explicitly.
 	return rebuildWithEpochSize(&g.Out, 5, 1, kind, 4, 2)
 }
 
-// rebuildWithEpochSize is a test helper that builds a matrix with a pinned
+// rebuildWithEpochSize is a test helper that builds a table with a pinned
 // epoch size (the public builder derives epoch size from the quantization
 // width).
-func rebuildWithEpochSize(ref *graph.Adj, numVertices, epl int, kind Kind, bits uint, epochSize int) *Matrix {
-	tt := &Table{Kind: kind, Bits: bits, ElemsPerLine: epl}
-	tt.EpochSize = epochSize
-	tt.NumEpochs = (numVertices + epochSize - 1) / epochSize
-	tt.SubEpochs = 1<<kind.distBits(bits) - 1
-	if tt.SubEpochs < 1 {
-		tt.SubEpochs = 1
+func rebuildWithEpochSize(ref *graph.Adj, numVertices, epl int, kind Kind, bits uint, epochSize int) *Table {
+	return buildTable(ref, newGeometry((ref.N()+epl-1)/epl, numVertices, epl, kind, bits, epochSize))
+}
+
+// nextRef returns m's Algorithm 2 answer for (line, cur) and fails the
+// test unless the table's own decode gives the same.
+func nextRef(t *testing.T, tab *Table, m *Matrix, line int, cur graph.V) int {
+	t.Helper()
+	got := m.NextRef(line, cur)
+	if want := tab.NextRef(line, cur); got != want {
+		t.Fatalf("line %d cur %d: Matrix.NextRef = %d, the table decodes %d", line, cur, got, want)
 	}
-	tt.SubEpochSize = (epochSize + tt.SubEpochs - 1) / tt.SubEpochs
-	tt.NumLines = (ref.N() + epl - 1) / epl
-	tt.initDividers()
-	fillEntries(tt, ref, numVertices)
-	return tt.NewMatrix()
+	return got
 }
 
 // newTestSpace shortens mem.NewSpace in tests.
 func newTestSpace() *mem.Space { return mem.NewSpace() }
 
 func TestFig5InterOnlyMatrix(t *testing.T) {
-	m := buildFig5Matrix(InterOnly)
+	m := buildFig5Table(InterOnly)
 	// Figure 5's Rereference Matrix (M = sentinel = MaxDist):
 	//        E0 E1 E2
 	//   C0 [  1  0  M ]   (S0 referenced only at D2)
@@ -105,7 +105,7 @@ func TestFig5InterOnlyMatrix(t *testing.T) {
 }
 
 func TestInterIntraEncodingFields(t *testing.T) {
-	m := buildFig5Matrix(InterIntra)
+	m := buildFig5Table(InterIntra)
 	msb := uint16(1) << 3 // 4-bit entries
 	// S0 (line 0) is referenced at D2 only (epoch 1).
 	// E0: not referenced -> MSB set, distance 1.
@@ -124,27 +124,28 @@ func TestInterIntraEncodingFields(t *testing.T) {
 
 func TestAlgorithm2NextRef(t *testing.T) {
 	g := fig1Graph()
-	m := rebuildWithEpochSize(&g.Out, 5, 1, InterIntra, 8, 2)
+	tab := rebuildWithEpochSize(&g.Out, 5, 1, InterIntra, 8, 2)
+	m := tab.NewMatrix()
 	// Epoch 0 = {D0,D1}, epoch 1 = {D2,D3}, epoch 2 = {D4}.
 	// S1 (line 1) is referenced at D0 and D4.
 	// At cur=D0 (sub-epoch of D0 <= lastSub since D0 is its last access in
 	// epoch 0): distance 0.
-	if got := m.NextRef(1, 0); got != 0 {
+	if got := nextRef(t, tab, m, 1, 0); got != 0 {
 		t.Errorf("NextRef(S1, D0) = %d, want 0 (still referenced this epoch)", got)
 	}
 	// At cur=D1, past S1's final access in epoch 0; next epoch (1) has no
 	// reference, so Algorithm 2 line 16 returns 1 + dist stored in E1.
 	// S1's E1 entry: not referenced, next ref at epoch 2 -> dist 1. So 2.
-	if got := m.NextRef(1, 1); got != 2 {
+	if got := nextRef(t, tab, m, 1, 1); got != 2 {
 		t.Errorf("NextRef(S1, D1) = %d, want 2 (next use in epoch 2)", got)
 	}
 	// S2 (line 2) referenced at D0, D1, D3: at D1 still current (lastSub
 	// covers D1): 0.
-	if got := m.NextRef(2, 1); got != 0 {
+	if got := nextRef(t, tab, m, 2, 1); got != 0 {
 		t.Errorf("NextRef(S2, D1) = %d, want 0", got)
 	}
 	// S0 (line 0) at D4 (epoch 2): no further use -> sentinel distance.
-	if got := m.NextRef(0, 4); got < m.MaxDist() {
+	if got := nextRef(t, tab, m, 0, 4); got < m.MaxDist() {
 		t.Errorf("NextRef(S0, D4) = %d, want >= sentinel %d", got, m.MaxDist())
 	}
 }
@@ -155,26 +156,27 @@ func TestInterOnlyQuantizationLoss(t *testing.T) {
 	g := fig1Graph()
 	io := rebuildWithEpochSize(&g.Out, 5, 1, InterOnly, 8, 2)
 	ii := rebuildWithEpochSize(&g.Out, 5, 1, InterIntra, 8, 2)
-	if got := io.NextRef(1, 1); got != 0 {
+	if got := nextRef(t, io, io.NewMatrix(), 1, 1); got != 0 {
 		t.Errorf("inter-only NextRef(S1, D1) = %d, want 0 (the documented loss)", got)
 	}
-	if got := ii.NextRef(1, 1); got == 0 {
+	if got := nextRef(t, ii, ii.NewMatrix(), 1, 1); got == 0 {
 		t.Error("inter+intra should see past the final access in the epoch")
 	}
 }
 
 func TestSingleEpochEncoding(t *testing.T) {
 	g := fig1Graph()
-	m := rebuildWithEpochSize(&g.Out, 5, 1, SingleEpoch, 8, 2)
+	tab := rebuildWithEpochSize(&g.Out, 5, 1, SingleEpoch, 8, 2)
+	m := tab.NewMatrix()
 	// S1 referenced at D0 (epoch 0) and D4 (epoch 2). Next-epoch bit for
 	// E0 must be clear (no use in epoch 1), so past the final access the
 	// best SE can say is "2".
-	if got := m.NextRef(1, 1); got != 2 {
+	if got := nextRef(t, tab, m, 1, 1); got != 2 {
 		t.Errorf("SE NextRef(S1, D1) = %d, want coarse 2", got)
 	}
 	// S4 referenced at D0 and D2: next-epoch bit set at E0 -> past final
 	// access it reports 1.
-	if got := m.NextRef(4, 1); got != 1 {
+	if got := nextRef(t, tab, m, 4, 1); got != 1 {
 		t.Errorf("SE NextRef(S4, D1) = %d, want 1", got)
 	}
 	if m.ResidentColumns() != 1 {
@@ -208,7 +210,7 @@ func TestMatrixGeometryDefaults(t *testing.T) {
 func TestMatrixQuantizationWidths(t *testing.T) {
 	g := graph.Uniform(4096, 32768, 5)
 	for _, bits := range []uint{4, 8, 16} {
-		m := BuildMatrix(&g.Out, 4096, 16, InterIntra, bits)
+		m := BuildTable(&g.Out, 4096, 16, InterIntra, bits)
 		if m.NumEpochs > 1<<bits {
 			t.Errorf("bits=%d: NumEpochs %d exceeds 2^bits", bits, m.NumEpochs)
 		}
@@ -248,18 +250,19 @@ func tableKinds() (out []kindBits) {
 
 // lineEpochs reads a line's exact per-epoch reference data straight off
 // the transpose: the epochs that reference it, each mapped to the
-// sub-epoch of its last reference there.
-func lineEpochs(m *Matrix, ref *graph.Adj, n, line int) map[int]int {
+// sub-epoch of its last reference there. References at or beyond the
+// outer loop's n vertices are never reached.
+func lineEpochs(g *geometry, ref *graph.Adj, n, line int) map[int]int {
 	last := make(map[int]int)
-	for v := line * m.ElemsPerLine; v < (line+1)*m.ElemsPerLine && v < ref.N(); v++ {
+	for v := line * g.ElemsPerLine; v < (line+1)*g.ElemsPerLine && v < ref.N(); v++ {
 		for _, d := range ref.Neighs(graph.V(v)) {
 			if int(d) >= n {
 				continue
 			}
-			e := int(d) / m.EpochSize
-			sub := (int(d) - e*m.EpochSize) / m.SubEpochSize
-			if sub >= m.SubEpochs {
-				sub = m.SubEpochs - 1
+			e := int(d) / g.EpochSize
+			sub := (int(d) - e*g.EpochSize) / g.SubEpochSize
+			if sub >= g.SubEpochs {
+				sub = g.SubEpochs - 1
 			}
 			if l, ok := last[e]; !ok || sub > l {
 				last[e] = sub
@@ -271,84 +274,138 @@ func lineEpochs(m *Matrix, ref *graph.Adj, n, line int) map[int]int {
 
 // wantNextRef evaluates Algorithm 2 for a line with the given lineEpochs
 // at outer-loop vertex cur. It shares no code with the table build, its
-// encoding or its storage, only the epoch geometry.
-func wantNextRef(m *Matrix, last map[int]int, cur graph.V) int {
-	maxD := m.MaxDist()
+// encoding or its storage, nor with Matrix's memo and search, only the
+// epoch geometry.
+func wantNextRef(g *geometry, last map[int]int, cur graph.V) int {
+	maxD := g.MaxDist()
 	// dist is the saturated distance from epoch from to the first epoch at
 	// or after it that references the line.
 	dist := func(from int) int {
-		for e := from; e < m.NumEpochs && e-from < maxD; e++ {
+		for e := from; e < g.NumEpochs && e-from < maxD; e++ {
 			if _, ok := last[e]; ok {
 				return e - from
 			}
 		}
 		return maxD
 	}
-	e := int(cur) / m.EpochSize
-	sub := (int(cur) - e*m.EpochSize) / m.SubEpochSize
+	e := int(cur) / g.EpochSize
+	sub := (int(cur) - e*g.EpochSize) / g.SubEpochSize
 	l, hit := last[e]
 	switch {
-	case m.Kind == InterOnly || !hit:
+	case g.Kind == InterOnly || !hit:
 		return dist(e)
 	case sub <= l:
 		return 0
-	case m.Kind == SingleEpoch:
+	case g.Kind == SingleEpoch:
 		if _, ok := last[e+1]; ok {
 			return 1
 		}
 		return 2
-	case e+1 >= m.NumEpochs:
+	case e+1 >= g.NumEpochs:
 		return maxD + 1
 	}
 	return 1 + dist(e+1)
 }
 
+// oracleQuery is one (line, current vertex) question of
+// TestNextRefAgainstOracle.
+type oracleQuery struct {
+	line int
+	cur  graph.V
+}
+
+// oracleQueries returns walks of four queries on one line each: a vertex,
+// another in its epoch (a memo hit), one 1-4 epochs later (a resumed
+// search) and one at or before that (usually an earlier epoch: an
+// iteration restart or a tile switch). Walks pick lines at random, so a
+// line's memo also meets later walks from any epoch. Every eighth walk is
+// on the last line, and every fourth starts in the last epoch, where
+// Algorithm 2 has no next column.
+func oracleQueries(rng *rand.Rand, g *geometry, n int) []oracleQuery {
+	clamp := func(v int) graph.V { return graph.V(min(v, n-1)) }
+	lastEpoch := (g.NumEpochs - 1) * g.EpochSize
+	var qs []oracleQuery
+	for walk := 0; walk < 500; walk++ {
+		line := rng.Intn(g.NumLines)
+		if walk%8 == 0 {
+			line = g.NumLines - 1
+		}
+		c0 := rng.Intn(n)
+		if walk%4 == 0 {
+			c0 = lastEpoch + rng.Intn(n-lastEpoch)
+		}
+		c1 := clamp(c0/g.EpochSize*g.EpochSize + rng.Intn(g.EpochSize))
+		c2 := clamp(int(c1) + (1+rng.Intn(4))*g.EpochSize)
+		c3 := graph.V(rng.Intn(int(c2) + 1))
+		for _, cur := range []graph.V{graph.V(c0), c1, c2, c3} {
+			qs = append(qs, oracleQuery{line, cur})
+		}
+	}
+	return qs
+}
+
 // TestNextRefAgainstOracle is the central property test: for every
 // encoding and width, at line widths of 4 B elements and of bit
-// frontiers, NextRef must equal Algorithm 2 evaluated on the transpose
-// (lineEpochs, wantNextRef). That covers the 1- and 2-byte stores and the column
-// boundary: every fourth query sits in the last epoch, where Algorithm 2
-// has no next column, and every eighth asks for the last line. NextRef
-// must also never place a line further away than its exact next
-// reference, unless that reference is beyond the encodable distance.
+// frontiers, and with an outer loop that reaches every reference or stops
+// short of some, Matrix.NextRef must equal both Algorithm 2 evaluated on
+// the transpose (lineEpochs, wantNextRef) and the decode of the table's
+// entries (Table.NextRef), query after query on one engine, so every path
+// of its memo is crossed: repeats within an epoch, forward jumps and
+// backward steps (counted, and each required). That covers the table's
+// 1- and 2-byte stores and the last column. NextRef must also never
+// place a line further away than its exact next reference, unless that
+// reference is beyond the encodable distance.
 func TestNextRefAgainstOracle(t *testing.T) {
 	const n = 2048
 	g := graph.Uniform(n, 16384, 21)
 	for _, kb := range tableKinds() {
 		for _, epl := range []int{16, 512} {
 			t.Run(fmt.Sprintf("%v/%d-bit/%d-per-line", kb.kind, kb.bits, epl), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(17))
-				m := BuildMatrix(&g.Out, n, epl, kb.kind, kb.bits)
-				lastEpoch := (m.NumEpochs - 1) * m.EpochSize
-				epochs := make(map[int]map[int]int) // lineEpochs by line
-				for trial := 0; trial < 2000; trial++ {
-					line := rng.Intn(m.NumLines)
-					if trial%8 == 0 {
-						line = m.NumLines - 1
-					}
-					cur := graph.V(rng.Intn(n))
-					if trial%4 == 0 {
-						cur = graph.V(lastEpoch + rng.Intn(n-lastEpoch))
-					}
-					if epochs[line] == nil {
-						epochs[line] = lineEpochs(m, &g.Out, n, line)
-					}
-					got := m.NextRef(line, cur)
-					if want := wantNextRef(m, epochs[line], cur); got != want {
-						t.Fatalf("line %d cur %d: NextRef=%d, Algorithm 2 on the transpose gives %d", line, cur, got, want)
-					}
-					next := -1 // exact next reference after cur, if any
-					for v := line * epl; v < (line+1)*epl && v < n; v++ {
-						if x, ok := g.Out.NextAfter(graph.V(v), cur); ok && (next < 0 || int(x) < next) {
-							next = int(x)
+				for _, nv := range []int{n, n - 333} {
+					t.Run(fmt.Sprintf("%d-vertices", nv), func(t *testing.T) {
+						tab := BuildTable(&g.Out, nv, epl, kb.kind, kb.bits)
+						m := BuildMatrix(&g.Out, nv, epl, kb.kind, kb.bits)
+						epochs := make(map[int]map[int]int) // lineEpochs by line
+						prev := make(map[int]int)           // each line's last queried epoch
+						var same, forward, backward int
+						for _, q := range oracleQueries(rand.New(rand.NewSource(17)), &m.geometry, nv) {
+							line, cur := q.line, q.cur
+							if epochs[line] == nil {
+								epochs[line] = lineEpochs(&m.geometry, &g.Out, nv, line)
+							}
+							e := int(cur) / m.EpochSize
+							if p, ok := prev[line]; ok {
+								switch {
+								case e == p:
+									same++
+								case e > p:
+									forward++
+								default:
+									backward++
+								}
+							}
+							prev[line] = e
+							got := nextRef(t, tab, m, line, cur)
+							if want := wantNextRef(&m.geometry, epochs[line], cur); got != want {
+								t.Fatalf("line %d cur %d: NextRef=%d, Algorithm 2 on the transpose gives %d", line, cur, got, want)
+							}
+							next := -1 // exact next reference after cur, if any
+							for v := line * epl; v < (line+1)*epl && v < n; v++ {
+								if x, ok := g.Out.NextAfter(graph.V(v), cur); ok && int(x) < nv && (next < 0 || int(x) < next) {
+									next = int(x)
+								}
+							}
+							if next >= 0 {
+								d := next/m.EpochSize - int(cur)/m.EpochSize
+								if d <= m.MaxDist() && got > d {
+									t.Fatalf("line %d cur %d: NextRef=%d beyond the next reference %d epochs away", line, cur, got, d)
+								}
+							}
 						}
-					}
-					if next >= 0 {
-						d := next/m.EpochSize - int(cur)/m.EpochSize
-						if d <= m.MaxDist() && got > d {
-							t.Fatalf("line %d cur %d: NextRef=%d beyond the next reference %d epochs away", line, cur, got, d)
+						if same == 0 || forward == 0 || backward == 0 {
+							t.Fatalf("queries repeated an epoch %d times, moved forward %d, backward %d: every memo path must be crossed", same, forward, backward)
 						}
-					}
+					})
 				}
 			})
 		}
@@ -372,8 +429,8 @@ func TestBuildTableWorkerInvariant(t *testing.T) {
 			serial := BuildTable(&g.Out, n, epl, kb.kind, kb.bits)
 			runtime.GOMAXPROCS(3)
 			par := BuildTable(&g.Out, n, epl, kb.kind, kb.bits)
-			if par.Checksum() != serial.Checksum() {
-				t.Errorf("%v %d-bit, %d lines: checksum differs between 1 and 3 workers", kb.kind, kb.bits, serial.NumLines)
+			if par.geometry != serial.geometry {
+				t.Fatalf("%v %d-bit, %d lines: geometry differs between 1 and 3 workers", kb.kind, kb.bits, serial.NumLines)
 			}
 			for line := 0; line < serial.NumLines; line++ {
 				for e := 0; e < serial.NumEpochs; e++ {
@@ -392,7 +449,7 @@ func TestBuildTableWorkerInvariant(t *testing.T) {
 func TestMatrixRowConsistencyProperty(t *testing.T) {
 	g := graph.Kron(11, 6, 9)
 	n := g.NumVertices()
-	m := BuildMatrix(&g.Out, n, 16, InterIntra, 8)
+	m := BuildTable(&g.Out, n, 16, InterIntra, 8)
 	msb := uint16(1) << 7
 	f := func(lineRaw uint16, eRaw uint8) bool {
 		line := int(lineRaw) % m.NumLines
@@ -429,6 +486,26 @@ func TestBuildPOPTAndReservedWays(t *testing.T) {
 	}
 	if p.Name() != "P-OPT" {
 		t.Errorf("Name = %q", p.Name())
+	}
+}
+
+// TestBuildPOPTFootprint holds P-OPT to answering from the merged
+// transpose: at 16 bits a 2^17-vertex graph has 8,192 lines of 4 B
+// elements and 2^16 epochs, so materializing the table would take 1 GiB,
+// while the transpose and the per-line memo take a few MiB.
+func TestBuildPOPTFootprint(t *testing.T) {
+	const n = 1 << 17
+	g := graph.Uniform(n, 8*n, 3)
+	src := newTestSpace().AllocBytes("srcData", n, 4, true)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := BuildPOPT(&g.Out, n, InterIntra, 16, src)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<20 {
+		t.Errorf("BuildPOPT at 16 bits allocated %d MiB, want under 64 MiB", got>>20)
+	}
+	if m := p.matrices[0]; m.NumLines != 8192 || m.NumEpochs != 1<<16 {
+		t.Errorf("geometry %d lines x %d epochs, want 8192 x 65536", m.NumLines, m.NumEpochs)
 	}
 }
 

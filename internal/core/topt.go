@@ -35,15 +35,17 @@ type OracleStream struct {
 }
 
 // LineRefs is the immutable merged-transpose table behind an
-// OracleStream: for each cache line of the irregular array, the sorted
-// union of its vertices' reference positions. Like core.Table it never
-// changes after construction and is safe to share across concurrent
-// simulations.
+// OracleStream and a P-OPT Matrix: for each cache line of the irregular
+// array, the sorted union of its vertices' reference positions. It never
+// changes after construction, so one build serves the T-OPT and P-OPT
+// runs of any number of concurrent simulations.
 //
 //popt:frozen
 type LineRefs struct {
 	oa   []uint64
 	refs []graph.V
+	// epl is how many vertices share a line (BuildLineRefs' elemsPerLine).
+	epl int
 }
 
 // BuildLineRefs merges the sorted neighbor lists of the vertices sharing
@@ -63,7 +65,7 @@ func BuildLineRefs(ref *graph.Adj, elemsPerLine int) *LineRefs {
 func buildLineRefs(ref *graph.Adj, elemsPerLine, workers int) *LineRefs {
 	n := ref.N()
 	numLines := (n + elemsPerLine - 1) / elemsPerLine
-	lr := &LineRefs{oa: make([]uint64, numLines+1)}
+	lr := &LineRefs{oa: make([]uint64, numLines+1), epl: elemsPerLine}
 	total := uint64(0)
 	for l := 0; l < numLines; l++ {
 		lr.oa[l] = total
@@ -239,6 +241,9 @@ func mergeTwo(dst, x, y []graph.V) {
 	copy(dst[k:], y[j:])
 }
 
+// numLines is the number of cache lines the table has segments for.
+func (lr *LineRefs) numLines() int { return len(lr.oa) - 1 }
+
 // MemBytes returns the resident size of the merged reference table, for
 // footprint reports (-memstats).
 func (lr *LineRefs) MemBytes() uint64 {
@@ -262,32 +267,32 @@ func (lr *LineRefs) Checksum() uint64 {
 }
 
 // seek returns the first reference of line l at index from or later in
-// the merged table that is strictly greater than cur, with its index; a
-// line with no such reference yields its segment end and noRef. from must
-// lie within the line's segment and every reference before it must be
-// <= cur. The search gallops forward from from (probing 1, 2, 4, ...
-// entries ahead) and then binary-searches the bracket it found, so a
-// query whose answer is near from costs a few probes rather than a search
-// of the whole segment. Both loops are written out by hand rather than
-// through sort.Search: the closure-based form costs an indirect call per
-// probe on what runs once per candidate way per LLC eviction.
+// the merged table that is at or after vertex x, with its index; a line
+// with no such reference yields its segment end and noRef. from must lie
+// within the line's segment and every reference before it must be below
+// x. The search gallops forward from from (probing 1, 2, 4, ... entries
+// ahead) and then binary-searches the bracket it found, so a query whose
+// answer is near from costs a few probes rather than a search of the
+// whole segment. Both loops are written out by hand rather than through
+// sort.Search: the closure-based form costs an indirect call per probe on
+// what runs once per candidate way per LLC eviction.
 //
 //popt:hot
-func (lr *LineRefs) seek(l int, from uint64, cur graph.V) (uint64, graph.V) {
+func (lr *LineRefs) seek(l int, from uint64, x graph.V) (uint64, graph.V) {
 	end := lr.oa[l+1]
 	lo, hi := from, from
-	for step := uint64(1); hi < end && lr.refs[hi] <= cur; step <<= 1 {
+	for step := uint64(1); hi < end && lr.refs[hi] < x; step <<= 1 {
 		lo = hi + 1
 		hi += step
 	}
 	if hi > end {
 		hi = end
 	}
-	// The answer lies in [lo, hi]: refs[lo-1] <= cur, and hi is either the
-	// segment end or holds a reference > cur.
+	// The answer lies in [lo, hi]: refs[lo-1] < x, and hi is either the
+	// segment end or holds a reference >= x.
 	for lo < hi {
 		mid := lo + (hi-lo)>>1
-		if lr.refs[mid] > cur {
+		if lr.refs[mid] >= x {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -356,7 +361,7 @@ func NewTOPT(streams ...OracleStream) *TOPT {
 		if s.LR == nil {
 			s.LR = BuildLineRefs(s.Ref, s.Arr.ElemsPerLine())
 		}
-		p.streams[i] = oracle{OracleStream: s, irregRegs: newIrregRegs(s.Arr), memo: make([]memoEntry, len(s.LR.oa)-1)}
+		p.streams[i] = oracle{OracleStream: s, irregRegs: newIrregRegs(s.Arr), memo: make([]memoEntry, s.LR.numLines())}
 	}
 	return p
 }
@@ -436,10 +441,10 @@ func (p *TOPT) nextRef(s *oracle, addr uint64) int64 {
 	l := s.lineID(addr)
 	m := &s.memo[l]
 	if m.gen != p.gen {
-		m.pos, m.next = s.LR.seek(l, s.LR.oa[l], p.cur)
+		m.pos, m.next = s.LR.seek(l, s.LR.oa[l], p.cur+1)
 		m.gen = p.gen
 	} else if m.next <= p.cur {
-		m.pos, m.next = s.LR.seek(l, m.pos+1, p.cur)
+		m.pos, m.next = s.LR.seek(l, m.pos+1, p.cur+1)
 	}
 	if m.next == noRef {
 		return infDist
