@@ -1,12 +1,19 @@
 // Command poptlint runs the repository's custom static-analysis suite
 // (internal/lint) over the given packages: simulator determinism, the
 // cache.Policy contract (policycontract), cache.Stats write discipline,
-// the publish-safety family for shared sweep artifacts (sharefreeze,
-// lockguard, loopcapture), and the wireformat analyzer for the trace
-// codecs. It exits nonzero when any finding survives the //lint
-// directives, so it can gate CI the same way go vet does. -run selects a
-// subset of the analyzers by name; CI runs the publish-safety family and
-// wireformat on their own that way, to archive their reports.
+// publish safety of shared sweep inputs (sharefreeze), and the wireformat
+// analyzer for the trace codecs. It exits nonzero when any finding
+// survives the //lint directives, so it can gate CI the same way go vet
+// does. -run selects a subset of the analyzers by name; CI runs
+// sharefreeze and wireformat on their own that way, to archive their
+// reports.
+//
+// sharefreeze walks every function once and checks three contracts:
+// //popt:frozen values are written only while fresh, //popt:guardedby
+// fields are touched only under their sync.Mutex or, for a sync.Once
+// guard, written inside the Do and read inside or after it, and
+// goroutines launched in loops write captured state only at disjoint
+// slots.
 //
 // wireformat walks every //popt:codec function once and checks three
 // things: each enc/dec pair encodes and decodes the same per-opcode
@@ -28,7 +35,7 @@
 //	go run ./cmd/poptlint ./...
 //	go run ./cmd/poptlint -list
 //	go run ./cmd/poptlint -run determinism ./internal/cache/...
-//	go run ./cmd/poptlint -run sharefreeze,lockguard,loopcapture ./...
+//	go run ./cmd/poptlint -run sharefreeze ./...
 //	go run ./cmd/poptlint -run wireformat ./...
 //	go run ./cmd/poptlint -run wireformat -update ./...
 //	go run ./cmd/poptlint -hotpath
@@ -86,8 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lint.PolicyContract,
 		lint.StatsDiscipline,
 		lint.NewShareFreeze(),
-		lint.LockGuard,
-		lint.NewLoopCapture(),
 		lint.NewWireFormat(wireBaselinePath, *update),
 	}
 	if *list {

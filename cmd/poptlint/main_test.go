@@ -72,13 +72,13 @@ func TestListExitsClean(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list: exit %d, want 0", code)
 	}
-	for _, name := range []string{"determinism", "policycontract", "statsdiscipline", "sharefreeze", "lockguard", "loopcapture", "wireformat"} {
+	for _, name := range []string{"determinism", "policycontract", "statsdiscipline", "sharefreeze", "wireformat"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out)
 		}
 	}
-	if n := strings.Count(out, "\n"); n != 7 {
-		t.Errorf("-list shows %d analyzers, want 7:\n%s", n, out)
+	if n := strings.Count(out, "\n"); n != 5 {
+		t.Errorf("-list shows %d analyzers, want 5:\n%s", n, out)
 	}
 }
 
@@ -93,12 +93,15 @@ func TestUpdateWithoutGateIsUsageError(t *testing.T) {
 }
 
 func TestUnknownAnalyzerIsUsageError(t *testing.T) {
-	code, _, errOut := runCmd(t, "-run", "nope", "./...")
-	if code != 2 {
-		t.Fatalf("-run nope: exit %d, want 2", code)
-	}
-	if !strings.Contains(errOut, `unknown analyzer "nope"`) {
-		t.Errorf("stderr missing unknown-analyzer message: %s", errOut)
+	// lockguard was merged into sharefreeze; its old name is unknown now.
+	for _, name := range []string{"nope", "lockguard"} {
+		code, _, errOut := runCmd(t, "-run", name, "./...")
+		if code != 2 {
+			t.Fatalf("-run %s: exit %d, want 2", name, code)
+		}
+		if !strings.Contains(errOut, `unknown analyzer "`+name+`"`) {
+			t.Errorf("stderr missing unknown-analyzer message: %s", errOut)
+		}
 	}
 }
 
@@ -140,52 +143,54 @@ func TestRunSelectionSkipsAnalyzer(t *testing.T) {
 }
 
 func TestShareFreezeFamilyFindings(t *testing.T) {
-	// freezemod seeds one violation per publish-safety analyzer; running
-	// the family must surface all three and exit 1.
-	code, out, errOut := runCmd(t, "-C", filepath.Join("testdata", "freezemod"), "-run", "sharefreeze,lockguard,loopcapture", "./...")
+	// freezemod seeds one violation per sharefreeze contract; -run
+	// sharefreeze must surface all three and exit 1.
+	code, out, errOut := runCmd(t, "-C", filepath.Join("testdata", "freezemod"), "-run", "sharefreeze", "./...")
 	if code != 1 {
-		t.Fatalf("publish-safety family on freezemod: exit %d, want 1 (stdout %q, stderr %q)", code, out, errOut)
+		t.Fatalf("-run sharefreeze on freezemod: exit %d, want 1 (stdout %q, stderr %q)", code, out, errOut)
 	}
 	for _, want := range []string{
 		"mutating frozen Table after publication",
-		"[sharefreeze]",
 		"accesses c.n without holding mu",
-		"[lockguard]",
-		"captures loop variable i",
-		"[loopcapture]",
+		"goroutine in a loop assigns to captured variable total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stdout missing %q:\n%s", want, out)
 		}
 	}
-	if !strings.Contains(errOut, "finding(s)") {
+	if n := strings.Count(out, "[sharefreeze]\n"); n != 3 {
+		t.Errorf("stdout has %d sharefreeze findings, want 3:\n%s", n, out)
+	}
+	if !strings.Contains(errOut, "3 finding(s)") {
 		t.Errorf("stderr missing findings summary: %s", errOut)
 	}
 }
 
 func TestShareFreezeExcludesOtherAnalyzers(t *testing.T) {
-	// Selecting the family must not drag the rest of the suite along:
+	// Selecting sharefreeze must not drag the rest of the suite along:
 	// lintmod's policycontract violation is invisible to it.
-	code, out, errOut := runCmd(t, "-C", filepath.Join("testdata", "lintmod"), "-run", "sharefreeze,lockguard,loopcapture", "./...")
+	code, out, errOut := runCmd(t, "-C", filepath.Join("testdata", "lintmod"), "-run", "sharefreeze", "./...")
 	if code != 0 {
-		t.Fatalf("publish-safety family on lintmod: exit %d, want 0 (stdout %q, stderr %q)", code, out, errOut)
+		t.Fatalf("-run sharefreeze on lintmod: exit %d, want 0 (stdout %q, stderr %q)", code, out, errOut)
 	}
 }
 
 func TestRunSingleFreezeAnalyzer(t *testing.T) {
-	// -run sharefreeze alone reports the freeze violation but not the
-	// guard or capture ones.
+	// -run sharefreeze reports exactly the [sharefreeze] lines of a full
+	// run: selection neither drops nor adds findings.
 	code, out, errOut := runCmd(t, "-C", filepath.Join("testdata", "freezemod"), "-run", "sharefreeze", "./...")
 	if code != 1 {
 		t.Fatalf("-run sharefreeze: exit %d, want 1 (stdout %q, stderr %q)", code, out, errOut)
 	}
-	if !strings.Contains(out, "[sharefreeze]") {
-		t.Errorf("stdout missing sharefreeze finding:\n%s", out)
-	}
-	for _, reject := range []string{"[lockguard]", "[loopcapture]"} {
-		if strings.Contains(out, reject) {
-			t.Errorf("stdout has %s finding under -run sharefreeze:\n%s", reject, out)
+	_, all, _ := runCmd(t, "-C", filepath.Join("testdata", "freezemod"), "./...")
+	var want []string
+	for _, line := range strings.SplitAfter(all, "\n") {
+		if strings.HasSuffix(line, "[sharefreeze]\n") {
+			want = append(want, line)
 		}
+	}
+	if got := strings.Join(want, ""); out != got {
+		t.Errorf("-run sharefreeze output differs from the full run's sharefreeze findings:\n%s\nvs\n%s", out, got)
 	}
 }
 

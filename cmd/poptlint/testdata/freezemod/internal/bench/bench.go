@@ -1,8 +1,9 @@
 // Package bench is a miniature sweep-shaped module with one deliberate
-// violation per publish-safety analyzer, used by the poptlint command
-// tests to exercise selecting that family with -run and its exit code. The
-// module is named popt and the package lives under internal/bench so the
-// scoped analyzers (loopcapture, determinism) treat it as simulator code.
+// violation per sharefreeze contract (freeze, guard, capture), used by
+// the poptlint command tests to exercise selecting the analyzer with -run
+// and its exit code. The module is named popt and the package lives under
+// internal/bench so the scoped determinism analyzer treats it as
+// simulator code.
 package bench
 
 import "sync"
@@ -23,7 +24,7 @@ func BuildTable(n int) *Table {
 	return t
 }
 
-// Corrupt mutates a published table: sharefreeze must flag it.
+// Corrupt mutates a published table: the freeze contract flags it.
 func Corrupt() int {
 	t := BuildTable(8)
 	t.entries[0] = 1
@@ -35,21 +36,23 @@ type cache struct {
 	n  int //popt:guardedby mu
 }
 
-// Skew reads n without holding the lock: lockguard must flag it.
+// Skew reads n without holding the lock: the guard contract flags it.
 func (c *cache) Skew() int {
 	return c.n
 }
 
-// Fan launches workers that capture the loop variable by reference:
-// loopcapture must flag it.
-func Fan(n int) {
+// Fan launches workers that all add into one captured counter: the
+// capture contract flags it.
+func Fan(n int) int {
 	var wg sync.WaitGroup
+	total := 0
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			BuildTable(i)
-		}()
+			total += len(BuildTable(i).entries)
+		}(i)
 	}
 	wg.Wait()
+	return total
 }

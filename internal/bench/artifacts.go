@@ -45,9 +45,8 @@ type lrKey struct {
 
 // Entries carry a per-key once so a thundering herd of cells needing the
 // same merged transpose at sweep start builds it exactly once without
-// serializing builds of *different* ones behind one lock.
-//
-//popt:frozen
+// serializing builds of *different* ones behind one lock. The payload is
+// written only inside the Do and read only after it (//popt:guardedby).
 type lrEntry struct {
 	once sync.Once
 	lr   *core.LineRefs //popt:guardedby once

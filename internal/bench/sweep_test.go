@@ -139,12 +139,12 @@ func TestArtifactSharing(t *testing.T) {
 	// build, so a bypassed cache shows as a count of zero.
 	check := func(c Config, what string) {
 		t.Helper()
-		if got := len(c.arts.lrs); got != 1 { //lint:allow lockguard (single-threaded assert)
+		if got := len(c.arts.lrs); got != 1 { //lint:allow sharefreeze (single-threaded assert)
 			t.Fatalf("%s created %d merged transposes, want 1", what, got)
 		}
-		//lint:allow lockguard (single-threaded assert)
+		//lint:allow sharefreeze (single-threaded assert)
 		for k, e := range c.arts.lrs { //lint:ordered (independent per-key comparisons)
-			if core.BuildLineRefs(k.adj, k.epl).Checksum() != e.lr.Checksum() { //lint:allow lockguard
+			if core.BuildLineRefs(k.adj, k.epl).Checksum() != e.lr.Checksum() { //lint:allow sharefreeze
 				t.Fatalf("%s: cached merged transpose diverges from a fresh build", what)
 			}
 		}
@@ -189,9 +189,9 @@ func TestSweepSharedInputsImmutable(t *testing.T) {
 		arts.lineRefs(lrKey{adj: w.RefAdj, epl: w.Irregular[0].ElemsPerLine()})
 	}
 	lrSums := make(map[lrKey]uint64)
-	//lint:allow lockguard (single-threaded before the sweep)
+	//lint:allow sharefreeze (single-threaded before the sweep)
 	for k, e := range arts.lrs { //lint:ordered (checksums keyed, order-independent)
-		lrSums[k] = e.lr.Checksum() //lint:allow lockguard
+		lrSums[k] = e.lr.Checksum() //lint:allow sharefreeze
 	}
 
 	cArt := c
@@ -203,9 +203,9 @@ func TestSweepSharedInputsImmutable(t *testing.T) {
 			t.Fatalf("suite graph %s mutated by sweep", g.Name)
 		}
 	}
-	//lint:allow lockguard (single-threaded after the sweep joined)
+	//lint:allow sharefreeze (single-threaded after the sweep joined)
 	for k, e := range arts.lrs { //lint:ordered (checksums keyed, order-independent)
-		if e.lr.Checksum() != lrSums[k] { //lint:allow lockguard
+		if e.lr.Checksum() != lrSums[k] { //lint:allow sharefreeze
 			t.Fatal("shared merged transpose mutated by sweep")
 		}
 	}

@@ -7,8 +7,10 @@
 //     tag row, followed by dataflow through aliases and helpers, and a
 //     Geometry.ReservedWays read in every policy (policycontract);
 //   - single-writer statistics counters (statsdiscipline);
-//   - publish safety of shared sweep artifacts (sharefreeze, lockguard,
-//     loopcapture);
+//   - publish safety of the inputs sweep cells share, in one walk of each
+//     function: frozen values written only while fresh, guarded fields
+//     touched only under their guard, and loop-launched goroutines
+//     writing captured state only at disjoint slots (sharefreeze);
 //   - the hand-written trace wire codecs: enc/dec parity, loud opcode
 //     dispatch, and a version-locked layout fingerprint (wireformat).
 //

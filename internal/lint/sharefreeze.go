@@ -8,8 +8,7 @@ import (
 )
 
 // FrozenTypes is the registry of shared-artifact types whose values are
-// immutable once published: every concurrent sweep cell (and, per the
-// roadmap, every distributed sweep process) reads them without
+// immutable once published: every concurrent sweep cell reads them without
 // synchronization, so a single post-publication store is a data race the
 // dynamic detector only catches probabilistically. Each listed type must
 // carry a `//popt:frozen` directive on its declaration (the sharefreeze
@@ -26,50 +25,92 @@ var FrozenTypes = []string{
 	"popt/internal/corpus.Entry",
 }
 
-// NewShareFreeze builds the freeze analyzer over the given registry
-// (default: FrozenTypes). A type is frozen if it is in the registry or its
-// declaration in the analyzed package carries `//popt:frozen`. The
-// analyzer enforces the shared-artifact freeze contract (DESIGN.md §9):
+// NewShareFreeze builds the publish-safety analyzer over the given frozen
+// registry (default: FrozenTypes). One flow-sensitive walk of each
+// function enforces the three contracts that let sweep cells share their
+// inputs (DESIGN.md §9):
 //
-//   - A frozen value is mutable only while it is *fresh* — locally
-//     constructed (composite literal, new) and not yet published. Field
-//     stores, element stores, and append/copy into its storage are allowed
-//     while fresh, including through same-package helpers, closures, and
-//     goroutines launched during construction (the parallel table fills).
-//   - Publication — storing the value into a package variable, a field or
-//     element of a non-fresh value, or a channel, or passing it to a
-//     function the analyzer cannot see into — ends construction. Any store
-//     reachable through the value afterwards is flagged, interprocedurally:
-//     same-package helpers get per-parameter (and per-receiver) summaries
-//     recording whether they write through or publish the argument, and
-//     call sites with published arguments inherit the helper's offending
-//     store chain in the diagnostic.
-//   - Aliases of a published value's interior storage (a field slice, a
-//     pointer into it) are tracked like policycontract's borrowed slice:
-//     writes through them, appends to them, and copies into them are
-//     stores to frozen memory and are flagged wherever they occur.
-//   - Lazy initialization inside the value's own sync.Once is construction
-//     by definition: stores to e's fields inside e.once.Do(func(){...})
-//     are allowed (the artifact-cache entry idiom). The lockguard analyzer
-//     separately checks that readers sequence after the Do.
-//   - An exported function or method that writes through a frozen-typed
-//     parameter or receiver is flagged at its declaration: callers outside
-//     the package cannot be analyzed, so no such mutator may exist.
-//     Unexported helpers are judged at their call sites instead, so
-//     constructors may freely delegate to fill helpers.
+//   - Freeze. A type is frozen if it is in the registry or its declaration
+//     carries `//popt:frozen`. A frozen value is mutable only while it is
+//     *fresh* — locally constructed (composite literal, new, zero-value
+//     local) and not yet published — directly, through same-package
+//     helpers, closures, and goroutines launched during construction (the
+//     parallel fills). Publication — storing the value into a package
+//     variable, a non-fresh container or a channel, or passing it to a
+//     function the analyzer cannot see into — ends construction. Later
+//     stores, appends and copies through the value or through an alias of
+//     its interior storage are flagged, interprocedurally: same-package
+//     helpers get per-parameter (and per-receiver) summaries, and call
+//     sites inherit the helper's offending store chain. An exported
+//     function or method that writes through a frozen parameter or
+//     receiver is flagged at its declaration, since its callers are
+//     invisible.
+//   - Guards. A field annotated `//popt:guardedby <sibling>` is touched
+//     only on paths that hold the sibling guard: a sync.Mutex after Lock
+//     (a deferred Unlock keeps it held), or a sync.Once. A once-guarded
+//     field is written only inside its Do closure, and read only inside
+//     the closure or after the Do. A goroutine holds no guard its
+//     launcher held.
+//   - Captures. A goroutine launched inside a loop writes captured state
+//     only at disjoint slots: a captured slice or array indexed by values
+//     local to the goroutine. Captured variables, maps and pointers are
+//     shared by every iteration's goroutine.
+//
+// Branches join by intersecting freshness and held guards and by uniting
+// published values and aliases; a branch that ends in return does not
+// rejoin.
 func NewShareFreeze(registry ...string) *Analyzer {
+	return newShareFreeze(registry, nil)
+}
+
+// shareRecord collects what the analyzer resolved and walked across the
+// packages of a run, so a test can pin the walk on the real tree.
+type shareRecord struct {
+	frozen  map[string]bool   // qualified frozen types: registry plus annotations
+	guarded map[string]string // package.Owner.field -> guard
+	loopGo  map[string]string // functions launching a goroutine in a loop -> file
+}
+
+func newShareFreeze(registry []string, rec *shareRecord) *Analyzer {
 	if len(registry) == 0 {
 		registry = FrozenTypes
 	}
 	a := &Analyzer{
 		Name: "sharefreeze",
-		Doc: "flags stores to //popt:frozen shared-artifact types after the " +
-			"value escapes its constructor, tracking aliases and helper calls " +
-			"interprocedurally; frozen values may only be mutated while fresh " +
-			"or inside their own sync.Once.Do",
+		Doc: "flags stores to //popt:frozen shared sweep inputs " +
+			"after they escape their constructor, //popt:guardedby " +
+			"fields touched without their sync.Mutex or outside their " +
+			"sync.Once, and loop-launched goroutines writing captured state " +
+			"outside disjoint slots",
 	}
 	a.Run = func(pass *Pass) error {
-		return runShareFreeze(pass, registry)
+		an := &shareAnalysis{
+			pass:      pass,
+			registry:  make(map[string]bool, len(registry)),
+			frozen:    make(map[*types.TypeName]bool),
+			guards:    make(map[*types.Var]guardSpec),
+			decls:     make(map[*types.Func]*ast.FuncDecl),
+			summaries: make(map[freezeSumKey]freezeSummary),
+			inFlight:  make(map[freezeSumKey]bool),
+			rec:       rec,
+		}
+		for _, name := range registry {
+			an.registry[name] = true
+		}
+		for _, file := range pass.Files {
+			an.scanDecls(file)
+		}
+		for _, file := range pass.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				newShareWalker(an, fd).walkBlock(fd.Body.List)
+				an.checkExportedMutator(fd)
+			}
+		}
+		return nil
 	}
 	return a
 }
@@ -89,75 +130,115 @@ const (
 	fkStore
 )
 
-func runShareFreeze(pass *Pass, registry []string) error {
-	an := &freezeAnalysis{
-		pass:      pass,
-		frozen:    make(map[*types.TypeName]bool),
-		decls:     make(map[*types.Func]*ast.FuncDecl),
-		summaries: make(map[freezeSumKey]freezeSummary),
-		inFlight:  make(map[freezeSumKey]bool),
-	}
-	reg := make(map[string]bool, len(registry))
-	for _, name := range registry {
-		reg[name] = true
-	}
-	an.registry = reg
+// shareAnalysis carries per-package state: the frozen type set, the guarded
+// fields, the declaration index, and memoized helper summaries.
+type shareAnalysis struct {
+	pass      *Pass
+	registry  map[string]bool
+	frozen    map[*types.TypeName]bool
+	guards    map[*types.Var]guardSpec
+	decls     map[*types.Func]*ast.FuncDecl
+	summaries map[freezeSumKey]freezeSummary
+	inFlight  map[freezeSumKey]bool
+	rec       *shareRecord
+}
 
-	// Pass 1: frozen type set = registry entries + locally annotated types;
-	// cross-check that registry types declared here carry the annotation.
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
+// guardSpec resolves one annotated field to its guard.
+type guardSpec struct {
+	guard *types.Var // the sibling guard field
+	once  bool       // a sync.Once rather than a sync.Mutex
+	name  string     // the annotation text, for diagnostics
+}
+
+// scanDecls is the one declaration scan: it indexes function declarations
+// for helper summaries, resolves the frozen types declared here
+// (cross-checking the registry), and resolves every //popt:guardedby field
+// of every struct type, named or anonymous, to its guard sibling.
+func (an *shareAnalysis) scanDecls(file *ast.File) {
+	pass := an.pass
+	owner := "" // the declaration enclosing the struct types seen next
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if fn, ok := pass.TypesInfo.Defs[n.Name].(*types.Func); ok {
+				an.decls[fn] = n
+			}
+			owner = n.Name.Name
+		case *ast.GenDecl:
+			if n.Tok == token.TYPE {
+				for _, spec := range n.Specs {
+					an.scanFrozen(n, spec.(*ast.TypeSpec))
+				}
+			}
+		case *ast.TypeSpec:
+			owner = n.Name.Name
+		case *ast.ValueSpec:
+			owner = n.Names[0].Name
+		case *ast.StructType:
+			an.scanGuards(n, owner)
+		}
+		return true
+	})
+}
+
+func (an *shareAnalysis) scanFrozen(gd *ast.GenDecl, ts *ast.TypeSpec) {
+	tn, ok := an.pass.TypesInfo.Defs[ts.Name].(*types.TypeName)
+	if !ok {
+		return
+	}
+	switch {
+	case hasFrozenDirective(gd.Doc) || hasFrozenDirective(ts.Doc) || hasFrozenDirective(ts.Comment):
+	case an.registry[qualifiedTypeName(tn)]:
+		an.pass.Reportf(ts.Name.Pos(),
+			"%s is registered in lint.FrozenTypes but its declaration has no //popt:frozen directive; annotate the type so the freeze contract is visible at the definition",
+			tn.Name())
+	default:
+		return
+	}
+	an.frozen[tn] = true
+	if an.rec != nil {
+		an.rec.frozen[qualifiedTypeName(tn)] = true
+	}
+}
+
+func (an *shareAnalysis) scanGuards(st *ast.StructType, owner string) {
+	str, ok := an.pass.TypesInfo.Types[st].Type.(*types.Struct)
+	if !ok {
+		return
+	}
+	idx := 0
+	for _, field := range st.Fields.List {
+		n := max(len(field.Names), 1) // an embedded field has no names
+		ann := guardAnnotation(field.Doc)
+		if ann == "" {
+			ann = guardAnnotation(field.Comment)
+		}
+		for ; n > 0 && idx < str.NumFields(); n-- {
+			fv := str.Field(idx)
+			idx++
+			if ann == "" {
 				continue
 			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				tn, ok := pass.TypesInfo.Defs[ts.Name].(*types.TypeName)
-				if !ok {
-					continue
-				}
-				annotated := hasFrozenDirective(gd.Doc) || hasFrozenDirective(ts.Doc) || hasFrozenDirective(ts.Comment)
-				switch {
-				case annotated:
-					an.frozen[tn] = true
-				case reg[qualifiedTypeName(tn)]:
-					pass.Reportf(ts.Name.Pos(),
-						"%s is registered in lint.FrozenTypes but its declaration has no //popt:frozen directive; annotate the type so the freeze contract is visible at the definition",
-						tn.Name())
-					an.frozen[tn] = true
-				}
-			}
-		}
-	}
-
-	// Index declarations for helper summaries.
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok {
-				if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-					an.decls[fn] = fd
-				}
-			}
-		}
-	}
-
-	// Pass 2: walk every function as an entry point.
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			guard := findField(str, ann)
+			if guard == nil {
+				an.pass.Reportf(field.Pos(),
+					"//popt:guardedby %s on %s names no sibling field; the guard must be declared in the same struct",
+					ann, fv.Name())
 				continue
 			}
-			w := newFreezeWalker(an, fd)
-			w.walkBlock(fd.Body.List)
-			an.checkExportedMutator(fd)
+			switch kind := syncTypeName(guard.Type()); kind {
+			case "Mutex", "Once":
+				an.guards[fv] = guardSpec{guard: guard, once: kind == "Once", name: ann}
+				if an.rec != nil {
+					an.rec.guarded[an.pass.Pkg.Name()+"."+owner+"."+fv.Name()] = ann
+				}
+			default:
+				an.pass.Reportf(field.Pos(),
+					"//popt:guardedby %s on %s: %s is %s, not a sync.Mutex or sync.Once",
+					ann, fv.Name(), ann, guard.Type().String())
+			}
 		}
 	}
-	return nil
 }
 
 // hasFrozenDirective reports whether a comment group contains //popt:frozen.
@@ -174,22 +255,45 @@ func hasFrozenDirective(cg *ast.CommentGroup) bool {
 	return false
 }
 
+// guardAnnotation extracts the field name from a //popt:guardedby comment.
+func guardAnnotation(cg *ast.CommentGroup) string {
+	if cg == nil {
+		return ""
+	}
+	for _, c := range cg.List {
+		text := strings.TrimSpace(c.Text)
+		if rest, ok := strings.CutPrefix(text, "//popt:guardedby"); ok {
+			if fields := strings.Fields(rest); len(fields) > 0 {
+				return fields[0]
+			}
+		}
+	}
+	return ""
+}
+
+func findField(str *types.Struct, name string) *types.Var {
+	for i := 0; i < str.NumFields(); i++ {
+		if f := str.Field(i); f.Name() == name {
+			return f
+		}
+	}
+	return nil
+}
+
+// syncTypeName names t if it is a sync package type (through pointers).
+func syncTypeName(t types.Type) string {
+	named, ok := derefAll(t).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
+		return ""
+	}
+	return named.Obj().Name()
+}
+
 func qualifiedTypeName(tn *types.TypeName) string {
 	if tn.Pkg() == nil {
 		return tn.Name()
 	}
 	return tn.Pkg().Path() + "." + tn.Name()
-}
-
-// freezeAnalysis carries per-package state: the frozen type set, the
-// declaration index, and memoized helper summaries.
-type freezeAnalysis struct {
-	pass      *Pass
-	registry  map[string]bool
-	frozen    map[*types.TypeName]bool
-	decls     map[*types.Func]*ast.FuncDecl
-	summaries map[freezeSumKey]freezeSummary
-	inFlight  map[freezeSumKey]bool
 }
 
 // freezeSumKey identifies one (function, parameter) summary; param -1 is
@@ -205,12 +309,11 @@ type freezeSummary struct {
 	writes    bool   // stores into frozen memory reachable from the param
 	publishes bool   // stores the param where it outlives the call
 	where     string // offending store chain, e.g. "t.entries[i] at file.go:12"
-	known     bool
 }
 
 // isFrozen reports whether t (after stripping pointers) is a frozen named
 // type: locally annotated or in the registry.
-func (an *freezeAnalysis) isFrozen(t types.Type) bool {
+func (an *shareAnalysis) isFrozen(t types.Type) bool {
 	named, ok := derefAll(t).(*types.Named)
 	if !ok {
 		return false
@@ -242,7 +345,7 @@ func refLike(t types.Type) bool {
 // checkExportedMutator flags exported functions whose summary writes
 // frozen memory through a parameter or receiver: external callers cannot
 // be analyzed, so the frozen contract forbids exported mutators outright.
-func (an *freezeAnalysis) checkExportedMutator(fd *ast.FuncDecl) {
+func (an *shareAnalysis) checkExportedMutator(fd *ast.FuncDecl) {
 	if !fd.Name.IsExported() {
 		return
 	}
@@ -250,24 +353,18 @@ func (an *freezeAnalysis) checkExportedMutator(fd *ast.FuncDecl) {
 	if !ok {
 		return
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return
-	}
+	sig := fn.Type().(*types.Signature)
 	check := func(idx int, v *types.Var, what string) {
 		if v == nil || !an.isFrozen(v.Type()) {
 			return
 		}
-		s := an.summaryFor(fn, idx)
-		if s.writes {
+		if s := an.summaryFor(fn, idx); s.writes {
 			an.pass.Reportf(fd.Name.Pos(),
 				"exported %s writes frozen %s through its %s (%s); frozen types may only be mutated inside their constructors",
 				fd.Name.Name, typeShort(v.Type()), what, s.where)
 		}
 	}
-	if recv := sig.Recv(); recv != nil {
-		check(-1, recv, "receiver")
-	}
+	check(-1, sig.Recv(), "receiver")
 	for i := 0; i < sig.Params().Len(); i++ {
 		p := sig.Params().At(i)
 		check(i, p, "parameter "+p.Name())
@@ -286,38 +383,29 @@ func typeShort(t types.Type) string {
 // summaryFor computes (memoized) what fn does with its param-th parameter
 // (-1 = receiver) when that argument is a published frozen value.
 // Recursive cycles resolve optimistically, like policycontract's borrow
-// check.
-func (an *freezeAnalysis) summaryFor(fn *types.Func, param int) freezeSummary {
+// check; external and bodyless functions have no summary (zero value).
+func (an *shareAnalysis) summaryFor(fn *types.Func, param int) freezeSummary {
 	key := freezeSumKey{fn, param}
-	if s, ok := an.summaries[key]; ok {
+	if s, ok := an.summaries[key]; ok || an.inFlight[key] {
 		return s
-	}
-	if an.inFlight[key] {
-		return freezeSummary{known: true}
 	}
 	fd := an.decls[fn]
 	if fd == nil || fd.Body == nil {
-		return freezeSummary{} // external or bodyless: unknown
+		return freezeSummary{}
 	}
 	var obj types.Object
-	if param < 0 {
-		if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
-			name := fd.Recv.List[0].Names[0]
-			if name.Name != "_" {
-				obj = an.pass.TypesInfo.Defs[name]
-			}
-		}
-	} else {
+	if param >= 0 {
 		obj = paramObject(an.pass, fd, param)
+	} else if fd.Recv != nil && len(fd.Recv.List[0].Names) > 0 && fd.Recv.List[0].Names[0].Name != "_" {
+		obj = an.pass.TypesInfo.Defs[fd.Recv.List[0].Names[0]]
 	}
 	if obj == nil {
-		s := freezeSummary{known: true}
-		an.summaries[key] = s
-		return s
+		an.summaries[key] = freezeSummary{}
+		return freezeSummary{}
 	}
 	an.inFlight[key] = true
-	w := newFreezeWalker(an, fd)
-	w.summary = &freezeSummary{known: true}
+	w := newShareWalker(an, fd)
+	w.summary = &freezeSummary{}
 	w.pub[obj] = true
 	w.walkBlock(fd.Body.List)
 	delete(an.inFlight, key)
@@ -325,82 +413,228 @@ func (an *freezeAnalysis) summaryFor(fn *types.Func, param int) freezeSummary {
 	return *w.summary
 }
 
-// freezeWalker is one flow-sensitive pass over a function body. In entry
-// mode (summary == nil) locally constructed frozen values are tracked as
-// fresh, published ones as pub, and violations are reported; parameters
-// are deliberately untracked — writes through them are judged at call
-// sites via summaries (and at the declaration for exported functions). In
-// summary mode only the subject parameter starts in pub and problems set
-// summary bits instead of reporting.
-type freezeWalker struct {
-	an    *freezeAnalysis
-	fd    *ast.FuncDecl
+// guardKey identifies one held guard: the root object the access chain
+// bottoms out in (a local, a receiver, a package variable) plus the guard
+// field within it.
+type guardKey struct {
+	root  types.Object
+	guard *types.Var
+}
+
+// hold is how much a path holds a guard: a locked mutex or a running Do
+// closure allows reads and writes; a completed Do allows reads only.
+type hold uint8
+
+const (
+	holdNone hold = iota
+	holdRead
+	holdAll
+)
+
+// shareWalker is one flow-sensitive pass over a function body, carrying
+// the state of all three contracts. In entry mode (summary == nil) locally
+// constructed frozen values are tracked as fresh, published ones as pub,
+// and violations are reported; parameters are deliberately untracked —
+// writes through them are judged at call sites via summaries (and at the
+// declaration for exported functions). In summary mode only the subject
+// parameter starts in pub, problems set summary bits instead of
+// reporting, and the guard and capture checks are off.
+type shareWalker struct {
+	an *shareAnalysis
+	fd *ast.FuncDecl
+
+	// Freeze half.
 	fresh map[types.Object]bool
 	store map[types.Object]bool
 	pub   map[types.Object]bool
+	// Guard half: the guards this path holds.
+	held map[guardKey]hold
+	// Capture half: loops lexically enclosing the walk, and the
+	// loop-launched goroutine closure being walked, if any.
+	loops   int
+	capture *ast.FuncLit
 
-	summary *freezeSummary
-
+	summary  *freezeSummary
 	reported map[string]bool
 }
 
-func newFreezeWalker(an *freezeAnalysis, fd *ast.FuncDecl) *freezeWalker {
-	return &freezeWalker{
+func newShareWalker(an *shareAnalysis, fd *ast.FuncDecl) *shareWalker {
+	return &shareWalker{
 		an:       an,
 		fd:       fd,
 		fresh:    map[types.Object]bool{},
 		store:    map[types.Object]bool{},
 		pub:      map[types.Object]bool{},
+		held:     map[guardKey]hold{},
 		reported: map[string]bool{},
 	}
 }
 
-const (
-	fproblemWrite = iota
-	fproblemPublish
-)
-
-// problem records a violation as a diagnostic (entry mode) or summary bits
-// (summary mode). where is the store-chain rendering carried by summaries
-// so call-site diagnostics can name the offending store.
-func (w *freezeWalker) problem(kind int, pos token.Pos, where string, format string, args ...any) {
-	if w.summary != nil {
-		if kind == fproblemWrite {
-			w.summary.writes = true
-			if w.summary.where == "" {
-				w.summary.where = where + " at " + w.an.pass.Fset.Position(pos).String()
-			}
-		} else {
-			w.summary.publishes = true
-		}
-		return
+// report emits one finding per (position, message class): loop bodies are
+// walked more than once.
+func (w *shareWalker) report(pos token.Pos, format string, args ...any) {
+	key := w.an.pass.Fset.Position(pos).String() + "|" + format
+	if !w.reported[key] {
+		w.reported[key] = true
+		w.an.pass.Reportf(pos, format, args...)
 	}
-	position := w.an.pass.Fset.Position(pos)
-	key := position.String() + "|" + format
-	if w.reported[key] {
-		return
-	}
-	w.reported[key] = true
-	w.an.pass.Reportf(pos, format, args...)
 }
 
-// --- statement walking -------------------------------------------------
+// writeProblem records a store into frozen memory as a diagnostic (entry
+// mode) or summary bits (summary mode). where is the store-chain rendering
+// carried by summaries so call-site diagnostics can name the offending
+// store.
+func (w *shareWalker) writeProblem(pos token.Pos, where string, format string, args ...any) {
+	if w.summary == nil {
+		w.report(pos, format, args...)
+		return
+	}
+	w.summary.writes = true
+	if w.summary.where == "" {
+		w.summary.where = where + " at " + w.an.pass.Fset.Position(pos).String()
+	}
+}
 
-func (w *freezeWalker) walkBlock(stmts []ast.Stmt) {
+// --- paths ---------------------------------------------------------------
+
+func (w *shareWalker) fork() *shareWalker {
+	c := *w
+	c.fresh = copySet(w.fresh)
+	c.store = copySet(w.store)
+	c.pub = copySet(w.pub)
+	c.held = make(map[guardKey]hold, len(w.held))
+	for k, h := range w.held { //lint:ordered
+		c.held[k] = h
+	}
+	return &c
+}
+
+func copySet(m map[types.Object]bool) map[types.Object]bool {
+	c := make(map[types.Object]bool, len(m))
+	for k := range m { //lint:ordered
+		c[k] = true
+	}
+	return c
+}
+
+// join merges a path that rejoins this one: freshness and held guards
+// survive only if both paths keep them (a branch that publishes a value
+// ends its construction window; a lock taken on one branch is not held
+// after it), while published values and aliases union in.
+func (w *shareWalker) join(c *shareWalker) {
+	w.joinFreeze(c)
+	for k, h := range w.held { //lint:ordered
+		if h = min(h, c.held[k]); h == holdNone {
+			delete(w.held, k)
+		} else {
+			w.held[k] = h
+		}
+	}
+}
+
+// joinFreeze merges the freeze half only: a closure's body may run at any
+// point, so it can end construction, but it moves no guard of this path.
+func (w *shareWalker) joinFreeze(c *shareWalker) {
+	for k := range w.fresh { //lint:ordered
+		if !c.fresh[k] {
+			delete(w.fresh, k)
+		}
+	}
+	for k := range c.store { //lint:ordered
+		w.store[k] = true
+	}
+	for k := range c.pub { //lint:ordered
+		if !w.fresh[k] {
+			w.pub[k] = true
+		}
+	}
+}
+
+// rejoin continues with the join of the paths that fall through (nil
+// entries ended in return); if none does, the state stays as it was.
+func (w *shareWalker) rejoin(paths []*shareWalker) {
+	var out *shareWalker
+	for _, p := range paths {
+		switch {
+		case p == nil:
+		case out == nil:
+			out = p
+		default:
+			out.join(p)
+		}
+	}
+	if out != nil {
+		w.fresh, w.store, w.pub, w.held = out.fresh, out.store, out.pub, out.held
+	}
+}
+
+// path walks stmts on a fork, returning nil if they end in return.
+func (w *shareWalker) path(stmts []ast.Stmt) *shareWalker {
+	c := w.fork()
+	c.walkBlock(stmts)
+	if len(stmts) > 0 && terminates(stmts[len(stmts)-1]) {
+		return nil
+	}
+	return c
+}
+
+// terminates reports whether the statement (usually a branch body) ends in
+// a return — control never rejoins, so its state must not merge.
+func terminates(s ast.Stmt) bool {
+	switch s := s.(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.BlockStmt:
+		return len(s.List) > 0 && terminates(s.List[len(s.List)-1])
+	case *ast.LabeledStmt:
+		return terminates(s.Stmt)
+	}
+	return false
+}
+
+// loopBody walks a loop body to a bounded fixpoint, so aliases created and
+// guards released in one iteration are seen by the next; findings are
+// deduplicated, so re-walking is safe. The join only shrinks freshness
+// and held guards and only grows published values and aliases, so a
+// repeated size means a repeated state.
+func (w *shareWalker) loopBody(body func(*shareWalker)) {
+	size := func() int {
+		n := len(w.store) + len(w.pub) - len(w.fresh)
+		for _, h := range w.held { //lint:ordered
+			n -= int(h)
+		}
+		return n
+	}
+	w.loops++
+	for i := 0; i < 4; i++ {
+		before := size()
+		it := w.fork()
+		body(it)
+		w.join(it)
+		if size() == before {
+			break
+		}
+	}
+	w.loops--
+}
+
+// --- statements ----------------------------------------------------------
+
+func (w *shareWalker) walkBlock(stmts []ast.Stmt) {
 	for _, s := range stmts {
 		w.walkStmt(s)
 	}
 }
 
-func (w *freezeWalker) walkStmt(s ast.Stmt) {
+func (w *shareWalker) walkStmt(s ast.Stmt) {
 	switch s := s.(type) {
-	case nil:
 	case *ast.BlockStmt:
 		w.walkBlock(s.List)
 	case *ast.AssignStmt:
 		w.walkAssign(s)
 	case *ast.IncDecStmt:
 		w.checkWrite(s.X)
+		w.checkCaptured(s.X)
 	case *ast.ExprStmt:
 		w.eval(s.X)
 	case *ast.ReturnStmt:
@@ -414,33 +648,34 @@ func (w *freezeWalker) walkStmt(s ast.Stmt) {
 			w.publish(root)
 		}
 	case *ast.GoStmt:
-		// The goroutine body runs under the current construction state:
-		// writes to fresh values are constructor parallelism (the table
-		// fills), writes to published values are races and flagged.
-		w.evalCall(s.Call)
+		w.goCall(s.Call)
 	case *ast.DeferStmt:
+		// A deferred Unlock runs at function exit: the guard stays held
+		// for the rest of the body.
+		if sel, ok := s.Call.Fun.(*ast.SelectorExpr); ok {
+			if _, _, ok := w.syncCall(sel); ok {
+				return
+			}
+		}
 		w.evalCall(s.Call)
 	case *ast.IfStmt:
 		if s.Init != nil {
 			w.walkStmt(s.Init)
 		}
 		w.eval(s.Cond)
-		then := w.fork()
-		then.walkStmt(s.Body)
-		w.merge(then)
+		paths := []*shareWalker{w.path(s.Body.List)}
 		if s.Else != nil {
-			els := w.fork()
-			els.walkStmt(s.Else)
-			w.merge(els)
+			paths = append(paths, w.path([]ast.Stmt{s.Else}))
+		} else {
+			paths = append(paths, w.fork())
 		}
+		w.rejoin(paths)
 	case *ast.ForStmt:
 		if s.Init != nil {
 			w.walkStmt(s.Init)
 		}
-		if s.Cond != nil {
-			w.eval(s.Cond)
-		}
-		w.loopBody(func(it *freezeWalker) {
+		w.eval(s.Cond)
+		w.loopBody(func(it *shareWalker) {
 			it.walkStmt(s.Body)
 			if s.Post != nil {
 				it.walkStmt(s.Post)
@@ -448,42 +683,22 @@ func (w *freezeWalker) walkStmt(s ast.Stmt) {
 		})
 	case *ast.RangeStmt:
 		xKind, _ := w.eval(s.X)
-		w.loopBody(func(it *freezeWalker) {
+		w.loopBody(func(it *shareWalker) {
 			it.bindRange(s.Key, fkNone)
-			vk := fkNone
-			if s.Value != nil && xKind != fkNone {
-				if tv, ok := w.an.pass.TypesInfo.Types[s.Value]; ok {
-					switch {
-					case w.an.isFrozen(tv.Type):
-						if xKind == fkFresh {
-							vk = fkFresh
-						} else {
-							vk = fkPub
-						}
-					case refLike(tv.Type):
-						if xKind == fkFresh {
-							vk = fkFresh
-						} else {
-							vk = fkStore
-						}
-					}
-				}
-			}
-			it.bindRange(s.Value, vk)
+			it.bindRange(s.Value, xKind)
 			it.walkStmt(s.Body)
 		})
 	case *ast.SwitchStmt:
 		if s.Init != nil {
 			w.walkStmt(s.Init)
 		}
-		if s.Tag != nil {
-			w.eval(s.Tag)
-		}
+		w.eval(s.Tag)
 		w.walkClauses(s.Body)
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
 			w.walkStmt(s.Init)
 		}
+		w.walkStmt(s.Assign)
 		w.walkClauses(s.Body)
 	case *ast.SelectStmt:
 		w.walkClauses(s.Body)
@@ -501,19 +716,14 @@ func (w *freezeWalker) walkStmt(s ast.Stmt) {
 			}
 			for i, name := range vs.Names {
 				kind := fkNone
-				if i < len(vs.Values) {
+				obj := w.an.pass.TypesInfo.Defs[name]
+				switch {
+				case i < len(vs.Values):
 					kind, _ = w.eval(vs.Values[i])
-				} else if len(vs.Values) == 1 && len(vs.Names) > 1 {
-					if i == 0 {
-						kind, _ = w.eval(vs.Values[0])
-					}
-				} else if len(vs.Values) == 0 && w.summary == nil {
-					// var t Table: the zero value is fresh.
-					if obj := w.an.pass.TypesInfo.Defs[name]; obj != nil && w.an.isFrozen(obj.Type()) {
-						kind = fkFresh
-					}
+				case len(vs.Values) == 0 && w.summary == nil && obj != nil && w.an.isFrozen(obj.Type()):
+					kind = fkFresh // var t Table: the zero value is fresh
 				}
-				if obj := w.an.pass.TypesInfo.Defs[name]; obj != nil {
+				if obj != nil {
 					w.bind(obj, kind)
 				}
 			}
@@ -521,85 +731,56 @@ func (w *freezeWalker) walkStmt(s ast.Stmt) {
 	}
 }
 
-func (w *freezeWalker) walkClauses(body *ast.BlockStmt) {
+// walkClauses walks each case or comm clause from the current state and
+// continues with the join of the clauses that fall through and the path on
+// which no clause runs.
+func (w *shareWalker) walkClauses(body *ast.BlockStmt) {
+	paths := []*shareWalker{w.fork()}
 	for _, clause := range body.List {
 		c := w.fork()
+		var stmts []ast.Stmt
 		switch cl := clause.(type) {
 		case *ast.CaseClause:
 			for _, e := range cl.List {
 				c.eval(e)
 			}
-			c.walkBlock(cl.Body)
+			stmts = cl.Body
 		case *ast.CommClause:
 			if cl.Comm != nil {
 				c.walkStmt(cl.Comm)
 			}
-			c.walkBlock(cl.Body)
+			stmts = cl.Body
 		}
-		w.merge(c)
+		paths = append(paths, c.path(stmts))
 	}
+	w.rejoin(paths)
 }
 
-// loopBody reaches a bounded fixpoint so aliases created in one iteration
-// are live in the next; findings are deduplicated, so re-walking is safe.
-func (w *freezeWalker) loopBody(body func(*freezeWalker)) {
-	for i := 0; i < 4; i++ {
-		before := len(w.fresh) + len(w.store) + len(w.pub)
-		it := w.fork()
-		body(it)
-		w.merge(it)
-		if len(w.fresh)+len(w.store)+len(w.pub) == before {
-			return
-		}
-	}
-}
-
-func (w *freezeWalker) bindRange(e ast.Expr, kind freezeKind) {
+// bindRange binds a range variable to the kind of an element of a
+// container of kind x (fkNone for the key). Like an indexed element, a
+// frozen value ranged out of an untracked container is published.
+func (w *shareWalker) bindRange(e ast.Expr, x freezeKind) {
 	id, ok := e.(*ast.Ident)
 	if !ok || id.Name == "_" {
 		return
 	}
-	if obj := lhsObject(w.an.pass, id); obj != nil {
-		w.bind(obj, kind)
+	obj := lhsObject(w.an.pass, id)
+	if obj == nil {
+		return
 	}
+	switch t := obj.Type(); {
+	case w.an.isFrozen(t) && x == fkFresh:
+	case w.an.isFrozen(t) && (x != fkNone || w.summary == nil):
+		x = fkPub
+	case !refLike(t) || x == fkNone:
+		x = fkNone
+	case x != fkFresh:
+		x = fkStore
+	}
+	w.bind(obj, x)
 }
 
-func (w *freezeWalker) fork() *freezeWalker {
-	c := *w
-	c.fresh = copySet(w.fresh)
-	c.store = copySet(w.store)
-	c.pub = copySet(w.pub)
-	return &c
-}
-
-func copySet(m map[types.Object]bool) map[types.Object]bool {
-	c := make(map[types.Object]bool, len(m))
-	for k := range m { //lint:ordered
-		c[k] = true
-	}
-	return c
-}
-
-// merge joins a branch path-insensitively: published state and aliases
-// union in, but freshness must survive on BOTH paths — a branch that
-// publishes or rebinds the value ends its construction window.
-func (w *freezeWalker) merge(c *freezeWalker) {
-	for k := range w.fresh { //lint:ordered
-		if !c.fresh[k] {
-			delete(w.fresh, k)
-		}
-	}
-	for k := range c.store { //lint:ordered
-		w.store[k] = true
-	}
-	for k := range c.pub { //lint:ordered
-		if !w.fresh[k] {
-			w.pub[k] = true
-		}
-	}
-}
-
-func (w *freezeWalker) bind(obj types.Object, kind freezeKind) {
+func (w *shareWalker) bind(obj types.Object, kind freezeKind) {
 	delete(w.fresh, obj)
 	delete(w.store, obj)
 	delete(w.pub, obj)
@@ -615,19 +796,16 @@ func (w *freezeWalker) bind(obj types.Object, kind freezeKind) {
 
 // publish ends a value's construction window: the local now names a
 // published value and later stores through it are violations.
-func (w *freezeWalker) publish(root types.Object) {
-	if root == nil {
-		return
-	}
-	if w.fresh[root] {
+func (w *shareWalker) publish(root types.Object) {
+	if root != nil && w.fresh[root] {
 		delete(w.fresh, root)
 		w.pub[root] = true
 	}
 }
 
-// --- assignments -------------------------------------------------------
+// --- assignments ---------------------------------------------------------
 
-func (w *freezeWalker) walkAssign(as *ast.AssignStmt) {
+func (w *shareWalker) walkAssign(as *ast.AssignStmt) {
 	kinds := make([]freezeKind, len(as.Lhs))
 	roots := make([]types.Object, len(as.Lhs))
 	if len(as.Rhs) == len(as.Lhs) {
@@ -642,10 +820,11 @@ func (w *freezeWalker) walkAssign(as *ast.AssignStmt) {
 	}
 	for i, lhs := range as.Lhs {
 		w.assignTo(lhs, kinds[i], roots[i])
+		w.checkCaptured(lhs)
 	}
 }
 
-func (w *freezeWalker) assignTo(lhs ast.Expr, kind freezeKind, rhsRoot types.Object) {
+func (w *shareWalker) assignTo(lhs ast.Expr, kind freezeKind, rhsRoot types.Object) {
 	if id, ok := lhs.(*ast.Ident); ok {
 		if id.Name == "_" {
 			return
@@ -669,61 +848,63 @@ func (w *freezeWalker) assignTo(lhs ast.Expr, kind freezeKind, rhsRoot types.Obj
 	// Second, does the store publish a fresh RHS? Storing into a fresh
 	// container keeps construction open; anything else ends it.
 	if kind == fkFresh && rhsRoot != nil {
-		root, _ := writeRoot(w.an.pass, lhs)
-		if root == nil || !w.fresh[root] {
+		if root, _ := writeRoot(w.an.pass, lhs); root == nil || !w.fresh[root] {
 			w.publish(rhsRoot)
 		}
 	}
 }
 
-// checkWrite flags a structured store whose target memory belongs to a
-// published frozen value. It peels the LHS chain outside-in: a field
-// selection owned by a frozen struct is judged by its owner's
-// classification, and any base classifying as published frozen (or
-// interior storage of one) is a violation.
-func (w *freezeWalker) checkWrite(lhs ast.Expr) {
+// checkWrite judges a structured store. It peels the target chain
+// outside-in: the outermost selected field is checked as a guarded write
+// and every field below it as a guarded read; a selection owned by a
+// frozen struct is judged by its owner's freeze kind, and any base
+// classifying as published frozen (or interior storage of one) is a
+// violation.
+func (w *shareWalker) checkWrite(lhs ast.Expr) {
+	written := true
 	e := lhs
 	for {
 		switch x := e.(type) {
 		case *ast.ParenExpr:
 			e = x.X
 		case *ast.SelectorExpr:
+			w.access(x, written)
+			written = false
 			if owner, ok := w.frozenFieldOwner(x); ok {
 				switch k, _ := w.eval(x.X); k {
-				case fkFresh:
-					// Constructor work on an under-construction value.
 				case fkPub, fkStore:
-					w.problem(fproblemWrite, lhs.Pos(), exprString(lhs),
+					w.writeProblem(lhs.Pos(), exprString(lhs),
 						"%s stores to %s, mutating frozen %s after publication; frozen shared artifacts are immutable once they escape their constructor",
 						w.fd.Name.Name, exprString(lhs), owner)
 				}
-				// fkNone: untracked base (e.g. a parameter) — the write is
-				// judged at this function's call sites via its summary.
+				// fkFresh is constructor work; fkNone is an untracked base
+				// (a parameter) whose writes are judged at call sites.
 				return
 			}
 			e = x.X
 		case *ast.IndexExpr:
+			w.eval(x.Index)
 			e = x.X
 		case *ast.StarExpr:
 			e = x.X
 		case *ast.SliceExpr:
+			w.eval(x.Low)
+			w.eval(x.High)
+			w.eval(x.Max)
 			e = x.X
 		case *ast.Ident:
 			if e == lhs {
 				return // plain rebind, handled by bind
 			}
 			obj := lhsObject(w.an.pass, x)
-			if obj == nil {
-				return
-			}
 			switch {
-			case w.fresh[obj]:
+			case obj == nil || w.fresh[obj]:
 			case w.store[obj]:
-				w.problem(fproblemWrite, lhs.Pos(), exprString(lhs),
+				w.writeProblem(lhs.Pos(), exprString(lhs),
 					"%s writes frozen shared storage through alias %s; copy the data out instead of mutating the shared artifact",
 					w.fd.Name.Name, x.Name)
 			case w.pub[obj] || w.pkgLevelFrozen(obj):
-				w.problem(fproblemWrite, lhs.Pos(), exprString(lhs),
+				w.writeProblem(lhs.Pos(), exprString(lhs),
 					"%s stores to %s, mutating frozen %s after publication; frozen shared artifacts are immutable once they escape their constructor",
 					w.fd.Name.Name, exprString(lhs), typeShort(obj.Type()))
 			}
@@ -731,7 +912,7 @@ func (w *freezeWalker) checkWrite(lhs ast.Expr) {
 		default:
 			// Call results, etc.: classify and judge.
 			if k, _ := w.eval(e); k == fkPub || k == fkStore {
-				w.problem(fproblemWrite, lhs.Pos(), exprString(lhs),
+				w.writeProblem(lhs.Pos(), exprString(lhs),
 					"%s stores to %s, which reaches frozen shared memory; frozen artifacts are immutable once published",
 					w.fd.Name.Name, exprString(lhs))
 			}
@@ -740,14 +921,72 @@ func (w *freezeWalker) checkWrite(lhs ast.Expr) {
 	}
 }
 
+// checkCaptured flags a write, inside a goroutine launched in a loop, to
+// state captured from outside the goroutine's closure: every iteration's
+// goroutine shares it. A captured slice or array may be written only at a
+// goroutine-local index — the disjoint-slot idiom (`errs[i] = ...` with i
+// a closure parameter) the worker pools rely on.
+func (w *shareWalker) checkCaptured(lhs ast.Expr) {
+	if w.capture == nil || w.summary != nil {
+		return
+	}
+	pass := w.an.pass
+	root, _ := writeRoot(pass, lhs)
+	if _, ok := root.(*types.Var); !ok || w.local(root) {
+		return
+	}
+	switch x := lhs.(type) {
+	case *ast.Ident:
+		w.report(lhs.Pos(),
+			"goroutine in a loop assigns to captured variable %s; every worker shares one slot, so the result depends on scheduling — use a per-iteration variable or a channel",
+			x.Name)
+	case *ast.IndexExpr:
+		switch typeOf(pass, x.X).Underlying().(type) {
+		case *types.Map:
+			w.report(lhs.Pos(),
+				"goroutine in a loop writes captured map %s; concurrent map writes fault — collect per-goroutine results and merge after the join",
+				exprString(x.X))
+		case *types.Slice, *types.Array, *types.Pointer:
+			if !w.localIndex(x.Index) {
+				w.report(lhs.Pos(),
+					"goroutine in a loop writes captured slice %s at an index that is not goroutine-local; disjoint-slot writes must index with a closure parameter or local",
+					exprString(x.X))
+			}
+		}
+	case *ast.SelectorExpr, *ast.StarExpr:
+		w.report(lhs.Pos(),
+			"goroutine in a loop writes shared state through captured %s; shared mutation from loop workers needs a lock (//popt:guardedby) or a frozen constructor, not a bare captured pointer",
+			root.Name())
+	}
+}
+
+// local reports whether obj is declared inside the loop-launched
+// goroutine's closure (parameters and locals), making writes through it
+// goroutine-private.
+func (w *shareWalker) local(obj types.Object) bool {
+	return obj.Pos() >= w.capture.Pos() && obj.Pos() <= w.capture.End()
+}
+
+// localIndex reports whether every variable in an index expression is
+// goroutine-local — the disjoint-slot proof.
+func (w *shareWalker) localIndex(index ast.Expr) bool {
+	local := true
+	ast.Inspect(index, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if v, ok := w.an.pass.TypesInfo.Uses[id].(*types.Var); ok && !w.local(v) {
+				local = false
+			}
+		}
+		return local
+	})
+	return local
+}
+
 // pkgLevelFrozen reports whether obj is a package-level variable of frozen
 // type: such a variable is published by construction. Only meaningful in
 // entry mode — summaries blame exactly their subject.
-func (w *freezeWalker) pkgLevelFrozen(obj types.Object) bool {
-	if w.summary != nil {
-		return false
-	}
-	if _, ok := obj.(*types.Var); !ok {
+func (w *shareWalker) pkgLevelFrozen(obj types.Object) bool {
+	if _, ok := obj.(*types.Var); !ok || w.summary != nil {
 		return false
 	}
 	return isPackageLevel(obj) && w.an.isFrozen(obj.Type())
@@ -757,124 +996,152 @@ func (w *freezeWalker) pkgLevelFrozen(obj types.Object) bool {
 // is frozen, returning the owner's name. Promoted selections (reaching the
 // field through embedding) count: the embedded frozen value is shared
 // whatever wrapper it rides in.
-func (w *freezeWalker) frozenFieldOwner(sel *ast.SelectorExpr) (string, bool) {
+func (w *shareWalker) frozenFieldOwner(sel *ast.SelectorExpr) (string, bool) {
 	s, ok := w.an.pass.TypesInfo.Selections[sel]
 	if !ok || s.Kind() != types.FieldVal {
 		return "", false
 	}
-	// Walk the selection index through the receiver type to find the
-	// struct that declares the field.
+	// Walk the selection index through the receiver type to the struct
+	// that declares the field.
 	t := s.Recv()
 	index := s.Index()
-	for depth, i := range index {
-		t = derefAll(t)
-		st, ok := t.Underlying().(*types.Struct)
+	for _, i := range index[:len(index)-1] {
+		st, ok := derefAll(t).Underlying().(*types.Struct)
 		if !ok {
-			return "", false
-		}
-		if depth == len(index)-1 {
-			if w.an.isFrozen(t) {
-				return typeShort(t), true
-			}
 			return "", false
 		}
 		t = st.Field(i).Type()
 	}
+	if w.an.isFrozen(t) {
+		return typeShort(t), true
+	}
 	return "", false
 }
 
-// --- expression evaluation --------------------------------------------
+// access checks one use of a selected field against its //popt:guardedby
+// guard; write marks the field as the target of a store.
+func (w *shareWalker) access(sel *ast.SelectorExpr, write bool) {
+	if w.summary != nil {
+		return
+	}
+	pass := w.an.pass
+	s, ok := pass.TypesInfo.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return
+	}
+	spec, ok := w.an.guards[s.Obj().(*types.Var)]
+	if !ok {
+		return
+	}
+	h := holdNone
+	if root, _ := writeRoot(pass, sel.X); root != nil {
+		h = w.held[guardKey{root: root, guard: spec.guard}]
+	}
+	switch {
+	case !spec.once && h == holdNone:
+		w.report(sel.Pos(),
+			"%s accesses %s without holding %s (//popt:guardedby); lock %s around the access",
+			w.fd.Name.Name, exprString(sel), spec.name, spec.name)
+	case spec.once && write && h != holdAll:
+		w.report(sel.Pos(),
+			"%s writes %s, which is guarded by sync.Once %s, outside its Do closure; a once-guarded field is written only inside the Do",
+			w.fd.Name.Name, exprString(sel), spec.name)
+	case spec.once && h == holdNone:
+		w.report(sel.Pos(),
+			"%s accesses %s, which is guarded by sync.Once %s, outside its Do; read it inside the Do closure or after the Do call",
+			w.fd.Name.Name, exprString(sel), spec.name)
+	}
+}
+
+// --- expressions -----------------------------------------------------------
 
 // eval classifies e and returns its kind plus, when the value is rooted at
-// a tracked object, that root (used for publication kills).
-func (w *freezeWalker) eval(e ast.Expr) (freezeKind, types.Object) {
+// a tracked object, that root (used for publication kills). Every field
+// selection it passes through is checked as a guarded read.
+func (w *shareWalker) eval(e ast.Expr) (freezeKind, types.Object) {
+	pass := w.an.pass
 	switch x := e.(type) {
-	case nil:
-		return fkNone, nil
 	case *ast.Ident:
-		obj := w.an.pass.TypesInfo.Uses[x]
+		obj := pass.TypesInfo.Uses[x]
 		if obj == nil {
-			obj = w.an.pass.TypesInfo.Defs[x]
+			obj = pass.TypesInfo.Defs[x]
 		}
 		switch {
 		case obj == nil || isTypeOrFunc(obj):
-			return fkNone, nil
 		case w.fresh[obj]:
 			return fkFresh, obj
 		case w.store[obj]:
 			return fkStore, obj
-		case w.pub[obj]:
-			return fkPub, obj
-		case w.pkgLevelFrozen(obj):
+		case w.pub[obj] || w.pkgLevelFrozen(obj):
 			return fkPub, obj
 		}
 		return fkNone, nil
 	case *ast.ParenExpr:
 		return w.eval(x.X)
 	case *ast.CompositeLit:
+		// A frozen literal is fresh, and so is a container literal of
+		// fresh values (`[]*Adj{&g.Out, &g.In}` during construction).
+		kind := fkNone
 		for _, el := range x.Elts {
-			w.eval(el)
-		}
-		if w.summary == nil {
-			if tv, ok := w.an.pass.TypesInfo.Types[x]; ok && w.an.isFrozen(tv.Type) {
-				return fkFresh, nil
+			if k, _ := w.eval(el); k == fkFresh {
+				kind = fkFresh
 			}
 		}
-		return fkNone, nil
+		if w.summary == nil && w.an.isFrozen(typeOf(pass, x)) {
+			return fkFresh, nil
+		}
+		return kind, nil
 	case *ast.KeyValueExpr:
 		return w.eval(x.Value)
 	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			if cl, ok := x.X.(*ast.CompositeLit); ok {
-				return w.eval(cl)
-			}
-			k, root := w.eval(x.X)
-			switch k {
-			case fkFresh:
-				return fkFresh, root
-			case fkPub, fkStore:
-				return fkStore, root
-			}
-			// &expr where a prefix of expr is frozen: pointer into frozen
-			// storage (e.g. &g.In on a published Graph).
-			if w.chainTouchesFrozen(x.X) {
-				return fkStore, nil
-			}
+		if x.Op != token.AND {
+			w.eval(x.X)
 			return fkNone, nil
 		}
-		w.eval(x.X)
+		if cl, ok := x.X.(*ast.CompositeLit); ok {
+			return w.eval(cl)
+		}
+		switch k, root := w.eval(x.X); k {
+		case fkFresh:
+			return fkFresh, root
+		case fkPub, fkStore:
+			return fkStore, root
+		}
+		// &expr where a prefix of expr is frozen: pointer into frozen
+		// storage (e.g. &g.In on a published Graph).
+		if w.chainTouchesFrozen(x.X) {
+			return fkStore, nil
+		}
 		return fkNone, nil
 	case *ast.StarExpr:
 		k, root := w.eval(x.X)
 		return w.project(e, k), root
 	case *ast.SelectorExpr:
+		w.access(x, false)
 		baseKind, baseRoot := w.eval(x.X)
 		// A frozen-typed selection inherits the base: fresh stays fresh,
 		// published stays published; untracked bases stay untracked (a
 		// helper's writes through its parameters are judged at call
 		// sites).
-		if tv, ok := w.an.pass.TypesInfo.Types[e]; ok && w.an.isFrozen(tv.Type) {
-			switch baseKind {
-			case fkFresh:
+		if w.an.isFrozen(typeOf(pass, e)) {
+			switch {
+			case baseKind == fkFresh:
 				return fkFresh, baseRoot
-			case fkPub, fkStore:
+			case baseKind != fkNone:
 				return fkPub, nil
-			}
-			// A frozen value reached through package-level state is
-			// published even when the container itself is not frozen.
-			if w.summary == nil && w.rootedAtPackageLevel(x.X) {
+			case w.summary == nil && w.rootedAtPackageLevel(x.X):
+				// A frozen value reached through package-level state is
+				// published even when the container itself is not frozen.
 				return fkPub, nil
 			}
 			return fkNone, nil
 		}
 		if _, isFrozenField := w.frozenFieldOwner(x); isFrozenField {
-			switch baseKind {
-			case fkFresh:
+			switch {
+			case baseKind == fkFresh:
 				return fkFresh, baseRoot
-			case fkPub, fkStore:
-				if tv, ok := w.an.pass.TypesInfo.Types[e]; ok && refLike(tv.Type) {
-					return fkStore, nil
-				}
+			case baseKind != fkNone && refLike(typeOf(pass, e)):
+				return fkStore, nil
 			}
 			return fkNone, nil
 		}
@@ -885,25 +1152,16 @@ func (w *freezeWalker) eval(e ast.Expr) (freezeKind, types.Object) {
 		if pk := w.project(e, k); pk != fkNone {
 			return pk, root
 		}
-		// A frozen element pulled out of package-level state (a registry
-		// map, a cached suite) is published even when the container is
-		// not itself frozen.
-		if w.summary == nil {
-			if tv, ok := w.an.pass.TypesInfo.Types[e]; ok && w.an.isFrozen(tv.Type) && w.rootedAtPackageLevel(x.X) {
-				return fkPub, nil
-			}
+		// A frozen element read out of a container (a registry map, a
+		// cached suite) is published: storing it there published it.
+		if w.summary == nil && w.an.isFrozen(typeOf(pass, e)) {
+			return fkPub, nil
 		}
 		return fkNone, nil
 	case *ast.SliceExpr:
-		if x.Low != nil {
-			w.eval(x.Low)
-		}
-		if x.High != nil {
-			w.eval(x.High)
-		}
-		if x.Max != nil {
-			w.eval(x.Max)
-		}
+		w.eval(x.Low)
+		w.eval(x.High)
+		w.eval(x.Max)
 		return w.eval(x.X)
 	case *ast.TypeAssertExpr:
 		k, root := w.eval(x.X)
@@ -915,10 +1173,11 @@ func (w *freezeWalker) eval(e ast.Expr) (freezeKind, types.Object) {
 	case *ast.FuncLit:
 		// The closure body runs under the current state at some point;
 		// violations inside it are violations whenever it runs. Writes to
-		// currently-fresh values are constructor parallelism and allowed.
+		// currently-fresh values are constructor parallelism and allowed,
+		// and the closure holds the guards its caller holds.
 		c := w.fork()
 		c.walkStmt(x.Body)
-		w.merge(c)
+		w.joinFreeze(c)
 		return fkNone, nil
 	case *ast.CallExpr:
 		return w.evalCall(x)
@@ -937,48 +1196,37 @@ func isTypeOrFunc(obj types.Object) bool {
 
 // project classifies a projection (field/index/deref/assert) of a base
 // value.
-func (w *freezeWalker) project(e ast.Expr, base freezeKind) freezeKind {
+func (w *shareWalker) project(e ast.Expr, base freezeKind) freezeKind {
 	if base == fkNone {
 		return fkNone
 	}
 	tv, ok := w.an.pass.TypesInfo.Types[e]
-	if !ok {
+	switch {
+	case !ok:
 		return base
-	}
-	if w.an.isFrozen(tv.Type) {
-		if base == fkFresh {
-			return fkFresh
-		}
+	case w.an.isFrozen(tv.Type) && base == fkFresh:
+		return fkFresh
+	case w.an.isFrozen(tv.Type):
 		return fkPub
-	}
-	if base == fkFresh {
-		if refLike(tv.Type) {
-			return fkFresh
-		}
+	case !refLike(tv.Type):
 		return fkNone
+	case base == fkFresh:
+		return fkFresh
 	}
-	if refLike(tv.Type) {
-		return fkStore
-	}
-	return fkNone
+	return fkStore
 }
 
 // rootedAtPackageLevel reports whether e's access chain bottoms out in a
 // package-level variable (and is therefore reachable by every goroutine).
-func (w *freezeWalker) rootedAtPackageLevel(e ast.Expr) bool {
+func (w *shareWalker) rootedAtPackageLevel(e ast.Expr) bool {
 	root, _ := writeRoot(w.an.pass, e)
-	if root == nil {
-		return false
-	}
-	if _, ok := root.(*types.Var); !ok {
-		return false
-	}
-	return isPackageLevel(root)
+	_, ok := root.(*types.Var)
+	return ok && isPackageLevel(root)
 }
 
 // chainTouchesFrozen reports whether any selection in e's chain is a field
 // of a published frozen owner (for &-of-interior classification).
-func (w *freezeWalker) chainTouchesFrozen(e ast.Expr) bool {
+func (w *shareWalker) chainTouchesFrozen(e ast.Expr) bool {
 	for {
 		switch x := e.(type) {
 		case *ast.ParenExpr:
@@ -1001,9 +1249,108 @@ func (w *freezeWalker) chainTouchesFrozen(e ast.Expr) bool {
 	}
 }
 
-// --- calls -------------------------------------------------------------
+// --- calls -----------------------------------------------------------------
 
-func (w *freezeWalker) evalCall(call *ast.CallExpr) (freezeKind, types.Object) {
+// goCall walks a go statement. Arguments are evaluated at launch, on this
+// goroutine. A closure body runs on a new goroutine, which holds none of
+// the launcher's guards and, when launched inside a loop, writes captured
+// state only at disjoint slots.
+func (w *shareWalker) goCall(call *ast.CallExpr) {
+	fl, ok := call.Fun.(*ast.FuncLit)
+	if !ok {
+		w.evalCall(call)
+		return
+	}
+	for _, arg := range call.Args {
+		w.eval(arg)
+	}
+	g := w.fork()
+	g.held = map[guardKey]hold{}
+	if w.loops > 0 && w.summary == nil {
+		g.capture = fl
+		if rec := w.an.rec; rec != nil {
+			fn := w.an.pass.TypesInfo.Defs[w.fd.Name].(*types.Func)
+			rec.loopGo[fn.FullName()] = w.an.pass.Fset.Position(fl.Pos()).Filename
+		}
+	}
+	g.walkStmt(fl.Body)
+	w.joinFreeze(g)
+}
+
+// syncCall resolves sel to a method of a sync.Mutex or sync.Once and the
+// guard it acts on.
+func (w *shareWalker) syncCall(sel *ast.SelectorExpr) (string, guardKey, bool) {
+	fn, ok := w.an.pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return "", guardKey{}, false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return "", guardKey{}, false
+	}
+	if kind := syncTypeName(recv.Type()); kind != "Mutex" && kind != "Once" {
+		return "", guardKey{}, false
+	}
+	key, ok := w.guardKeyOf(sel)
+	return fn.Name(), key, ok
+}
+
+// guardKeyOf resolves the receiver chain of a sync method call to a
+// (root, guard-field) key. `a.mu.Lock()` yields (a, mu); the embedded
+// form `suiteCache.Lock()` resolves the promoted Mutex field through the
+// method selection's index path; a plain package-level `mu.Lock()` uses
+// the variable itself as both root and guard.
+func (w *shareWalker) guardKeyOf(sel *ast.SelectorExpr) (guardKey, bool) {
+	pass := w.an.pass
+	var guard *types.Var
+	base := sel.X
+	if s, ok := pass.TypesInfo.Selections[sel]; ok && len(s.Index()) > 1 {
+		// Promoted method: walk the field prefix to the guard field.
+		t := s.Recv()
+		for _, i := range s.Index()[:len(s.Index())-1] {
+			str, ok := derefAll(t).Underlying().(*types.Struct)
+			if !ok {
+				return guardKey{}, false
+			}
+			guard = str.Field(i)
+			t = guard.Type()
+		}
+	} else {
+		switch x := sel.X.(type) {
+		case *ast.SelectorExpr:
+			guard, _ = pass.TypesInfo.Uses[x.Sel].(*types.Var)
+			base = x.X
+		case *ast.Ident:
+			guard, _ = pass.TypesInfo.Uses[x].(*types.Var)
+		}
+	}
+	root, _ := writeRoot(pass, base)
+	if root == nil || guard == nil {
+		return guardKey{}, false
+	}
+	return guardKey{root: root, guard: guard}, true
+}
+
+// onceDo walks once.Do(f), the one owner of the sync.Once contract: inside
+// f the once's guarded fields may be read and written (f is their
+// constructor), and after the call they may only be read — Do's
+// happens-before edge orders every later read after the one write.
+func (w *shareWalker) onceDo(call *ast.CallExpr, key guardKey) {
+	for _, arg := range call.Args {
+		fl, ok := arg.(*ast.FuncLit)
+		if !ok {
+			w.eval(arg)
+			continue
+		}
+		c := w.fork()
+		c.held[key] = holdAll
+		c.walkStmt(fl.Body)
+		w.joinFreeze(c)
+	}
+	w.held[key] = max(w.held[key], holdRead)
+}
+
+func (w *shareWalker) evalCall(call *ast.CallExpr) (freezeKind, types.Object) {
 	pass := w.an.pass
 
 	// Type conversions propagate their operand.
@@ -1023,39 +1370,36 @@ func (w *freezeWalker) evalCall(call *ast.CallExpr) (freezeKind, types.Object) {
 		return w.evalBuiltin(name, call)
 	}
 
-	// sync.Once lazy construction: stores to e's fields inside
-	// e.once.Do(func(){...}) are constructor work by definition.
-	if w.onceDoConstruction(call) {
-		return fkNone, nil
-	}
-
-	// Immediately-invoked closure (including `go func(...){...}(...)`):
-	// arguments are evaluated, then the body runs under the current state.
-	if fl, ok := call.Fun.(*ast.FuncLit); ok {
-		for _, arg := range call.Args {
-			w.eval(arg)
-		}
-		c := w.fork()
-		c.walkStmt(fl.Body)
-		w.merge(c)
-		return fkNone, nil
-	}
-
-	// Resolve the callee and receiver.
+	// Resolve the callee and receiver; sync guard methods move the held
+	// set instead.
 	var callee *types.Func
-	var recvExpr ast.Expr
-	switch fun := call.Fun.(type) {
+	var recvExpr, fun ast.Expr
+	switch f := call.Fun.(type) {
 	case *ast.Ident:
-		callee, _ = pass.TypesInfo.Uses[fun].(*types.Func)
+		callee, _ = pass.TypesInfo.Uses[f].(*types.Func)
 	case *ast.SelectorExpr:
-		callee, _ = pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		if s, ok := pass.TypesInfo.Selections[fun]; ok && s.Kind() == types.MethodVal {
-			recvExpr = fun.X
+		if method, key, ok := w.syncCall(f); ok {
+			w.eval(f.X)
+			switch method {
+			case "Lock":
+				w.held[key] = holdAll
+			case "Unlock":
+				delete(w.held, key)
+			case "Do":
+				w.onceDo(call, key)
+			}
+			return fkNone, nil
+		}
+		callee, _ = pass.TypesInfo.Uses[f.Sel].(*types.Func)
+		if s, ok := pass.TypesInfo.Selections[f]; ok && s.Kind() == types.MethodVal {
+			recvExpr = f.X
 		} else {
-			w.eval(fun.X)
+			w.eval(f)
 		}
 	default:
-		w.eval(call.Fun)
+		// Evaluated after the arguments: an immediately-invoked closure
+		// (including `go func(...){...}(...)`) runs its body after them.
+		fun = call.Fun
 	}
 
 	known := callee != nil && w.an.decls[callee] != nil
@@ -1069,23 +1413,21 @@ func (w *freezeWalker) evalCall(call *ast.CallExpr) (freezeKind, types.Object) {
 		k, root := w.eval(arg)
 		w.checkCallArg(callee, known, i, arg, k, root)
 	}
+	w.eval(fun)
 
 	// A call result of frozen type is a finished, published artifact:
 	// mutating a constructor's return value is exactly the bug to catch.
-	if w.summary == nil {
-		if tv, ok := pass.TypesInfo.Types[call]; ok && w.an.isFrozen(tv.Type) {
-			return fkPub, nil
-		}
+	if w.summary == nil && w.an.isFrozen(typeOf(pass, call)) {
+		return fkPub, nil
 	}
 	return fkNone, nil
 }
 
 // checkCallArg applies a callee's summary to one frozen-relevant argument.
-func (w *freezeWalker) checkCallArg(callee *types.Func, known bool, idx int, arg ast.Expr, kind freezeKind, root types.Object) {
-	if kind == fkNone {
-		return
-	}
-	if !known {
+func (w *shareWalker) checkCallArg(callee *types.Func, known bool, idx int, arg ast.Expr, kind freezeKind, root types.Object) {
+	switch {
+	case kind == fkNone:
+	case !known:
 		// Unknown callee (other package, interface, stdlib): reads are the
 		// norm for shared artifacts, so passing a published value is fine.
 		// A FRESH value handed to an unknown callee may be retained — end
@@ -1093,23 +1435,21 @@ func (w *freezeWalker) checkCallArg(callee *types.Func, known bool, idx int, arg
 		if kind == fkFresh {
 			w.publish(root)
 		}
-		return
-	}
-	s := w.an.summaryFor(callee, idx)
-	switch kind {
-	case fkFresh:
-		if s.publishes {
+	case kind == fkFresh:
+		if w.an.summaryFor(callee, idx).publishes {
 			w.publish(root)
 		}
-	case fkPub:
-		if s.writes {
-			w.problem(fproblemWrite, arg.Pos(), "via "+callee.Name()+": "+s.where,
+	default:
+		s := w.an.summaryFor(callee, idx)
+		if !s.writes {
+			return
+		}
+		if kind == fkPub {
+			w.writeProblem(arg.Pos(), "via "+callee.Name()+": "+s.where,
 				"%s passes published frozen %s to %s, which stores to it (%s); frozen shared artifacts are immutable once they escape their constructor",
 				w.fd.Name.Name, typeShort(typeOf(w.an.pass, arg)), callee.Name(), s.where)
-		}
-	case fkStore:
-		if s.writes {
-			w.problem(fproblemWrite, arg.Pos(), "via "+callee.Name()+": "+s.where,
+		} else {
+			w.writeProblem(arg.Pos(), "via "+callee.Name()+": "+s.where,
 				"%s passes an alias of frozen shared storage to %s, which writes through it (%s)",
 				w.fd.Name.Name, callee.Name(), s.where)
 		}
@@ -1123,54 +1463,7 @@ func typeOf(pass *Pass, e ast.Expr) types.Type {
 	return types.Typ[types.Invalid]
 }
 
-// onceDoConstruction recognizes e.once.Do(func(){...}) where once is a
-// sync.Once field of e, and walks the closure with e treated as fresh: the
-// Do body is the value's lazy constructor, run exactly once before any
-// reader sequences after the Do. Returns true if the call was handled.
-func (w *freezeWalker) onceDoConstruction(call *ast.CallExpr) bool {
-	fun, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || fun.Sel.Name != "Do" {
-		return false
-	}
-	callee, ok := w.an.pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-	if !ok || callee.Pkg() == nil || callee.Pkg().Path() != "sync" {
-		return false
-	}
-	// fun.X must be <base>.once (a field selection on a plain identifier);
-	// the lazily constructed value is that identifier.
-	onceSel, ok := fun.X.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	baseIdent, ok := onceSel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	obj := w.an.pass.TypesInfo.Uses[baseIdent]
-	if obj == nil || len(call.Args) != 1 {
-		return false
-	}
-	fl, ok := call.Args[0].(*ast.FuncLit)
-	if !ok {
-		// Do(name): evaluate conservatively and move on.
-		w.eval(call.Args[0])
-		return true
-	}
-	c := w.fork()
-	delete(c.pub, obj)
-	delete(c.store, obj)
-	c.fresh[obj] = true
-	c.walkStmt(fl.Body)
-	// State discovered inside the Do body stays local — the value is only
-	// fresh within its own once — but summary bits found there propagate.
-	if w.summary != nil {
-		w.summary.writes = w.summary.writes || c.summary.writes
-		w.summary.publishes = w.summary.publishes || c.summary.publishes
-	}
-	return true
-}
-
-func (w *freezeWalker) evalBuiltin(name string, call *ast.CallExpr) (freezeKind, types.Object) {
+func (w *shareWalker) evalBuiltin(name string, call *ast.CallExpr) (freezeKind, types.Object) {
 	switch name {
 	case "new":
 		if w.summary == nil && len(call.Args) == 1 {
@@ -1184,32 +1477,32 @@ func (w *freezeWalker) evalBuiltin(name string, call *ast.CallExpr) (freezeKind,
 		var root types.Object
 		for i, arg := range call.Args {
 			ak, ar := w.eval(arg)
-			if i == 0 {
-				k, root = ak, ar
-				if ak == fkStore || ak == fkPub {
-					w.problem(fproblemWrite, arg.Pos(), "append("+exprString(arg)+", ...)",
-						"%s appends to frozen shared storage (%s); append may write the shared backing array in place",
-						w.fd.Name.Name, exprString(arg))
-				}
+			if i > 0 {
+				continue
+			}
+			k, root = ak, ar
+			if ak == fkStore || ak == fkPub {
+				w.writeProblem(arg.Pos(), "append("+exprString(arg)+", ...)",
+					"%s appends to frozen shared storage (%s); append may write the shared backing array in place",
+					w.fd.Name.Name, exprString(arg))
 			}
 		}
 		return k, root
 	case "copy":
 		if len(call.Args) == 2 {
 			if dk, _ := w.eval(call.Args[0]); dk == fkStore || dk == fkPub {
-				w.problem(fproblemWrite, call.Args[0].Pos(), "copy("+exprString(call.Args[0])+", ...)",
+				w.writeProblem(call.Args[0].Pos(), "copy("+exprString(call.Args[0])+", ...)",
 					"%s copies into frozen shared storage (%s); frozen artifacts are immutable once published",
 					w.fd.Name.Name, exprString(call.Args[0]))
 			}
 			w.eval(call.Args[1])
 		}
 		return fkNone, nil
-	default:
-		for _, arg := range call.Args {
-			w.eval(arg)
-		}
-		return fkNone, nil
 	}
+	for _, arg := range call.Args {
+		w.eval(arg)
+	}
+	return fkNone, nil
 }
 
 // writeRoot walks an LHS chain to its root object, reporting whether the

@@ -1,7 +1,7 @@
-// Package capture exercises the loopcapture analyzer with the goroutine
-// shapes the sweep engine and parallel fills use: worker pools draining a
-// channel, range-sharded builders passing bounds as arguments, and the
-// disjoint-slot error slice.
+// Package capture exercises the capture contract of the sharefreeze
+// analyzer with the goroutine shapes the sweep engine and parallel fills
+// use: worker pools draining a channel, range-sharded builders passing
+// bounds as arguments, and the disjoint-slot error slice.
 package capture
 
 import "sync"
@@ -58,22 +58,23 @@ func disjointSlot(n int, errs []error) {
 	wg.Wait()
 }
 
-// capturesLoopVar references the iteration variable from inside the
-// closure instead of passing it.
+// capturesLoopVar reads the iteration variable from inside the closure.
+// Since Go 1.22 every iteration has its own variable, so this is not a
+// defect.
 func capturesLoopVar(n int) {
 	for i := 0; i < n; i++ {
-		go use(i) // evaluated at launch: fine, and not a closure anyway
+		go use(i)
 		go func() {
-			use(i) // want `goroutine launched inside a loop captures loop variable i; pass it as a call argument`
+			use(i)
 		}()
 	}
 }
 
-// capturesRangeVar is the range-clause form of the same mistake.
+// capturesRangeVar is the range-clause form of the same read.
 func capturesRangeVar(gs []int) {
 	for _, g := range gs {
 		go func() {
-			use(g) // want `goroutine launched inside a loop captures loop variable g`
+			use(g)
 		}()
 	}
 }
@@ -140,8 +141,8 @@ func localWrite(n int) {
 	}
 }
 
-// outsideLoop: a lone goroutine is out of this analyzer's jurisdiction
-// (there is no per-iteration fan-out to race with).
+// outsideLoop: a lone goroutine is out of the capture contract's
+// jurisdiction (there is no per-iteration fan-out to race with).
 func outsideLoop() {
 	flag := 0
 	go func() {
@@ -155,7 +156,7 @@ func allowed(n int) {
 	done := 0
 	for j := 0; j < n; j++ {
 		go func() {
-			done = 1 //lint:allow loopcapture
+			done = 1 //lint:allow sharefreeze
 		}()
 	}
 	use(done)

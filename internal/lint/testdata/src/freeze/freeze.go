@@ -1,9 +1,7 @@
-// Package freeze exercises the sharefreeze analyzer: Table stands in for
-// the Rereference Matrix artifacts (core.Table, core.LineRefs, the graph
+// Package freeze exercises the freeze contract of the sharefreeze
+// analyzer: Table stands in for the artifacts (core.LineRefs, the graph
 // CSR arrays) that sweep cells share read-only.
 package freeze
-
-import "sync"
 
 // Table is the shared artifact under test.
 //
@@ -81,6 +79,14 @@ func PublishThenWrite(n int) {
 	t.entries[1] = 2 // want `stores to t\.entries\[\.\.\.\], mutating frozen Table after publication`
 }
 
+// SendThenWrite hands a fresh table to a channel and keeps writing: the
+// receiver shares it from the send on.
+func SendThenWrite(ch chan *Table) {
+	t := &Table{}
+	ch <- t
+	t.epochs = 2 // want `stores to t\.epochs, mutating frozen Table after publication`
+}
+
 // HelperChainWrite passes a published table into a helper chain; the
 // diagnostic names the offending store two calls down.
 func HelperChainWrite() {
@@ -142,41 +148,32 @@ func Register(k string, n int) {
 	t.epochs = 1 // want `stores to t\.epochs, mutating frozen Table after publication`
 }
 
-// entry mirrors the artifact-cache value types: lazy construction behind
-// the value's own sync.Once.
-//
-//popt:frozen
-type entry struct {
-	once sync.Once
-	t    *Table
-}
+// suite returns a fresh slice of published tables, like the suite cache.
+func suite() []*Table { return []*Table{shared} }
 
-var entries = map[string]*entry{}
-
-// lazy initializes the entry inside its own Once: construction by
-// definition, so the stores are legal.
-func lazy(e *entry, n int) *Table {
-	e.once.Do(func() {
-		e.t = Build(n)
-	})
-	return e.t
-}
-
-// Lookup exercises the full cache idiom end to end.
-func Lookup(k string, n int) *Table {
-	e := entries[k]
-	if e == nil {
-		e = &entry{}
-		entries[k] = e
+// RangeAlias writes a published table's storage through an alias taken
+// while ranging over a returned suite: an element read out of a container
+// is published.
+func RangeAlias() {
+	for _, t := range suite() {
+		es := t.entries
+		es[0] = 1 // want `RangeAlias writes frozen shared storage through alias es`
 	}
-	return lazy(e, n)
 }
 
-// MutateEntry writes an entry field outside its Once after pulling it out
-// of package-level state.
-func MutateEntry(k string) {
-	e := entries[k]
-	e.t = nil // want `stores to e\.t, mutating frozen entry after publication`
+// ReslotSuite writes the returned slice itself, which is the caller's own.
+func ReslotSuite() {
+	ts := suite()
+	ts[0] = nil
+}
+
+// BuildPair fills two fresh tables through a literal of them.
+func BuildPair() (*Table, *Table) {
+	a, b := &Table{}, &Table{}
+	for _, t := range []*Table{a, b} {
+		t.epochs = 1
+	}
+	return a, b
 }
 
 // Exported mutators are flagged at the declaration: external callers are

@@ -1,6 +1,7 @@
-// Package guard exercises the lockguard analyzer with the three guard
-// shapes the artifact caches use: a named mutex field, an embedded mutex
-// on a package variable, and a per-entry sync.Once.
+// Package guard exercises the guard contract of the sharefreeze analyzer
+// with the three guard shapes the artifact caches use: a named mutex
+// field, an embedded mutex on a package variable, and a per-entry
+// sync.Once.
 package guard
 
 import "sync"
@@ -73,6 +74,16 @@ func (c *cache) branchMerge(k string, b bool) {
 	c.n++ // want `branchMerge accesses c\.n without holding mu`
 }
 
+// unlockOnBranch releases the lock on one path only: after the join the
+// lock is not held.
+func (c *cache) unlockOnBranch(k string, b bool) {
+	c.mu.Lock()
+	if b {
+		c.mu.Unlock()
+	}
+	c.m[k] = 1 // want `unlockOnBranch accesses c\.m without holding mu`
+}
+
 // registry uses an embedded mutex on a package variable, like the graph
 // suite cache.
 var registry struct {
@@ -111,6 +122,49 @@ func badLazy(e *entry) int {
 	return e.v // want `badLazy accesses e\.v, which is guarded by sync\.Once once, outside its Do`
 }
 
+// writeAfterDo overwrites the once-published value after its Do: readers
+// sequenced after the Do race with this write.
+func writeAfterDo(e *entry) {
+	e.once.Do(func() {
+		e.v = 42
+	})
+	e.v = 7 // want `writeAfterDo writes e\.v, which is guarded by sync\.Once once, outside its Do closure`
+}
+
+// cell mirrors the sweep artifact cache: cells looked up in a package
+// map, each built lazily inside its own Once.
+type cell struct {
+	once sync.Once
+	t    []int //popt:guardedby once
+}
+
+var cells = map[string]*cell{}
+
+// lazyCell builds the cell inside its Once and reads it after the Do.
+func lazyCell(e *cell, n int) []int {
+	e.once.Do(func() {
+		e.t = make([]int, n)
+	})
+	return e.t
+}
+
+// Lookup exercises the full cache idiom end to end.
+func Lookup(k string, n int) []int {
+	e := cells[k]
+	if e == nil {
+		e = &cell{}
+		cells[k] = e
+	}
+	return lazyCell(e, n)
+}
+
+// MutateEntry writes a cell's payload outside its Once after pulling it
+// out of package-level state.
+func MutateEntry(k string) {
+	e := cells[k]
+	e.t = nil // want `MutateEntry writes e\.t, which is guarded by sync\.Once once, outside its Do closure`
+}
+
 // badAnnotation names a guard that does not exist in the struct.
 type badAnnotation struct {
 	v int //popt:guardedby gone // want `//popt:guardedby gone on v names no sibling field`
@@ -119,10 +173,10 @@ type badAnnotation struct {
 // badGuardType names a sibling that is not a sync primitive.
 type badGuardType struct {
 	g int
-	v int //popt:guardedby g // want `not a sync\.Mutex, sync\.RWMutex, or sync\.Once`
+	v int //popt:guardedby g // want `not a sync\.Mutex or sync\.Once`
 }
 
 // allowed demonstrates suppression for single-threaded test asserts.
 func (c *cache) allowed(k string) int {
-	return c.m[k] //lint:allow lockguard
+	return c.m[k] //lint:allow sharefreeze
 }
