@@ -96,6 +96,9 @@ func main() {
 			mu.Lock()
 			defer mu.Unlock()
 			fmt.Fprintf(os.Stderr, "  %s %s (%s)\n", ev.Phase, ev.Key, ev.Elapsed.Round(time.Microsecond))
+			if ev.Err != nil {
+				fmt.Fprintf(os.Stderr, "  warning: %v\n", ev.Err)
+			}
 		}
 		graph.SuiteProgress = func(g *graph.Graph, elapsed time.Duration) {
 			mu.Lock()

@@ -141,9 +141,10 @@ func (c Config) runSetups(g *graph.Graph, name string, w *kernels.Workload, setu
 // kernel runs once (livePass), inside Corpus.Publish when a corpus is
 // set, so the same pass writes the cold entry. A failed publication
 // keeps the pass's results, drops only the entry and reports the pass as
-// live: results never depend on the corpus, only its reuse does. Every
-// path gives each run exactly the counters of a fresh live run
-// (golden-tested). The (g, name) identity is the stream's corpus key:
+// live, with the publish error (naming the cell and the corpus key) on
+// that PhaseEvent: results never depend on the corpus, only its reuse
+// does. Every path gives each run exactly the counters of a fresh live
+// run (golden-tested). The (g, name) identity is the stream's corpus key:
 // name must cover the kernel and its schedule.
 func runCell(g *graph.Graph, name string, w *kernels.Workload, runs []cellRun) []Result {
 	if len(runs) == 0 {
@@ -152,6 +153,7 @@ func runCell(g *graph.Graph, name string, w *kernels.Workload, runs []cellRun) [
 	cell := g.Name + "/" + name
 	checkUpperShape(cell, runs)
 	lead := runs[0].c
+	var publishErr error
 	if lead.Corpus != nil {
 		key := lead.StreamKey(g, name)
 		if ent := lead.Corpus.Lookup(key); ent != nil {
@@ -159,23 +161,25 @@ func runCell(g *graph.Graph, name string, w *kernels.Workload, runs []cellRun) [
 			for i, r := range runs {
 				start := r.c.phaseStart()
 				out[i] = ReplayLLCEntry(r.c, w, ent, r.s)
-				r.c.phaseDone(cell+"/"+r.s.Name, "replay", start)
+				r.c.phaseDone(cell+"/"+r.s.Name, "replay", start, nil)
 			}
 			return out
 		}
 		start := lead.phaseStart()
-		if out, _, err := publishPass(w, runs, key); out != nil {
-			phase := "record"
-			if err != nil {
-				phase = "live"
-			}
-			lead.phaseDone(cell, phase, start)
+		out, _, err := publishPass(w, runs, key)
+		phase := "record"
+		if err != nil {
+			phase = "live"
+			publishErr = fmt.Errorf("bench: cell %s: corpus entry %+v not published: %w", cell, key, err)
+		}
+		if out != nil {
+			lead.phaseDone(cell, phase, start, publishErr)
 			return out
 		}
 	}
 	start := lead.phaseStart()
 	out := livePass(w, runs, nil)
-	lead.phaseDone(cell, "live", start)
+	lead.phaseDone(cell, "live", start, publishErr)
 	return out
 }
 

@@ -21,6 +21,7 @@ import (
 type phaseLog struct {
 	mu     sync.Mutex
 	counts map[string]int // phase name -> events
+	errs   []string       // "phase: error" for every event carrying one
 }
 
 func (p *phaseLog) hook() func(PhaseEvent) {
@@ -28,6 +29,9 @@ func (p *phaseLog) hook() func(PhaseEvent) {
 	return func(e PhaseEvent) {
 		p.mu.Lock()
 		p.counts[e.Phase]++
+		if e.Err != nil {
+			p.errs = append(p.errs, e.Phase+": "+e.Err.Error())
+		}
 		p.mu.Unlock()
 	}
 }
@@ -197,7 +201,8 @@ func TestCorpusRunSetupsMatchesInMemory(t *testing.T) {
 // is open, so the pass and its encoding run and the final rename fails.
 // Either way the cell must still simulate every setup in one pass
 // reported as live, with the no-corpus counters, and leave no entry
-// behind.
+// behind; the live event carries the publish error, naming the cell and
+// the corpus key.
 func TestCorpusFailedPublishKeepsResults(t *testing.T) {
 	g := graph.Uniform(1<<10, 4<<10, 42)
 	setups := []Setup{DRRIPSetup(), LRUSetup(), HawkeyeSetup()}
@@ -240,6 +245,13 @@ func TestCorpusFailedPublishKeepsResults(t *testing.T) {
 		}
 		if _, err := os.Stat(dir); !os.IsNotExist(err) {
 			t.Errorf("publish failing %s: left %s behind (stat: %v)", when, dir, err)
+		}
+		if len(log.errs) != 1 {
+			t.Fatalf("publish failing %s: %d phase event(s) carry an error, want only the live one: %q", when, len(log.errs), log.errs)
+		}
+		cell, key := g.Name+"/PR", fmt.Sprintf("%+v", cc.StreamKey(g, "PR"))
+		if msg := log.errs[0]; !strings.HasPrefix(msg, "live: ") || !strings.Contains(msg, cell) || !strings.Contains(msg, key) {
+			t.Errorf("publish failing %s: phase error %q is not on the live event or does not name cell %s and corpus key %s", when, msg, cell, key)
 		}
 	}
 }

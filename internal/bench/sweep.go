@@ -61,6 +61,10 @@ type PhaseEvent struct {
 	Phase string
 	// Elapsed is the phase's wall-clock execution time.
 	Elapsed time.Duration
+	// Err is set only on the live phase of a cold cell whose corpus entry
+	// failed to publish; it names the cell and the corpus key. The cell's
+	// results stand: only the entry is missing.
+	Err error
 }
 
 // phaseStart returns the phase timestamp, or the zero time when no
@@ -74,9 +78,9 @@ func (c Config) phaseStart() time.Time {
 }
 
 // phaseDone emits one PhaseEvent if a callback is installed.
-func (c Config) phaseDone(key, phase string, start time.Time) {
+func (c Config) phaseDone(key, phase string, start time.Time, err error) {
 	if c.PhaseProgress != nil {
-		c.PhaseProgress(PhaseEvent{Key: key, Phase: phase, Elapsed: time.Since(start)}) //lint:allow determinism (host-side progress timing)
+		c.PhaseProgress(PhaseEvent{Key: key, Phase: phase, Elapsed: time.Since(start), Err: err}) //lint:allow determinism (host-side progress timing)
 	}
 }
 

@@ -3,9 +3,10 @@
 // invariants:
 //
 //   - bit-reproducible execution (determinism);
-//   - the cache.Policy contract: no writes to or retention of the borrowed
-//     tag row, followed by dataflow through aliases and helpers, and a
-//     Geometry.ReservedWays read in every policy (policycontract);
+//   - the cache.Policy contract: Victim names the borrowed tag row only
+//     to read it, measure it, copy it out or delegate it to another
+//     Victim, and every policy reads Geometry.ReservedWays
+//     (policycontract);
 //   - single-writer statistics counters (statsdiscipline);
 //   - publish safety of the inputs sweep cells share, in one walk of each
 //     function: frozen values written only while fresh, guarded fields

@@ -12,11 +12,11 @@ import (
 //
 //   - The borrow check. Victim's tags parameter aliases the Level's tag
 //     row for the set, so a write corrupts simulator state and a retained
-//     reference lets later fills mutate policy-held data. A
-//     reaching-definitions walk (borrowwalk.go) follows aliases of tags
-//     through locals, fields, closures, goroutines and same-package
-//     helpers, and flags every write through the borrow and every path on
-//     which it outlives the call.
+//     reference lets later fills mutate policy-held data. A use-site rule
+//     (borrow.go) lets Victim name tags only as a tags[i] read, the
+//     operand of len, cap or range, the source of copy or append, or the
+//     tags argument of another Victim, and flags every other use where
+//     it is made, so no alias is ever followed.
 //   - The ReservedWays obligation. Every type with both Bind(Geometry) and
 //     Victim must consult Geometry.ReservedWays somewhere in its own (or
 //     embedded) methods, or visibly delegate victim selection to another
@@ -29,42 +29,30 @@ import (
 // types and on self-contained test fixtures.
 var PolicyContract = &Analyzer{
 	Name: "policycontract",
-	Doc: "flags Policy.Victim implementations that write to or retain the " +
-		"borrowed tag row (following aliases through locals, fields, closures " +
-		"and helper calls), and Policy implementations that never consult " +
-		"Geometry.ReservedWays",
+	Doc: "flags Policy.Victim implementations that name the borrowed tag " +
+		"row other than as a tags[i] read, len/cap/range, the source of " +
+		"copy or append, or the tags argument of another Victim (writes, " +
+		"aliases, helper calls, closures, goroutines and sends are flagged " +
+		"where they are made), and Policy implementations that never " +
+		"consult Geometry.ReservedWays",
 	Run: runPolicyContract,
 }
 
 func runPolicyContract(pass *Pass) error {
-	an := &borrowAnalysis{
-		pass:       pass,
-		decls:      make(map[*types.Func]*ast.FuncDecl),
-		summaries:  make(map[summaryKey]paramSummary),
-		inProgress: make(map[summaryKey]bool),
-	}
-	// One scan indexes every body for the borrow check's helper summaries
-	// and groups methods by receiver base type for the ReservedWays
-	// obligation.
+	// One scan groups methods by receiver base type for the ReservedWays
+	// obligation and finds every Victim for both checks.
 	methods := make(map[string][]*ast.FuncDecl)
 	binds := make(map[string]*ast.FuncDecl)
 	var victims []*ast.FuncDecl
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok || fd.Body == nil || fd.Recv == nil || len(fd.Recv.List) == 0 {
 				continue
 			}
 			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			an.decls[fn] = fd
-			if fd.Recv == nil || len(fd.Recv.List) == 0 {
-				continue
-			}
 			name := recvTypeName(fd.Recv.List[0].Type)
-			if name == "" {
+			if !ok || name == "" {
 				continue
 			}
 			methods[name] = append(methods[name], fd)
@@ -77,7 +65,11 @@ func runPolicyContract(pass *Pass) error {
 		}
 	}
 	for _, victim := range victims {
-		an.checkVictim(victim)
+		for _, u := range tagUses(pass, victim) {
+			if u.form == "" {
+				pass.Reportf(u.pos, "%s", u.msg)
+			}
+		}
 		// The ReservedWays obligation only applies to full Policy
 		// implementations (Bind+Victim present).
 		typeName := recvTypeName(victim.Recv.List[0].Type)
@@ -125,12 +117,10 @@ func isVictimSig(fn *types.Func) bool {
 // isTagRow reports whether t is []uint64, the tag row Victim borrows.
 func isTagRow(t types.Type) bool {
 	sl, ok := t.(*types.Slice)
-	return ok && isTag(sl.Elem())
-}
-
-// isTag reports whether t is uint64, one borrowed tag.
-func isTag(t types.Type) bool {
-	b, ok := t.(*types.Basic)
+	if !ok {
+		return false
+	}
+	b, ok := sl.Elem().(*types.Basic)
 	return ok && b.Kind() == types.Uint64
 }
 
@@ -148,15 +138,6 @@ func isNamedStruct(t types.Type, name string) bool {
 	}
 	_, isStruct := named.Underlying().(*types.Struct)
 	return isStruct
-}
-
-// lhsObject returns the object an identifier defines or, failing that,
-// uses.
-func lhsObject(pass *Pass, id *ast.Ident) types.Object {
-	if obj := pass.TypesInfo.Defs[id]; obj != nil {
-		return obj
-	}
-	return pass.TypesInfo.Uses[id]
 }
 
 // readsReservedWays reports whether any method of typeName — or of a

@@ -382,8 +382,9 @@ func typeShort(t types.Type) string {
 
 // summaryFor computes (memoized) what fn does with its param-th parameter
 // (-1 = receiver) when that argument is a published frozen value.
-// Recursive cycles resolve optimistically, like policycontract's borrow
-// check; external and bodyless functions have no summary (zero value).
+// Recursive cycles resolve optimistically: the fixpoint of a self-call
+// adds nothing beyond what the body itself does. External and bodyless
+// functions have no summary (zero value).
 func (an *shareAnalysis) summaryFor(fn *types.Func, param int) freezeSummary {
 	key := freezeSumKey{fn, param}
 	if s, ok := an.summaries[key]; ok || an.inFlight[key] {
@@ -1531,4 +1532,58 @@ func writeRoot(pass *Pass, e ast.Expr) (types.Object, bool) {
 			return nil, deref
 		}
 	}
+}
+
+// lhsObject returns the object an identifier defines or, failing that,
+// uses.
+func lhsObject(pass *Pass, id *ast.Ident) types.Object {
+	if obj := pass.TypesInfo.Defs[id]; obj != nil {
+		return obj
+	}
+	return pass.TypesInfo.Uses[id]
+}
+
+// paramObject returns the object of fd's i-th parameter (flat index).
+func paramObject(pass *Pass, fd *ast.FuncDecl, i int) types.Object {
+	idx := 0
+	for _, field := range fd.Type.Params.List {
+		if len(field.Names) == 0 {
+			if idx == i {
+				return nil
+			}
+			idx++
+			continue
+		}
+		for _, name := range field.Names {
+			if idx == i {
+				if name.Name == "_" {
+					return nil
+				}
+				return pass.TypesInfo.Defs[name]
+			}
+			idx++
+		}
+	}
+	return nil
+}
+
+// isPackageLevel reports whether obj is a package-scope variable.
+func isPackageLevel(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	if !ok || v.Pkg() == nil {
+		return false
+	}
+	return v.Parent() == v.Pkg().Scope()
+}
+
+// builtinName resolves call.Fun to a builtin's name, if it is one.
+func builtinName(pass *Pass, fun ast.Expr) (string, bool) {
+	id, ok := fun.(*ast.Ident)
+	if !ok {
+		return "", false
+	}
+	if _, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok {
+		return id.Name, true
+	}
+	return "", false
 }

@@ -1,6 +1,7 @@
-// Package borrow exercises policycontract's borrow check: dataflow
-// tracking of the borrowed tag row through locals, helpers, embedding,
-// closures, and goroutines.
+// Package borrow exercises policycontract's borrow check on the ways the
+// borrowed tag row escapes Victim: helper calls, locals, closures,
+// goroutines, channels and package variables. Each is flagged where
+// Victim names tags, never further down an alias.
 package borrow
 
 type Geometry struct {
@@ -21,7 +22,7 @@ func (k *Keeper) Bind(g Geometry) { k.g = g }
 func (k *Keeper) stash(ls []uint64) { k.saved = ls }
 
 func (k *Keeper) Victim(set int, tags []uint64, acc Access) int {
-	k.stash(tags) // want `passes the borrowed tag row to stash, which retains it beyond the call`
+	k.stash(tags) // want `passes the borrowed tag row to stash;`
 	return k.g.ReservedWays
 }
 
@@ -37,7 +38,7 @@ func (h *Hoarder) Bind(g Geometry) { h.g = g }
 func remember(h *Hoarder, ls []uint64) { h.saved = ls }
 
 func (h *Hoarder) Victim(set int, tags []uint64, acc Access) int {
-	remember(h, tags) // want `passes the borrowed tag row to remember, which retains it beyond the call`
+	remember(h, tags) // want `passes the borrowed tag row to remember;`
 	return h.g.ReservedWays
 }
 
@@ -57,7 +58,7 @@ type Embedder struct {
 func (e *Embedder) Bind(g Geometry) { e.g = g }
 
 func (e *Embedder) Victim(set int, tags []uint64, acc Access) int {
-	e.keep(tags) // want `passes the borrowed tag row to keep, which retains it beyond the call`
+	e.keep(tags) // want `passes the borrowed tag row to keep;`
 	return e.g.ReservedWays
 }
 
@@ -76,7 +77,7 @@ func scrub(ls []uint64) {
 }
 
 func (s *Scrubber) Victim(set int, tags []uint64, acc Access) int {
-	scrub(tags) // want `passes the borrowed tag row to scrub, which writes through it`
+	scrub(tags) // want `passes the borrowed tag row to scrub;`
 	return s.g.ReservedWays
 }
 
@@ -92,12 +93,12 @@ func (p *Identity) Bind(g Geometry) { p.g = g }
 func tail(ls []uint64) []uint64 { return ls[1:] }
 
 func (p *Identity) Victim(set int, tags []uint64, acc Access) int {
-	t := tail(tags)
-	p.held = t // want `stores an alias of the borrowed tag row in p.held`
+	t := tail(tags) // want `passes the borrowed tag row to tail;`
+	p.held = t
 	return p.g.ReservedWays
 }
 
-// --- reaching-definitions kill: rebound alias is clean ------------------
+// --- an alias is flagged where it is made, even if it is dropped --------
 
 type Killer struct {
 	g    Geometry
@@ -107,9 +108,9 @@ type Killer struct {
 func (p *Killer) Bind(g Geometry) { p.g = g }
 
 func (p *Killer) Victim(set int, tags []uint64, acc Access) int {
-	x := tags
+	x := tags // want `stores an alias of the borrowed tag row in x;`
 	x = nil
-	p.held = x // clean: x was rebound before the store
+	p.held = x
 	return p.g.ReservedWays
 }
 
@@ -122,9 +123,9 @@ type ChainWriter struct {
 func (p *ChainWriter) Bind(g Geometry) { p.g = g }
 
 func (p *ChainWriter) Victim(set int, tags []uint64, acc Access) int {
-	a := tags[p.g.ReservedWays:]
+	a := tags[p.g.ReservedWays:] // want `stores an alias of the borrowed tag row in a;`
 	b := a
-	b[0] = 0 // want `writes the borrowed tag storage through b`
+	b[0] = 0
 	return p.g.ReservedWays
 }
 
@@ -167,8 +168,8 @@ type GoRunner struct {
 func (p *GoRunner) Bind(g Geometry) { p.g = g }
 
 func (p *GoRunner) Victim(set int, tags []uint64, acc Access) int {
-	go func() { // want `hands an alias of the borrowed tag row to a goroutine`
-		for i := range tags {
+	go func() {
+		for i := range tags { // want `hands an alias of the borrowed tag row to a goroutine`
 			_ = tags[i]
 		}
 	}()
@@ -186,7 +187,7 @@ type GlobalLeaker struct {
 func (p *GlobalLeaker) Bind(g Geometry) { p.g = g }
 
 func (p *GlobalLeaker) Victim(set int, tags []uint64, acc Access) int {
-	leaked = tags // want `stores an alias of the borrowed tag row in package variable leaked`
+	leaked = tags // want `stores an alias of the borrowed tag row in leaked;`
 	return p.g.ReservedWays
 }
 
@@ -207,7 +208,7 @@ func (p *Delegator) Victim(set int, tags []uint64, acc Access) int {
 	return p.inner.Victim(set, tags, acc) // clean: the delegate inherits the borrow contract
 }
 
-// --- value reads and copies are clean ------------------------------------
+// --- value reads are clean; a helper call is not, even a reading one -----
 
 type Reader struct {
 	g    Geometry
@@ -216,7 +217,7 @@ type Reader struct {
 
 func (p *Reader) Bind(g Geometry) { p.g = g }
 
-func degree(ls []uint64) int { return len(ls) } // reads only: clean helper
+func degree(ls []uint64) int { return len(ls) } // reads only, yet still a helper
 
 func (p *Reader) Victim(set int, tags []uint64, acc Access) int {
 	best := p.g.ReservedWays
@@ -227,7 +228,7 @@ func (p *Reader) Victim(set int, tags []uint64, acc Access) int {
 		}
 	}
 	p.last = tags[best] // scalar copy out of the borrow, safe
-	_ = degree(tags)
+	_ = degree(tags)    // want `passes the borrowed tag row to degree;`
 	return best
 }
 
@@ -245,6 +246,34 @@ func (p *DeepKeeper) hoard(ls []uint64) { p.pile = append(p.pile, ls) }
 func (p *DeepKeeper) relay(ls []uint64) { p.hoard(ls) }
 
 func (p *DeepKeeper) Victim(set int, tags []uint64, acc Access) int {
-	p.relay(tags) // want `passes the borrowed tag row to relay, which retains it beyond the call`
+	p.relay(tags) // want `passes the borrowed tag row to relay;`
+	return p.g.ReservedWays
+}
+
+// --- the other accepted forms, and the other escapes ---------------------
+
+type Forms struct {
+	g    Geometry
+	snap []uint64
+	out  chan []uint64
+}
+
+func (p *Forms) Bind(g Geometry) { p.g = g }
+
+func consume(ls []uint64) {}
+
+func (p *Forms) Victim(set int, tags []uint64, acc Access) int {
+	p.snap = append(p.snap[:0], tags...) // clean: copies the tags out
+	_ = cap(tags) + len((tags))          // clean
+	_ = (tags)[0]                        // clean: a read through parentheses
+	for _, tags[1] = range p.snap {      // want `writes the borrowed tag storage through tags`
+	}
+	var v = tags // want `in a form the borrow check does not accept`
+	_ = v
+	p.out <- tags            // want `in a form the borrow check does not accept`
+	go consume(tags)         // want `hands an alias of the borrowed tag row to a goroutine`
+	func() { _ = tags[0] }() // want `in a form the borrow check does not accept`
+	_ = [][]uint64{tags}     // want `in a form the borrow check does not accept`
+	_ = []uint64(tags)       // want `in a form the borrow check does not accept`
 	return p.g.ReservedWays
 }

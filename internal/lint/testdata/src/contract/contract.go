@@ -1,7 +1,8 @@
 // Package contract exercises the policycontract analyzer with
 // self-contained replicas of the cache package's contract types: the
 // ReservedWays obligation, and the borrow check's direct write, retention
-// and pointer shapes (package borrow covers the dataflow ones).
+// and alias shapes (package borrow covers helpers, closures, goroutines
+// and the other escapes).
 package contract
 
 // Geometry mirrors cache.Geometry.
@@ -39,14 +40,16 @@ func (p *Mutator) Victim(set int, tags []uint64, acc Access) int {
 }
 
 // AliasMutator launders the write through a local alias and a re-slice.
+// Each alias is flagged where it is made, so the writes through it need
+// no finding of their own.
 type AliasMutator struct{ g Geometry }
 
 func (p *AliasMutator) Bind(g Geometry) { p.g = g }
 func (p *AliasMutator) Victim(set int, tags []uint64, acc Access) int {
-	ls := tags
-	ls[0] = 0 // want "Victim writes the borrowed tag storage through ls"
-	sub := tags[1:]
-	sub[0] |= 1 // want "Victim writes the borrowed tag storage through sub"
+	ls := tags // want "Victim stores an alias of the borrowed tag row in ls"
+	ls[0] = 0
+	sub := tags[1:] // want "Victim stores an alias of the borrowed tag row in sub"
+	sub[0] |= 1
 	return p.g.ReservedWays
 }
 
@@ -62,8 +65,8 @@ func (p *Retainer) Victim(set int, tags []uint64, acc Access) int {
 	return p.g.ReservedWays
 }
 
-// PtrTaker takes pointers into the borrowed row. Holding one is harmless;
-// writing through it or keeping it past the call is not.
+// PtrTaker takes pointers into the borrowed row. Each &tags[i] is an
+// alias, flagged where it is taken, whatever is later done through it.
 type PtrTaker struct {
 	g   Geometry
 	ptr *uint64
@@ -71,10 +74,10 @@ type PtrTaker struct {
 
 func (p *PtrTaker) Bind(g Geometry) { p.g = g }
 func (p *PtrTaker) Victim(set int, tags []uint64, acc Access) int {
-	r := &tags[0]
-	_ = *r // reading through the pointer is clean
-	q := &tags[1]
-	*q = 1           // want `Victim writes the borrowed tag storage through \*q`
+	r := &tags[0] // want "Victim stores an alias of the borrowed tag row in r"
+	_ = *r
+	q := &tags[1] // want "Victim stores an alias of the borrowed tag row in q"
+	*q = 1
 	p.ptr = &tags[2] // want "Victim stores an alias of the borrowed tag row in p.ptr"
 	return p.g.ReservedWays
 }
