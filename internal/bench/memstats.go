@@ -3,19 +3,20 @@ package bench
 import (
 	"fmt"
 
+	"popt/internal/core"
 	"popt/internal/mem"
 	"popt/internal/trace"
 )
 
 // MemStats reports the resident footprint of the shared artifacts a sweep
 // at this config would hold: per input graph, the adjacency bytes under
-// the resolved layout against the plain-CSR equivalent, plus the analytic
-// size of the one preprocessing artifact P-OPT and T-OPT cells share, the
-// merged transpose (core.LineRefs). The reref column is the analytic size
-// of the paper's Rereference Matrix table: what P-OPT's hardware stores,
-// which no sweep builds. The report is what -memstats prints and what
-// BENCH_memory.json records; building it costs one suite construction and
-// no simulation.
+// the resolved layout against the plain-CSR equivalent, plus the size of
+// the one preprocessing artifact P-OPT and T-OPT cells share, the merged
+// transpose (core.LineRefs), built for the graph's CSC. The reref column is
+// the analytic size of the paper's Rereference Matrix table: what P-OPT's
+// hardware stores, which no sweep builds. The report is what -memstats
+// prints and what BENCH_memory.json records; building it costs one suite
+// construction, one merged transpose per graph and no simulation.
 func MemStats(c Config) *Report {
 	lay := c.Layout.Resolve(c.Scale)
 	workers := trace.DefaultReplayWorkers()
@@ -26,19 +27,20 @@ func MemStats(c Config) *Report {
 			"adjacency = resident Out+In bytes under the resolved layout;",
 			"plain-equiv = the same adjacencies as plain CSR (8(n+1)+4m per direction);",
 			"reref = Rereference Matrix table at the paper's 8-bit default (one byte per entry);",
-			"linerefs = merged transpose for 4 B irregular elements (T-OPT artifact).",
+			"linerefs = merged transpose of the CSC as built for 4 B irregular elements (T-OPT artifact; each line keeps a reference once).",
 			fmt.Sprintf("Corpus replay windows are bounded separately at window x chunk = %s on this host (%d workers, 2x window, %s chunks).",
 				HumanBytes(uint64(2*workers*trace.DefaultChunkBytes)), workers, HumanBytes(trace.DefaultChunkBytes)),
 		},
 		Header: []string{"graph", "vertices", "edges", "adjacency", "plain-equiv", "ratio", "reref", "linerefs"},
 	}
+	epl := mem.LineSize / 4
 	var adjTotal, plainTotal, rrTotal, lrTotal uint64
 	for _, g := range c.Suite() {
 		n, m := g.NumVertices(), g.NumEdges()
 		adj := g.Out.MemBytes() + g.In.MemBytes()
 		plain := 2 * (8*uint64(n+1) + 4*uint64(m))
 		rr := rerefTableBytes(n, 8)
-		lr := lineRefsBytes(n, m)
+		lr := core.BuildLineRefs(&g.In, epl).MemBytes()
 		adjTotal += adj
 		plainTotal += plain
 		rrTotal += rr
@@ -72,15 +74,6 @@ func rerefTableBytes(n int, bits uint) uint64 {
 		width = 2
 	}
 	return width * uint64(lines) * uint64(epochs)
-}
-
-// lineRefsBytes is the analytic size of core.BuildLineRefs' product for a
-// 4 B-element irregular array (mem.LineSize/4 vertices per line): the
-// offset array plus one 4 B reference per edge.
-func lineRefsBytes(n, m int) uint64 {
-	epl := mem.LineSize / 4
-	lines := (n + epl - 1) / epl
-	return 8*uint64(lines+1) + 4*uint64(m)
 }
 
 // HumanBytes renders a byte count in binary units with two significant

@@ -8,10 +8,11 @@ import (
 	"popt/internal/mem"
 )
 
-// TestMemStatsAnalyticSizes pins the -memstats analytic formulas to the
-// real artifacts they describe: the Rereference Matrix table and merged
-// transpose built for a suite graph must occupy exactly the bytes the
-// report claims.
+// TestMemStatsAnalyticSizes pins the -memstats sizes to what they
+// describe: the Rereference Matrix table built for a suite graph must
+// occupy exactly the bytes the analytic formula claims, and the merged
+// transpose the report builds must hold one offset per line plus one 4 B
+// reference per distinct (line, vertex) pair, counted here with a map.
 func TestMemStatsAnalyticSizes(t *testing.T) {
 	for _, g := range graph.Suite(graph.ScaleTiny, 42) {
 		n := g.NumVertices()
@@ -22,9 +23,23 @@ func TestMemStatsAnalyticSizes(t *testing.T) {
 				t.Errorf("%s: %d-bit Table.MemBytes() = %d, analytic %d", g.Name, bits, got, want)
 			}
 		}
-		lr := core.BuildLineRefs(&g.In, epl)
-		if got, want := lr.MemBytes(), lineRefsBytes(n, g.NumEdges()); got != want {
-			t.Errorf("%s: LineRefs.MemBytes() = %d, analytic %d", g.Name, got, want)
+		type lineRef struct {
+			line int
+			v    graph.V
+		}
+		distinct := map[lineRef]bool{}
+		for v := 0; v < n; v++ {
+			for _, u := range g.In.Neighs(graph.V(v)) {
+				distinct[lineRef{v / epl, u}] = true
+			}
+		}
+		lines := (n + epl - 1) / epl
+		want := 8*uint64(lines+1) + 4*uint64(len(distinct))
+		if got := core.BuildLineRefs(&g.In, epl).MemBytes(); got != want {
+			t.Errorf("%s: LineRefs.MemBytes() = %d, distinct references give %d", g.Name, got, want)
+		}
+		if len(distinct) == g.NumEdges() {
+			t.Errorf("%s: no line shares a reference, so the count shows nothing", g.Name)
 		}
 	}
 }

@@ -36,7 +36,8 @@ type OracleStream struct {
 
 // LineRefs is the immutable merged-transpose table behind an
 // OracleStream and a P-OPT Matrix: for each cache line of the irregular
-// array, the sorted union of its vertices' reference positions. It never
+// array, the sorted union of its vertices' reference positions, each
+// position once however many of the line's vertices share it. It never
 // changes after construction, so one build serves the T-OPT and P-OPT
 // runs of any number of concurrent simulations.
 //
@@ -49,9 +50,9 @@ type LineRefs struct {
 }
 
 // BuildLineRefs merges the sorted neighbor lists of the vertices sharing
-// each cache line (elemsPerLine of them) into one sorted list per line.
-// Lines are independent, so the merge is partitioned across GOMAXPROCS
-// workers; the result is identical at every worker count.
+// each cache line (elemsPerLine of them) into one sorted, duplicate-free
+// list per line. Lines are independent, so the build is partitioned across
+// GOMAXPROCS workers; the result is identical at every worker count.
 func BuildLineRefs(ref *graph.Adj, elemsPerLine int) *LineRefs {
 	numLines := (ref.N() + elemsPerLine - 1) / elemsPerLine
 	workers := runtime.GOMAXPROCS(0)
@@ -61,86 +62,151 @@ func BuildLineRefs(ref *graph.Adj, elemsPerLine int) *LineRefs {
 	return buildLineRefs(ref, elemsPerLine, workers)
 }
 
-// buildLineRefs is BuildLineRefs at a fixed worker count.
+// buildLineRefs is BuildLineRefs at a fixed worker count. Each worker owns
+// a contiguous range of lines and makes two passes over it: the first
+// counts each line's distinct references into oa, and after a serial
+// prefix sum has placed every segment, the second merges them into the
+// exact-size refs. A reference that several of a line's vertices share is
+// kept once, and because the counts come first, no array ever holds the
+// repeats.
 func buildLineRefs(ref *graph.Adj, elemsPerLine, workers int) *LineRefs {
 	n := ref.N()
 	numLines := (n + elemsPerLine - 1) / elemsPerLine
 	lr := &LineRefs{oa: make([]uint64, numLines+1), epl: elemsPerLine}
-	total := uint64(0)
+	ws := lineWorkers(ref, elemsPerLine, numLines, workers)
+	eachWorker(ws, func(w *lineWorker) { lr.countLines(w, ref) })
 	for l := 0; l < numLines; l++ {
-		lr.oa[l] = total
-		lo, hi := l*elemsPerLine, (l+1)*elemsPerLine
-		if hi > n {
-			hi = n
-		}
-		for v := lo; v < hi; v++ {
-			total += uint64(ref.Degree(graph.V(v)))
-		}
+		lr.oa[l+1] += lr.oa[l]
 	}
-	lr.oa[numLines] = total
-	lr.refs = make([]graph.V, total)
-	if workers <= 1 {
-		lr.mergeLines(ref, elemsPerLine, 0, numLines)
-		return lr
-	}
-	var wg sync.WaitGroup
-	chunk := (numLines + workers - 1) / workers
-	for lo := 0; lo < numLines; lo += chunk {
-		hi := lo + chunk
-		if hi > numLines {
-			hi = numLines
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			lr.mergeLines(ref, elemsPerLine, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	lr.refs = make([]graph.V, lr.oa[numLines])
+	eachWorker(ws, func(w *lineWorker) { lr.mergeLines(w, ref) })
 	return lr
 }
 
-// mergeLines fills the reference segments of lines [lineLo, lineHi); each
-// worker of the parallel build owns a disjoint range. A segment starts as
-// the concatenation of its vertices' neighbor lists, each already sorted,
-// so it is merged run by run (mergeRuns) rather than sorted from scratch.
-// The merge scratch is sized to the range's longest segment, so only the
-// worker whose range holds a hub's line pays for that line's length.
-func (lr *LineRefs) mergeLines(ref *graph.Adj, elemsPerLine, lineLo, lineHi int) {
-	longest := uint64(0)
-	for l := lineLo; l < lineHi; l++ {
-		if d := lr.oa[l+1] - lr.oa[l]; d > longest {
-			longest = d
-		}
-	}
-	lr.mergeSegments(ref, elemsPerLine, lineLo, lineHi, make([]graph.V, longest), make([]int, elemsPerLine+1))
+// lineWorker is one worker's share of a LineRefs build: lines [lo, hi),
+// the cursor over their vertices' neighbor lists, the set of references
+// already seen in the current line (one bit per vertex ID), a scratch as
+// long as the range's longest segment before deduplication, and the run
+// bounds of one line (elemsPerLine+1 entries).
+type lineWorker struct {
+	lo, hi  int
+	it      graph.NeighborIter
+	seen    []uint64
+	scratch []graph.V
+	runs    []int
 }
 
-// mergeSegments is mergeLines' loop. scratch (at least the longest segment)
-// and runs (elemsPerLine+1 entries) are allocated by the caller, which
-// keeps this loop allocation-free.
+// lineWorkers splits numLines lines into at most workers contiguous ranges.
+// Each seen set starts with one bit per vertex of ref and grows on demand:
+// a tile's sub-adjacency (SubAdj) names neighbors beyond its own N().
+func lineWorkers(ref *graph.Adj, elemsPerLine, numLines, workers int) []lineWorker {
+	n := ref.N()
+	workers = max(workers, 1)
+	chunk := (numLines + workers - 1) / workers
+	var ws []lineWorker
+	for lo := 0; lo < numLines; lo += chunk {
+		hi := min(lo+chunk, numLines)
+		longest := 0
+		for l := lo; l < hi; l++ {
+			d := 0
+			for v := l * elemsPerLine; v < min((l+1)*elemsPerLine, n); v++ {
+				d += ref.Degree(graph.V(v))
+			}
+			longest = max(longest, d)
+		}
+		ws = append(ws, lineWorker{
+			lo: lo, hi: hi,
+			seen:    make([]uint64, (n+63)/64),
+			scratch: make([]graph.V, longest),
+			runs:    make([]int, elemsPerLine+1),
+		})
+	}
+	return ws
+}
+
+// eachWorker runs fn once per worker, inline for one and concurrently
+// otherwise.
+func eachWorker(ws []lineWorker, fn func(w *lineWorker)) {
+	if len(ws) == 1 {
+		fn(&ws[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for i := range ws {
+		wg.Add(1)
+		go func(w *lineWorker) {
+			defer wg.Done()
+			fn(w)
+		}(&ws[i])
+	}
+	wg.Wait()
+}
+
+// countLines stores the number of distinct references of each of w's
+// lines at oa[l+1].
+func (lr *LineRefs) countLines(w *lineWorker, ref *graph.Adj) {
+	w.it = ref.IterFrom(graph.V(w.lo * lr.epl))
+	n := ref.N()
+	for l := w.lo; l < w.hi; l++ {
+		c, _ := w.gather(l*lr.epl, min((l+1)*lr.epl, n), w.scratch)
+		lr.oa[l+1] = uint64(c)
+	}
+}
+
+// mergeLines fills the segments of w's lines. Each of a line's vertices
+// contributes the references of its sorted neighbor list not yet seen in
+// the line, a sorted run, so the segment is merged run by run (mergeRuns)
+// rather than sorted from scratch.
+func (lr *LineRefs) mergeLines(w *lineWorker, ref *graph.Adj) {
+	w.it = ref.IterFrom(graph.V(w.lo * lr.epl))
+	n := ref.N()
+	for l := w.lo; l < w.hi; l++ {
+		seg := lr.refs[lr.oa[l]:lr.oa[l+1]]
+		_, k := w.gather(l*lr.epl, min((l+1)*lr.epl, n), seg)
+		mergeRuns(seg, w.scratch[:len(seg)], w.runs[:k+1])
+	}
+}
+
+// gather writes the neighbors of vertices [vlo, vhi), the next ones w's
+// cursor yields, into dst, leaving out any already written: one sorted
+// run per vertex that adds a reference. It returns the count c and the
+// run count k, with w.runs[:k+1] bounding the runs, and leaves the seen
+// set empty again.
 //
 //popt:hot
-func (lr *LineRefs) mergeSegments(ref *graph.Adj, elemsPerLine, lineLo, lineHi int, scratch []graph.V, runs []int) {
-	n := ref.N()
-	for l := lineLo; l < lineHi; l++ {
-		seg := lr.refs[lr.oa[l]:lr.oa[l+1]]
-		lo, hi := l*elemsPerLine, (l+1)*elemsPerLine
-		if hi > n {
-			hi = n
-		}
-		// runs[:k+1] bounds the k non-empty neighbor lists in seg.
-		k, w := 0, 0
-		runs[0] = 0
-		for v := lo; v < hi; v++ {
-			if c := ref.CopyNeighbors(seg[w:], graph.V(v)); c > 0 {
-				w += c
-				k++
-				runs[k] = w
+func (w *lineWorker) gather(vlo, vhi int, dst []graph.V) (c, k int) {
+	seen, runs := w.seen, w.runs
+	runs[0] = 0
+	for v := vlo; v < vhi; v++ {
+		ns, _ := w.it.Next()
+		for _, u := range ns {
+			word := int(u >> 6)
+			if word >= len(seen) {
+				seen = growSeen(seen, word)
+				w.seen = seen
+			}
+			if bit := uint64(1) << (u & 63); seen[word]&bit == 0 {
+				seen[word] |= bit
+				dst[c] = u
+				c++
 			}
 		}
-		mergeRuns(seg, scratch[:len(seg)], runs[:k+1])
+		if c > runs[k] {
+			k++
+			runs[k] = c
+		}
 	}
+	for _, u := range dst[:c] {
+		seen[u>>6] &^= 1 << (u & 63)
+	}
+	return c, k
+}
+
+// growSeen is gather's cold path: it extends seen to cover word.
+//
+//go:noinline
+func growSeen(seen []uint64, word int) []uint64 {
+	return append(seen, make([]uint64, word+1-len(seen))...)
 }
 
 // mergeRuns sorts a, the concatenation of the sorted runs

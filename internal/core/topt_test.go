@@ -13,24 +13,25 @@ import (
 
 // sortBuiltLineRefs is the reference merged transpose: each line's
 // segment is the concatenation of its vertices' neighbor lists, sorted
-// from scratch with graph.SortV. BuildLineRefs must match it exactly.
+// from scratch with graph.SortV, with repeats then dropped. BuildLineRefs
+// must match it exactly.
 func sortBuiltLineRefs(ref *graph.Adj, elemsPerLine int) *LineRefs {
 	n := ref.N()
 	numLines := (n + elemsPerLine - 1) / elemsPerLine
 	oa := make([]uint64, numLines+1)
+	var refs []graph.V
 	for l := 0; l < numLines; l++ {
-		oa[l+1] = oa[l]
+		var seg []graph.V
 		for v := l * elemsPerLine; v < (l+1)*elemsPerLine && v < n; v++ {
-			oa[l+1] += uint64(ref.Degree(graph.V(v)))
+			seg = append(seg, ref.Neighs(graph.V(v))...)
 		}
-	}
-	refs := make([]graph.V, oa[numLines])
-	for l := 0; l < numLines; l++ {
-		w := oa[l]
-		for v := l * elemsPerLine; v < (l+1)*elemsPerLine && v < n; v++ {
-			w += uint64(ref.CopyNeighbors(refs[w:], graph.V(v)))
+		graph.SortV(seg)
+		for i, u := range seg {
+			if i == 0 || u != seg[i-1] {
+				refs = append(refs, u)
+			}
 		}
-		graph.SortV(refs[oa[l]:w])
+		oa[l+1] = uint64(len(refs))
 	}
 	return &LineRefs{oa: oa, refs: refs}
 }
@@ -75,6 +76,83 @@ func TestBuildLineRefsMatchesSortBuild(t *testing.T) {
 					if got := BuildLineRefs(ref, epl).Checksum(); got != want {
 						t.Errorf("%s compact=%v dir=%d epl=%d: BuildLineRefs checksum %x, want %x",
 							g.Name, ref.IsCompact(), dir, epl, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLineRefsSeekMatchesNextAfter checks seek against an oracle that
+// never sees the merged table: for a random (line, x), the answer is the
+// smallest neighbor at or after x of any of the line's vertices, found with
+// Adj.NextAfter, in both layouts and directions at the three line
+// geometries. Each query is asked from the segment head and again resumed
+// from an earlier answer's index, as T-OPT's memo and P-OPT's refresh do.
+func TestLineRefsSeekMatchesNextAfter(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, plain := range lineRefShapes() {
+		for _, g := range []*graph.Graph{plain, plain.WithLayout(graph.LayoutCompact)} {
+			for dir, ref := range []*graph.Adj{&g.Out, &g.In} {
+				n := ref.N()
+				for _, epl := range []int{8, 16, 512} {
+					lr := BuildLineRefs(ref, epl)
+					for q := 0; q < 200; q++ {
+						l := rng.Intn(lr.numLines())
+						x := graph.V(rng.Intn(n + 2))
+						want := noRef
+						for v := l * epl; v < min((l+1)*epl, n); v++ {
+							if x == 0 {
+								if ns := ref.Neighs(graph.V(v)); len(ns) > 0 && ns[0] < want {
+									want = ns[0]
+								}
+							} else if next, ok := ref.NextAfter(graph.V(v), x-1); ok && next < want {
+								want = next
+							}
+						}
+						earlier, _ := lr.seek(l, lr.oa[l], graph.V(rng.Intn(int(x)+1)))
+						for _, from := range []uint64{lr.oa[l], earlier} {
+							pos, got := lr.seek(l, from, x)
+							atPos := noRef
+							if pos < lr.oa[l+1] {
+								atPos = lr.refs[pos]
+							}
+							if got != want || atPos != got {
+								t.Fatalf("%s compact=%v dir=%d epl=%d line %d x %d from %d: seek = (%d, %d), want %d",
+									g.Name, ref.IsCompact(), dir, epl, l, x, from, pos, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBuildLineRefsTileSubAdjacency builds the merged transpose of tile
+// sub-adjacencies (SubAdj), whose neighbor IDs run past their own N(), as
+// NewTiledPOPT does: the build must cover those IDs and still match the
+// reference build.
+func TestBuildLineRefsTileSubAdjacency(t *testing.T) {
+	u := graph.Uniform(4096, 32768, 9)
+	for _, g := range []*graph.Graph{u, u.WithLayout(graph.LayoutCompact)} {
+		for _, tile := range [][2]graph.V{{0, 8}, {0, 1024}, {3072, 4096}} {
+			sub := SubAdj(&g.Out, tile[0], tile[1])
+			beyond := false
+			for v := 0; v < sub.N(); v++ {
+				for _, x := range sub.Neighs(graph.V(v)) {
+					beyond = beyond || int(x) >= sub.N()
+				}
+			}
+			if !beyond {
+				t.Fatalf("tile %v names no neighbor at or above its %d vertices", tile, sub.N())
+			}
+			for _, epl := range []int{8, 16, 512} {
+				want := sortBuiltLineRefs(&sub, epl).Checksum()
+				for _, workers := range []int{1, 3} {
+					if got := buildLineRefs(&sub, epl, workers).Checksum(); got != want {
+						t.Errorf("compact=%v tile %v epl=%d workers=%d: checksum %x, want %x",
+							g.Out.IsCompact(), tile, epl, workers, got, want)
 					}
 				}
 			}

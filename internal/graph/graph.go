@@ -321,6 +321,66 @@ func (g *Graph) Transpose() *Graph {
 	return &Graph{Out: g.In, In: g.Out, Name: g.Name + "-T"}
 }
 
+// Symmetrize returns the undirected closure of g: every edge in both
+// directions, self-loops dropped. Vertex v's list is the duplicate-free
+// merge of its out- and in-lists minus v itself, written in two passes
+// (count, then fill) into one exact-size CSR. The closure is its own
+// transpose, so Out and In share that one adjacency. A compact input
+// yields a compact result, compacted once and shared the same way.
+func Symmetrize(g *Graph) *Graph {
+	n := g.NumVertices()
+	oa := make([]uint64, n+1)
+	out, in := g.Out.IterFrom(0), g.In.IterFrom(0)
+	for v := 0; v < n; v++ {
+		outs, _ := out.Next()
+		ins, _ := in.Next()
+		oa[v+1] = oa[v] + uint64(mergeUnion(nil, outs, ins, V(v)))
+	}
+	na := make([]V, oa[n])
+	out, in = g.Out.IterFrom(0), g.In.IterFrom(0)
+	for v := 0; v < n; v++ {
+		outs, _ := out.Next()
+		ins, _ := in.Next()
+		mergeUnion(na[oa[v]:oa[v+1]], outs, ins, V(v))
+	}
+	sym := Adj{OA: oa, NA: na}
+	if g.Out.IsCompact() {
+		plain := sym
+		sym = Adj{c: compactFromPlain(&plain)}
+	}
+	return &Graph{Out: sym, In: sym, Name: g.Name + "-sym"}
+}
+
+// mergeUnion writes the sorted union of the sorted, duplicate-free lists x
+// and y, leaving out skip, into dst and returns its length; a nil dst only
+// counts.
+func mergeUnion(dst, x, y []V, skip V) int {
+	k, i, j := 0, 0, 0
+	for i < len(x) || j < len(y) {
+		var u V
+		switch {
+		case j == len(y) || (i < len(x) && x[i] < y[j]):
+			u = x[i]
+			i++
+		case i == len(x) || y[j] < x[i]:
+			u = y[j]
+			j++
+		default: // in both lists
+			u = x[i]
+			i++
+			j++
+		}
+		if u == skip {
+			continue
+		}
+		if dst != nil {
+			dst[k] = u
+		}
+		k++
+	}
+	return k
+}
+
 // MaxDegree returns the maximum out-degree and the vertex attaining it.
 func (g *Graph) MaxDegree() (deg int, at V) {
 	for v := 0; v < g.NumVertices(); v++ {

@@ -209,7 +209,7 @@ func TestStartIterationResetsEpochs(t *testing.T) {
 
 func TestSymmetrize(t *testing.T) {
 	g := graph.FromEdges("d", 3, []graph.Edge{{Src: 0, Dst: 1}, {Src: 2, Dst: 2}})
-	s := Symmetrize(g)
+	s := graph.Symmetrize(g)
 	if s.NumEdges() != 2 { // 0->1, 1->0; self-loop dropped
 		t.Fatalf("symmetrized edges = %d, want 2", s.NumEdges())
 	}
@@ -233,7 +233,7 @@ func TestGoldenHelpersAgree(t *testing.T) {
 			t.Error("path graph must be one component")
 		}
 	}
-	mis := goldenLexFirstMIS(Symmetrize(g))
+	mis := goldenLexFirstMIS(graph.Symmetrize(g))
 	want := []bool{true, false, true, false, true}
 	for v, x := range want {
 		if mis[v] != x {

@@ -28,7 +28,7 @@ const (
 // still-undecided vertices (Table II: 4 B & 1 bit, pull-mostly,
 // transpose = CSR).
 func NewMIS(gIn *graph.Graph) *Workload {
-	g := Symmetrize(gIn)
+	g := graph.Symmetrize(gIn)
 	n := g.NumVertices()
 	sp := mem.NewSpace()
 	statusArr := sp.AllocBytes("status", n, 4, true)
@@ -148,29 +148,6 @@ func NewMIS(gIn *graph.Graph) *Workload {
 		return nil
 	}
 	return w
-}
-
-// Symmetrize returns the undirected closure of g (every edge present in
-// both directions, self-loops dropped). The result keeps g's adjacency
-// layout so a compact input stays compact.
-func Symmetrize(g *graph.Graph) *graph.Graph {
-	n := g.NumVertices()
-	edges := make([]graph.Edge, 0, 2*g.NumEdges())
-	it := g.Out.IterFrom(0)
-	for u := 0; u < n; u++ {
-		vs, _ := it.Next()
-		for _, v := range vs {
-			if graph.V(u) == v {
-				continue
-			}
-			edges = append(edges, graph.Edge{Src: graph.V(u), Dst: v}, graph.Edge{Src: v, Dst: graph.V(u)})
-		}
-	}
-	sym := graph.FromEdges(g.Name+"-sym", n, edges)
-	if g.Out.IsCompact() {
-		sym = sym.WithLayout(graph.LayoutCompact)
-	}
-	return sym
 }
 
 // goldenLexFirstMIS computes the lexicographically-first maximal

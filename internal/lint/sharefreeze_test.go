@@ -78,7 +78,7 @@ func TestShareFreezeRealTree(t *testing.T) {
 	}
 	wantLoopGo := map[string]bool{
 		"(*popt/internal/bench.Sweep).Run":        true,
-		"popt/internal/core.buildLineRefs":        true,
+		"popt/internal/core.eachWorker":           true,
 		"popt/internal/core.fillEntries":          true,
 		"popt/internal/graph.genEdges":            true,
 		"popt/internal/graph.parallelRanges":      true,
