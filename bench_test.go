@@ -15,7 +15,6 @@ import (
 	"popt/internal/graph"
 	"popt/internal/kernels"
 	"popt/internal/mem"
-	"popt/internal/multicore"
 )
 
 // benchExperiment runs one registered experiment per iteration.
@@ -222,32 +221,6 @@ func ExampleByID() {
 	e, ok := bench.ByID("table2")
 	fmt.Println(e.ID, ok)
 	// Output: table2 true
-}
-
-// BenchmarkMulticore measures the 8-core parallel simulation per policy.
-func BenchmarkMulticore(b *testing.B) {
-	g := graph.Uniform(1<<14, 4<<14, 5)
-	cfg := multicore.Default8Core()
-	epochSize := (g.NumVertices() + 255) / 256
-	b.Run("DRRIP", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m := multicore.NewMachine(cfg, cache.NewDRRIP(1), 0)
-			res := multicore.ParallelPageRank(m, g, nil, 1, epochSize, false)
-			b.ReportMetric(float64(res.Stats.LLCMisses), "LLCmisses")
-		}
-	})
-	b.Run("P-OPT", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sp := mem.NewSpace()
-			sp.AllocBytes("rank", g.NumVertices(), 4, false)
-			contrib := sp.AllocBytes("contrib", g.NumVertices(), 4, true)
-			p := core.BuildPOPT(&g.Out, g.NumVertices(), core.InterIntra, 8, contrib)
-			sets := cfg.LLCSize / (cfg.LLCWays * mem.LineSize)
-			m := multicore.NewMachine(cfg, p, p.ReservedWays(sets))
-			res := multicore.ParallelPageRank(m, g, p, 1, epochSize, true)
-			b.ReportMetric(float64(res.Stats.LLCMisses), "LLCmisses")
-		}
-	})
 }
 
 // BenchmarkExtensionPrefetch measures the transpose-guided prefetcher

@@ -512,39 +512,6 @@ func TestHierarchyWritebackReachesDRAM(t *testing.T) {
 	}
 }
 
-func TestNUCABankLocality(t *testing.T) {
-	banks := 8
-	irregBase := uint64(1) << 30
-	numLines := 64 * 64 * 4 // several full blocks
-	n := &NUCA{Banks: banks, IrregBase: irregBase, IrregBound: irregBase + uint64(numLines)*mem.LineSize}
-	// A bank-aligned matrix base preserves bank locality.
-	alignedBase := uint64(banks) * mem.LineSize * 100 * uint64(banks) // multiple of banks*64
-	if !n.BankLocal(alignedBase, numLines) {
-		t.Error("aligned matrix base should be bank-local")
-	}
-	// Under plain line striping of irregData, matrix locality breaks.
-	misaligned := alignedBase + mem.LineSize
-	if n.BankLocal(misaligned, numLines) {
-		t.Error("misaligned matrix base cannot be bank-local")
-	}
-}
-
-func TestNUCAStripeMappings(t *testing.T) {
-	if StripeLines.Bank(64, 8) != 1 || StripeLines.Bank(0, 8) != 0 {
-		t.Error("line striping broken")
-	}
-	// 64 consecutive lines share a bank under block striping.
-	b0 := StripeBlocks.Bank(0, 8)
-	for i := 0; i < 64; i++ {
-		if StripeBlocks.Bank(uint64(i)*mem.LineSize, 8) != b0 {
-			t.Fatal("block striping must keep 64-line blocks together")
-		}
-	}
-	if StripeBlocks.Bank(64*mem.LineSize, 8) == b0 {
-		t.Error("next block should map to the next bank")
-	}
-}
-
 func TestInvalidateAndFlush(t *testing.T) {
 	l := tinyLevel(NewLRU())
 	w := write(0x2000)

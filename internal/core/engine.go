@@ -5,17 +5,8 @@ import (
 	"popt/internal/mem"
 )
 
-// This file models the bookkeeping hardware of Section V: the next-ref
-// engine's buffers and the convenience wiring from kernel arrays to
-// policies.
-
-// NextRefBufferBytes returns the worst-case storage for next-ref buffers
-// (Section V-G): one buffer per concurrently outstanding LLC access, each
-// tracking one byte per LLC way. The paper's example — 8 cores × 10 L1
-// MSHRs × 16 ways — comes to 1.25 KB.
-func NextRefBufferBytes(cores, l1MSHRs, llcWays int) int {
-	return cores * l1MSHRs * llcWays
-}
+// This file models the next-ref engine of Section V and the convenience
+// wiring from kernel arrays to policies.
 
 // BuildPOPT builds a Rereference Matrix per irregular array and wires them
 // into a P-OPT policy. refAdj is the transpose of the traversal direction
@@ -131,8 +122,8 @@ func (m *Matrix) nextRefAt(line, e, sub int) int {
 // epoch e, and, if a lies in e and the encoding keeps intra-epoch
 // information, b, the first at or after epoch e+1, whose predecessor is
 // the last in e. A later epoch than the memo's resumes the search at its
-// pos; an earlier one (an iteration restart, a tile switch, interleaved
-// multicore vertices) or the first query starts at the segment head.
+// pos; an earlier one (an iteration restart or a tile switch) or the
+// first query starts at the segment head.
 //
 //popt:hot
 func (m *Matrix) refresh(line, e int) {

@@ -190,26 +190,6 @@ func TestTiledPOPTSwitchesTiles(t *testing.T) {
 	}
 }
 
-func TestSubAdjSharesNeighborStorage(t *testing.T) {
-	g := graph.Uniform(1024, 8192, 4)
-	sub := SubAdj(&g.Out, 256, 512)
-	if sub.N() != 256 {
-		t.Fatalf("sub vertices = %d, want 256", sub.N())
-	}
-	for v := graph.V(0); v < 256; v++ {
-		want := g.Out.Neighs(v + 256)
-		got := sub.Neighs(v)
-		if len(want) != len(got) {
-			t.Fatalf("vertex %d: %d neighbors, want %d", v, len(got), len(want))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("vertex %d neighbor %d mismatch", v, i)
-			}
-		}
-	}
-}
-
 func TestSubArrayGeometry(t *testing.T) {
 	sp := mem.NewSpace()
 	a := sp.AllocBytes("x", 1024, 4, true)

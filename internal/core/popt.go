@@ -139,17 +139,6 @@ func (p *POPT) ResetEpoch() {
 	p.streamColumns()
 }
 
-// ContextSwitch models Section V-F's context-switch support: the
-// architectural registers travel with the process context, and on
-// resumption the streaming engine refetches the resident columns of every
-// distinct matrix into the reserved ways.
-func (p *POPT) ContextSwitch() {
-	for _, m := range p.matrices {
-		p.EpochStreams++
-		p.BytesStreamed += uint64(m.ResidentBytes())
-	}
-}
-
 // ReservedWays returns how many LLC ways must be reserved to pin the
 // resident Rereference Matrix columns of every distinct matrix, for an
 // LLC with the given set count (Section V-A: enough ways to hold

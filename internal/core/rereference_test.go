@@ -530,13 +530,6 @@ func TestEpochStreamAccounting(t *testing.T) {
 	}
 }
 
-func TestNextRefBufferBytes(t *testing.T) {
-	// The paper's worked example: 8 cores, 10 L1 MSHRs, 16-way LLC = 1.25KB.
-	if got := NextRefBufferBytes(8, 10, 16); got != 1280 {
-		t.Errorf("NextRefBufferBytes = %d, want 1280", got)
-	}
-}
-
 func TestMatrixSharingBetweenSameGeometryStreams(t *testing.T) {
 	g := graph.Uniform(1<<12, 8<<12, 2)
 	sp := newTestSpace()
@@ -560,17 +553,5 @@ func TestMatrixSharingBetweenSameGeometryStreams(t *testing.T) {
 	p.ResetEpoch()
 	if p.EpochStreams != 2 {
 		t.Errorf("EpochStreams = %d, want 2 distinct columns", p.EpochStreams)
-	}
-}
-
-func TestContextSwitchRefetchesColumns(t *testing.T) {
-	g := graph.Uniform(1<<12, 8<<12, 2)
-	sp := newTestSpace()
-	a := sp.AllocBytes("a", g.NumVertices(), 4, true)
-	p := BuildPOPT(&g.Out, g.NumVertices(), InterIntra, 8, a)
-	p.ContextSwitch()
-	want := uint64(p.streams[0].m.ResidentBytes())
-	if p.BytesStreamed != want {
-		t.Errorf("context switch streamed %d bytes, want resident %d", p.BytesStreamed, want)
 	}
 }

@@ -98,7 +98,7 @@ type lineWorker struct {
 
 // lineWorkers splits numLines lines into at most workers contiguous ranges.
 // Each seen set starts with one bit per vertex of ref and grows on demand:
-// a tile's sub-adjacency (SubAdj) names neighbors beyond its own N().
+// a tile's sub-adjacency (graph.Adj.Sub) names neighbors beyond its own N().
 func lineWorkers(ref *graph.Adj, elemsPerLine, numLines, workers int) []lineWorker {
 	n := ref.N()
 	workers = max(workers, 1)
@@ -443,8 +443,8 @@ func (p *TOPT) Bind(g cache.Geometry) {
 
 // UpdateIndex models the paper's update_index instruction: the kernel
 // reports the outer-loop vertex it is currently processing. A backward
-// move (an iteration restart, a tile switch, or interleaved multicore
-// vertices) starts a new memo generation.
+// move (an iteration restart or a tile switch) starts a new memo
+// generation.
 func (p *TOPT) UpdateIndex(v graph.V) {
 	if v < p.cur {
 		p.newGeneration()

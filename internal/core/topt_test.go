@@ -130,14 +130,14 @@ func TestLineRefsSeekMatchesNextAfter(t *testing.T) {
 }
 
 // TestBuildLineRefsTileSubAdjacency builds the merged transpose of tile
-// sub-adjacencies (SubAdj), whose neighbor IDs run past their own N(), as
-// NewTiledPOPT does: the build must cover those IDs and still match the
-// reference build.
+// sub-adjacencies (graph.Adj.Sub), whose neighbor IDs run past their own
+// N(), as NewTiledPOPT does: the build must cover those IDs and still
+// match the reference build.
 func TestBuildLineRefsTileSubAdjacency(t *testing.T) {
 	u := graph.Uniform(4096, 32768, 9)
 	for _, g := range []*graph.Graph{u, u.WithLayout(graph.LayoutCompact)} {
 		for _, tile := range [][2]graph.V{{0, 8}, {0, 1024}, {3072, 4096}} {
-			sub := SubAdj(&g.Out, tile[0], tile[1])
+			sub := g.Out.Sub(tile[0], tile[1])
 			beyond := false
 			for v := 0; v < sub.N(); v++ {
 				for _, x := range sub.Neighs(graph.V(v)) {

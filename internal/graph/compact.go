@@ -447,7 +447,7 @@ func compactFromPlain(a *Adj) *adjCompact {
 }
 
 // materializePlain decodes a compact Adj back into the two-array CSR (used
-// by SubAdj on compact inputs and by WithLayout(LayoutPlain)).
+// by WithLayout(LayoutPlain)).
 func materializePlain(c *adjCompact) Adj {
 	oa := make([]uint64, c.n+1)
 	na := make([]V, c.m)

@@ -468,17 +468,3 @@ func (g *Graph) Validate() error {
 	}
 	return nil
 }
-
-// contains reports whether x occurs in a sorted slice.
-func contains(sorted []V, x V) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if sorted[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(sorted) && sorted[lo] == x
-}

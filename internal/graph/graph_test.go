@@ -191,28 +191,6 @@ func TestDBGPreservesIntraClassOrder(t *testing.T) {
 	}
 }
 
-func TestPermutationInverse(t *testing.T) {
-	g := Kron(10, 4, 5)
-	p := DBG(g)
-	inv := p.Inverse()
-	for v := range p {
-		if int(inv[p[v]]) != v {
-			t.Fatalf("inverse broken at %d", v)
-		}
-	}
-}
-
-func TestSortByDegree(t *testing.T) {
-	g := Kron(10, 8, 5)
-	p := SortByDegree(g)
-	inv := p.Inverse()
-	for nw := 1; nw < len(inv); nw++ {
-		if g.Out.Degree(inv[nw-1]) < g.Out.Degree(inv[nw]) {
-			t.Fatalf("degree order violated at position %d", nw)
-		}
-	}
-}
-
 func TestSegmentPartitionsEdges(t *testing.T) {
 	g := Uniform(1<<10, 8<<10, 9)
 	for _, tiles := range []int{1, 2, 3, 7, 16} {
@@ -223,21 +201,30 @@ func TestSegmentPartitionsEdges(t *testing.T) {
 	}
 }
 
-func TestSegmentTileTranspose(t *testing.T) {
-	g := paperExample()
-	s := Segment(g, 2)
-	for i := range s.Tiles {
-		tr := s.TileTranspose(i)
-		// Total edges in tile transpose equals edges in tile CSC.
-		if tr.M() != s.Tiles[i].In.M() {
-			t.Errorf("tile %d transpose has %d edges, CSC has %d", i, tr.M(), s.Tiles[i].In.M())
-		}
-		// Every (src,dst) in the transpose appears in the tile's CSC.
-		for v := V(0); int(v) < g.NumVertices(); v++ {
-			for _, d := range tr.Neighs(v) {
-				if !contains(s.Tiles[i].In.Neighs(d), v) {
-					t.Errorf("tile %d: edge %d->%d missing from tile CSC", i, v, d)
-				}
+// TestSubAdjSharesNeighborStorage checks that a plain sub-adjacency is a
+// view: its NA aliases the parent's NA at Start(lo), so a tile costs only
+// its offsets. A compact parent has no plain NA to share, so its
+// sub-adjacency must decode every list equal to the plain one.
+func TestSubAdjSharesNeighborStorage(t *testing.T) {
+	g := Uniform(1024, 8192, 4)
+	const lo, hi = 256, 512
+	sub := g.Out.Sub(lo, hi)
+	if sub.N() != hi-lo {
+		t.Fatalf("sub vertices = %d, want %d", sub.N(), hi-lo)
+	}
+	if len(sub.NA) == 0 || &sub.NA[0] != &g.Out.NA[g.Out.Start(lo)] {
+		t.Fatal("plain sub-adjacency copied NA instead of sharing it at Start(lo)")
+	}
+	cg := g.WithLayout(LayoutCompact)
+	if !cg.Out.IsCompact() {
+		t.Fatal("WithLayout(LayoutCompact) returned a plain graph")
+	}
+	csub := cg.Out.Sub(lo, hi)
+	for v := V(0); v < hi-lo; v++ {
+		want := g.Out.Neighs(v + lo)
+		for _, got := range [][]V{sub.Neighs(v), csub.Neighs(v)} {
+			if !equalV(got, want) {
+				t.Fatalf("vertex %d: neighbors %v, want %v", v, got, want)
 			}
 		}
 	}

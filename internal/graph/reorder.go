@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // This file implements vertex reorderings. Degree-Based Grouping (DBG,
 // Faldu et al., IISWC 2019) is required by the GRASP replacement policy
 // (Fig. 12a): GRASP expects the input graph's hottest vertices packed at
@@ -12,15 +10,6 @@ import "sort"
 
 // Permutation maps old vertex IDs to new vertex IDs: newID := p[oldID].
 type Permutation []V
-
-// Inverse returns the inverse permutation (new -> old).
-func (p Permutation) Inverse() Permutation {
-	inv := make(Permutation, len(p))
-	for old, nw := range p {
-		inv[nw] = V(old)
-	}
-	return inv
-}
 
 // DBG computes the Degree-Based Grouping permutation of g using total
 // (in+out) degree. Group k holds vertices with degree in [2^k, 2^(k+1));
@@ -60,19 +49,6 @@ func DBG(g *Graph) Permutation {
 	return p
 }
 
-// HotPrefixLines returns how many vertices of the DBG-ordered graph fall in
-// the "hot" degree classes that GRASP should pin: the smallest prefix of
-// classes whose per-vertex data fits in the given budget of bytes, given
-// elemSize bytes per vertex. GRASP's own heuristic sizes the hot region to
-// a fraction of the LLC.
-func HotPrefixLines(g *Graph, p Permutation, elemSize, budgetBytes int) int {
-	maxVerts := budgetBytes / elemSize
-	if maxVerts > g.NumVertices() {
-		maxVerts = g.NumVertices()
-	}
-	return maxVerts
-}
-
 // Apply relabels g's vertices with p and rebuilds both directions. The
 // result is a new graph; g is unmodified.
 func (p Permutation) Apply(g *Graph) *Graph {
@@ -86,23 +62,4 @@ func (p Permutation) Apply(g *Graph) *Graph {
 		}
 	}
 	return FromEdges(g.Name+"-dbg", n, edges)
-}
-
-// SortByDegree returns a permutation placing vertices in strictly
-// descending order of out-degree (ties by original ID). It is a harsher
-// reordering than DBG, used in tests as a reference point.
-func SortByDegree(g *Graph) Permutation {
-	n := g.NumVertices()
-	order := make([]V, n)
-	for i := range order {
-		order[i] = V(i)
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return g.Out.Degree(order[i]) > g.Out.Degree(order[j])
-	})
-	p := make(Permutation, n)
-	for nw, old := range order {
-		p[old] = V(nw)
-	}
-	return p
 }

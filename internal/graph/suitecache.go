@@ -25,18 +25,13 @@ type suiteKey struct {
 	layout Layout // resolved: LayoutPlain or LayoutCompact, never LayoutAuto
 }
 
-// cachedSuite returns the memoized plain suite for (s, seed), building it
-// on first use. The build happens under the lock so concurrent first
-// callers do not duplicate the work; afterwards every caller gets the
-// same immutable graphs.
-func cachedSuite(s Scale, seed int64) []*Graph {
-	return cachedSuiteLayout(s, seed, LayoutPlain)
-}
-
-// cachedSuiteLayout memoizes per (scale, seed, resolved layout). A compact
-// suite is built graph by graph — each plain graph is encoded and dropped
-// before the next generates — so peak residency during construction is one
-// plain graph plus the compact results, not a whole retained plain suite.
+// cachedSuiteLayout returns the memoized suite for (scale, seed, resolved
+// layout), building it on first use. The build happens under the lock so
+// concurrent first callers do not duplicate the work; afterwards every
+// caller gets the same immutable graphs. A compact suite is built graph
+// by graph — each plain graph is encoded and dropped before the next
+// generates — so peak residency during construction is one plain graph
+// plus the compact results, not a whole retained plain suite.
 func cachedSuiteLayout(s Scale, seed int64, lay Layout) []*Graph {
 	key := suiteKey{s, seed, lay.Resolve(s)}
 	suiteCache.Lock()

@@ -71,6 +71,33 @@ func filterAdjBySource(in *Adj, lo, hi V) Adj {
 	return Adj{OA: oa, NA: na}
 }
 
+// Sub restricts a to vertices [lo, hi), renumbering vertices to start at
+// zero while keeping neighbor IDs absolute (they are outer-loop
+// positions): the transpose slice a tile's P-OPT builds its matrix from.
+// For a plain adjacency OA is rebuilt and NA shared; a compact one decodes
+// its slice into a small plain sub-adjacency (tiles are short-lived
+// matrix-build inputs, not resident state).
+func (a *Adj) Sub(lo, hi V) Adj {
+	oa := make([]uint64, hi-lo+1)
+	base := a.Start(lo)
+	if a.c == nil {
+		for v := lo; v <= hi; v++ {
+			oa[v-lo] = a.OA[v] - base
+		}
+		return Adj{OA: oa, NA: a.NA[base:a.OA[hi]]}
+	}
+	na := make([]V, a.Start(hi)-base)
+	it := a.IterFrom(lo)
+	w := 0
+	for v := lo; v < hi; v++ {
+		ns, start := it.Next()
+		oa[v-lo] = start - base
+		w += copy(na[w:], ns)
+	}
+	oa[hi-lo] = uint64(w)
+	return Adj{OA: oa, NA: na}
+}
+
 func lowerBound(sorted []V, x V) int {
 	lo, hi := 0, len(sorted)
 	for lo < hi {
@@ -104,31 +131,4 @@ func (s *Segmented) Validate() error {
 		return fmt.Errorf("tiles hold %d edges, graph has %d", total, s.G.NumEdges())
 	}
 	return nil
-}
-
-// TileTranspose builds the out-direction adjacency restricted to sources in
-// the tile's range, needed by T-OPT/P-OPT when simulating a tiled pull
-// execution (next references only within the tile's edges). Vertices
-// outside [SrcLo, SrcHi) get empty lists.
-func (s *Segmented) TileTranspose(i int) Adj {
-	t := s.Tiles[i]
-	n := s.G.NumVertices()
-	oa := make([]uint64, n+1)
-	var total uint64
-	for v := V(0); int(v) < n; v++ {
-		oa[v] = total
-		if v >= t.SrcLo && v < t.SrcHi {
-			// All out-edges of v appear in this tile (tile filters by src).
-			total += uint64(s.G.Out.Degree(v))
-		}
-	}
-	oa[n] = total
-	na := make([]V, total)
-	var w uint64
-	it := s.G.Out.IterFrom(t.SrcLo)
-	for v := t.SrcLo; v < t.SrcHi; v++ {
-		ns, _ := it.Next()
-		w += uint64(copy(na[w:], ns))
-	}
-	return Adj{OA: oa, NA: na}
 }

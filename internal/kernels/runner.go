@@ -16,22 +16,8 @@ import (
 // PullDensityThreshold is the frontier density below which a
 // direction-switching kernel would run the round in push mode; frontier
 // kernels mute such rounds (Ligra's dense/sparse switch fires near
-// |frontier edges| > |E|/20, approximated here by active-vertex fraction).
+// |frontier edges| > |E|/20, measured here by EdgeDensity).
 const PullDensityThreshold = 0.05
-
-// Density returns the fraction of set entries in a frontier.
-func Density(frontier []bool) float64 {
-	if len(frontier) == 0 {
-		return 0
-	}
-	n := 0
-	for _, b := range frontier {
-		if b {
-			n++
-		}
-	}
-	return float64(n) / float64(len(frontier))
-}
 
 // EdgeDensity returns the fraction of the edge set incident to active
 // frontier vertices — Ligra's dense/sparse switching criterion (a few hub

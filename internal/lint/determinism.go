@@ -19,7 +19,6 @@ var SimPackages = []string{
 	"popt/internal/mem",
 	"popt/internal/perf",
 	"popt/internal/sched",
-	"popt/internal/multicore",
 	"popt/internal/bench",
 	"popt/internal/trace",
 	"popt/internal/analysis",

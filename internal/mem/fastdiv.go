@@ -38,9 +38,6 @@ func NewDivider(d uint64) Divider {
 	return Divider{d: d, mHi: hi + carry, mLo: lo}
 }
 
-// Divisor returns d.
-func (dv Divider) Divisor() uint64 { return dv.d }
-
 // Mod returns x % d.
 //
 //popt:hot

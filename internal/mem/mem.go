@@ -111,9 +111,6 @@ func (s *Space) AllocBytes(name string, n int, elemBytes uint64, irregular bool)
 	return s.Alloc(name, n, elemBytes*8, irregular)
 }
 
-// Arrays returns all allocations in order.
-func (s *Space) Arrays() []*Array { return s.arrays }
-
 // Find returns the array containing addr, or nil.
 func (s *Space) Find(addr uint64) *Array {
 	for _, a := range s.arrays {
@@ -122,16 +119,4 @@ func (s *Space) Find(addr uint64) *Array {
 		}
 	}
 	return nil
-}
-
-// IrregularFootprint sums the bytes of all irregular arrays; this is what
-// determines how many LLC ways P-OPT must reserve.
-func (s *Space) IrregularFootprint() uint64 {
-	var total uint64
-	for _, a := range s.arrays {
-		if a.Irregular {
-			total += a.SizeBytes()
-		}
-	}
-	return total
 }

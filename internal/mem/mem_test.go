@@ -75,16 +75,6 @@ func TestFind(t *testing.T) {
 	}
 }
 
-func TestIrregularFootprint(t *testing.T) {
-	s := NewSpace()
-	s.AllocBytes("stream", 1000, 4, false)
-	s.AllocBytes("irr1", 100, 4, true)
-	s.Alloc("irrBits", 800, 1, true)
-	if got := s.IrregularFootprint(); got != 400+100 {
-		t.Errorf("IrregularFootprint = %d, want 500", got)
-	}
-}
-
 func TestAccessLineAddr(t *testing.T) {
 	a := Access{Addr: 0x12345}
 	if a.LineAddr() != 0x12340 {
